@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import example, given, settings, strategies as st
 
 from obsurf import constraints as cons
 from obsurf.constraints import (NoPenetration, PathExists, SubsetEvaluator,
@@ -263,3 +264,47 @@ class TestNoPenetrationSupport:
             assert ev(keep) == all_satisfied(specs, sub, state, goals)
         assert ev(np.array([True, False, False]))
         assert not ev(np.array([True, True, False]))
+
+
+ENCLOSURE_GRID = GridSpec((0.0, 0.0), (0.4, 0.4), 0.01)
+ENCLOSURE_STATE = np.array([[0.05, 0.05], [0.3, 0.05]])
+ENCLOSURE_GOAL = np.array([[0.2, 0.2]])
+ENCLOSURE_SIZE = 1 + 5 + 12 + 3
+
+
+def penetrating_enclosure(rot: float, spin: float):
+    """Goal seed, an exterior trail, an interior ring closing off the
+    goal, and three spurious interior points 0.012 from the tracked
+    point; ring and spurious points are turned by the given angles."""
+    goal = ENCLOSURE_GOAL[0]
+    ang = np.linspace(0, 2 * np.pi, 12, endpoint=False) + rot
+    ring = goal + 0.08 * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    trail = np.stack([np.linspace(0.05, 0.13, 6)] * 2, axis=1)[1:]
+    a = spin + np.array([0.0, 2.1, 4.2])
+    spurious = ENCLOSURE_STATE[0] + 0.012 * np.stack([np.cos(a), np.sin(a)],
+                                                      axis=1)
+    pts = np.vstack([goal[None], trail, ring, spurious])
+    labels = np.concatenate([[1.0], np.ones(len(trail)),
+                             -np.ones(len(ring) + len(spurious))])
+    return pts, labels
+
+
+class TestSubsetEvaluatorProperty:
+    params = KernelParams(0.07, 1.0, 1e-4)
+    specs = [PathExists(grid=ENCLOSURE_GRID, component=0),
+             NoPenetration(zeta=0.4)]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(rot=st.floats(0.0, 2 * np.pi / 12), spin=st.floats(0.0, 2 * np.pi),
+           keep=st.lists(st.booleans(), min_size=ENCLOSURE_SIZE,
+                         max_size=ENCLOSURE_SIZE))
+    @example(rot=0.0, spin=0.0, keep=[False] * ENCLOSURE_SIZE)
+    @example(rot=0.0, spin=0.0, keep=[True] * ENCLOSURE_SIZE)
+    def test_matches_fresh_gpis_on_any_subset(self, rot, spin, keep):
+        pts, labels = penetrating_enclosure(rot, spin)
+        keep = np.array(keep, dtype=bool)
+        ev = SubsetEvaluator(self.specs, pts, labels, self.params, None,
+                             ENCLOSURE_STATE, ENCLOSURE_GOAL)
+        fresh = Gpis(pts[keep], labels[keep], self.params)
+        assert ev(keep) == all_satisfied(self.specs, fresh, ENCLOSURE_STATE,
+                                         ENCLOSURE_GOAL)
