@@ -3,7 +3,7 @@ dataset refinement, and sampling-based MPC in planar worlds."""
 
 from .gp import KernelParams, PosteriorStats, SolverError, fit_hyperparams, \
     gp_posterior, log_marginal_likelihood, matern32
-from .gpis import Gpis, GridSpec, OccupancyGrid, inv_norm_cdf
+from .gpis import Gpis, GridSpec, OccupancyGrid, inv_norm_cdf, lcb, norm_cdf
 from .contact import DatasetPair, LabelBatch, gen_labels, local_minimum, \
     pre_process
 from .constraints import NoPenetration, PathExists, all_satisfied, \

@@ -9,8 +9,8 @@ import sys
 from pathlib import Path
 
 from .gpis import OccupancyGrid
-from .harness import (EpisodeConfig, EpisodeReport, export_artifacts,
-                      render_svg, run_batch, run_episode)
+from .harness import (EpisodeConfig, EpisodeReport, _parse_value,
+                      export_artifacts, render_svg, run_batch, run_episode)
 
 # Parameter-sheet shorthand accepted by --set alongside field names.
 _ALIASES = {
@@ -42,16 +42,7 @@ def _apply_sets(cfg: EpisodeConfig, pairs) -> EpisodeConfig:
         name = _ALIASES.get(key, key)
         if name not in fields:
             raise ValueError(f"unknown parameter '{key}'")
-        t = fields[name].type
-        if "bool" in t:
-            parsed = val.lower() in ("1", "true", "yes", "on")
-        elif "int" in t:
-            parsed = int(val)
-        elif "float" in t:
-            parsed = float(val)
-        else:
-            parsed = val
-        updates[name] = parsed
+        updates[name] = _parse_value(fields[name].type, val)
     return dataclasses.replace(cfg, **updates)
 
 

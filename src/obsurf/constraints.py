@@ -5,6 +5,11 @@ occupancy grid between the tracked point and every goal, and the state
 estimate must not penetrate the surface under a conservative lower
 confidence bound wherever the data supports the surface. A constraint
 set is satisfied only when every member is.
+
+`all_satisfied` judges a `Gpis`; `SubsetEvaluator` judges subsets of a
+fixed active set for the refiner. Both read the same posterior core
+(`gp.GpSolve.posterior`), the same `gpis.lcb` and the same
+`GridSpec.occupancy`, so they give the same verdicts.
 """
 
 from __future__ import annotations
@@ -13,11 +18,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy import ndimage
 
-from .gp import kernel_matrix, KernelParams, SolverError, _JITTERS
-from .gpis import Gpis, GridSpec, OccupancyGrid, inv_norm_cdf, FREE_LABEL
+from .gp import GpSolve, KernelParams, kernel_matrix
+from .gpis import Gpis, GridSpec, OccupancyGrid, FREE_LABEL, lcb
 
 
 @dataclass(frozen=True)
@@ -112,8 +116,8 @@ def no_penetration(gpis: Gpis, state: np.ndarray, zeta: float) -> bool:
     prior and fails it for any zeta < 1/2. A `NoPenetration` spec
     judges only the supported components (see its docstring).
     """
-    lcb = gpis.lcb_many(np.atleast_2d(np.asarray(state, dtype=float)), zeta)
-    return bool(np.all(lcb > 0.0))
+    mean, var = gpis.predict_many(np.atleast_2d(np.asarray(state, dtype=float)))
+    return bool(np.all(lcb(mean, var, zeta) > 0.0))
 
 
 def _supported_bound_holds(mean: np.ndarray, var: np.ndarray, zeta: float,
@@ -121,8 +125,7 @@ def _supported_bound_holds(mean: np.ndarray, var: np.ndarray, zeta: float,
     """The NoPenetration verdict from the post-processed mean and raw
     variance at the state components."""
     judged = var <= SUPPORT_VAR_RATIO * outputscale
-    lcb = mean[judged] + inv_norm_cdf(zeta) * np.sqrt(var[judged])
-    return bool(np.all(lcb > 0.0))
+    return bool(np.all(lcb(mean[judged], var[judged], zeta) > 0.0))
 
 
 def satisfied(spec: ConstraintSpec, gpis: Gpis, state: np.ndarray,
@@ -151,8 +154,8 @@ class SubsetEvaluator:
     Refinement evaluates hundreds of subsets against fixed query points
     (grid centers, state components), so the kernel blocks between the
     full active set and those queries are computed once here and sliced
-    per candidate. Results are identical to conditioning a fresh
-    surface on the subset.
+    per candidate into the same posterior core `Gpis` uses. Results are
+    identical to conditioning a fresh surface on the subset.
     """
 
     def __init__(
@@ -173,62 +176,25 @@ class SubsetEvaluator:
         self.params = params
         self.state = np.atleast_2d(np.asarray(state, dtype=float))
         self.goals = np.atleast_2d(np.asarray(goals, dtype=float))
-        m = self.points.shape[0]
-        self._gram = kernel_matrix(self.points, self.points, params) if m else None
 
         self._jobs = []
         for spec in self.specs:
-            if isinstance(spec, PathExists):
-                q = spec.grid.centers()
-                need_var = False
-            else:
-                q = self.state
-                need_var = True
-            vis = (np.asarray(free_space(q), dtype=bool) if free_space is not None
-                   else np.zeros(q.shape[0], dtype=bool))
-            kq = kernel_matrix(q, self.points, params) if m else np.zeros((q.shape[0], 0))
-            self._jobs.append((spec, q, vis, kq, need_var))
-
-    def _subset_posterior(self, idx: np.ndarray, kq: np.ndarray, vis: np.ndarray,
-                          need_var: bool):
-        q = kq.shape[0]
-        if idx.size == 0:
-            mean = np.zeros(q)
-            var = np.full(q, self.params.outputscale)
-        else:
-            ks = self._gram[np.ix_(idx, idx)].copy()
-            diag = np.arange(idx.size)
-            data = kq[:, idx]
-            for jit in _JITTERS:
-                ks[diag, diag] = self._gram[idx, idx] + self.params.noise + jit
-                try:
-                    cho = cho_factor(ks, lower=True)
-                    break
-                except np.linalg.LinAlgError:
-                    continue
-            else:
-                raise SolverError("subset Gram matrix not positive definite")
-            alpha = cho_solve(cho, self.labels[idx])
-            mean = data @ alpha
-            if need_var:
-                sol = cho_solve(cho, data.T)
-                var = self.params.outputscale - np.einsum("mq,qm->q", sol, data)
-                np.clip(var, 0.0, None, out=var)
-            else:
-                var = None
-        mean = np.where(vis, FREE_LABEL, mean)
-        return mean, var
+            q = spec.grid.centers() if isinstance(spec, PathExists) else self.state
+            vis = (None if free_space is None
+                   else np.asarray(free_space(q), dtype=bool))
+            self._jobs.append((spec, vis, kernel_matrix(q, self.points, params)))
 
     def __call__(self, keep: np.ndarray) -> bool:
         """Evaluate the conjunction on the subset selected by `keep`."""
         idx = np.where(np.asarray(keep, dtype=bool))[0]
-        for spec, q, vis, kq, need_var in self._jobs:
-            mean, var = self._subset_posterior(idx, kq, vis, need_var)
-            if isinstance(spec, PathExists):
-                cells = (mean <= 0.0).reshape(spec.grid.shape)
-                grid = OccupancyGrid(tuple(float(v) for v in spec.grid.lo),
-                                     spec.grid.resolution, cells)
-                ok = _grid_path_exists(grid, spec.grid,
+        solve = GpSolve(self.points[idx], self.labels[idx], self.params)
+        for spec, vis, kq in self._jobs:
+            is_path = isinstance(spec, PathExists)
+            mean, var = solve.posterior(kq[:, idx], not is_path)
+            if vis is not None:
+                mean = np.where(vis, FREE_LABEL, mean)
+            if is_path:
+                ok = _grid_path_exists(spec.grid.occupancy(mean), spec.grid,
                                        self.state[spec.component], self.goals)
             else:
                 ok = _supported_bound_holds(mean, var, spec.zeta,

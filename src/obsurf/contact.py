@@ -16,12 +16,15 @@ runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .gpis import DEDUP_TOL
 from .sensor import Camera, DepthData, visible
+
+# Observed points closer than this are treated as the same point; the
+# most recent label wins. Keeps the Gram matrix well conditioned.
+DEDUP_TOL = 1e-9
 
 # Predicted displacements below this carry no contact signal; the
 # observed label defaults to fully free.
@@ -55,21 +58,16 @@ class LabelBatch:
     near_cloud: np.ndarray
 
 
-def gen_labels(
-    x_t: np.ndarray,
-    x_next: np.ndarray,
-    x_pred: np.ndarray,
-    dist_fn: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
-) -> LabelBatch:
+def gen_labels(x_t: np.ndarray, x_next: np.ndarray,
+               x_pred: np.ndarray) -> LabelBatch:
     """Label a transition by the ratio of realized to predicted motion.
 
-    y_i = min(d(x_t, x_next) / d(x_t, x_pred), 1); a vanishing
-    predicted displacement yields y_i = 1 (no motion commanded means no
-    evidence of contact).
+    y_i = min(d(x_t, x_next) / d(x_t, x_pred), 1) with d the Euclidean
+    distance; a vanishing predicted displacement yields y_i = 1 (no
+    motion commanded means no evidence of contact).
     """
-    d = dist_fn or euclidean
-    num = np.asarray(d(x_t, x_next), dtype=float)
-    den = np.asarray(d(x_t, x_pred), dtype=float)
+    num = euclidean(x_t, x_next)
+    den = euclidean(x_t, x_pred)
     if not np.all(np.isfinite(den)):
         raise ValueError("predicted displacement must be finite")
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -139,17 +137,11 @@ def pre_process(
     )
 
 
-def local_minimum(
-    x_next: np.ndarray,
-    x_saved: np.ndarray,
-    window: int,
-    d_min: float,
-    dist_fn: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
-) -> bool:
+def local_minimum(x_next: np.ndarray, x_saved: np.ndarray, window: int,
+                  d_min: float) -> bool:
     """Stall test: average per-step, per-component travel since the
     saved state is strictly below d_min."""
-    d = dist_fn or euclidean
-    avg = float(np.mean(d(x_next, x_saved))) / float(window)
+    avg = float(np.mean(euclidean(x_next, x_saved))) / float(window)
     return avg < d_min
 
 
@@ -187,15 +179,6 @@ class DatasetPair:
     bar_labels: np.ndarray
     bar_tags: np.ndarray
     bar_mask: np.ndarray
-
-    @classmethod
-    def empty(cls, dim: int) -> "DatasetPair":
-        return cls(
-            np.zeros((0, dim)), np.zeros(0), np.zeros(0, dtype=int),
-            np.zeros(0, dtype=bool),
-            np.zeros((0, dim)), np.zeros(0), np.zeros(0, dtype=int),
-            np.zeros(0, dtype=bool),
-        )
 
     @classmethod
     def seeded(cls, goals: np.ndarray) -> "DatasetPair":

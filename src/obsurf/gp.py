@@ -79,24 +79,21 @@ def kernel_matrix(a: np.ndarray, b: np.ndarray, params: KernelParams) -> np.ndar
     return matern32(cdist(a, b), params)
 
 
-def _factor_gram(points: np.ndarray, params: KernelParams):
-    """Cholesky of K + noise*I with jitter escalation.
+def _cholesky(ky: np.ndarray):
+    """Lower Cholesky factor (cho_factor tuple) of a noisy Gram matrix.
 
-    Returns the (cho_factor) tuple. Raises SolverError when even the
-    largest jitter fails.
+    On failure the smallest jitter from _JITTERS that works is added to
+    the diagonal. Raises SolverError on non-finite entries or when even
+    the largest jitter fails.
     """
-    k = kernel_matrix(points, points, params)
-    if not np.all(np.isfinite(k)):
-        raise SolverError("non-finite entries in Gram matrix")
-    n = k.shape[0]
-    diag = np.arange(n)
     for jit in _JITTERS:
-        ky = k.copy()
-        ky[diag, diag] += params.noise + jit
+        a = ky + jit * np.eye(len(ky)) if jit else ky
         try:
-            return cho_factor(ky, lower=True)
+            return cho_factor(a, lower=True)
         except np.linalg.LinAlgError:
             continue
+        except ValueError as exc:  # cho_factor's finiteness check
+            raise SolverError("non-finite entries in Gram matrix") from exc
     raise SolverError(f"Gram matrix not positive definite after jitter {max(_JITTERS)}")
 
 
@@ -114,7 +111,10 @@ class GpSolve:
         if self.points.shape[0] != self.labels.shape[0]:
             raise ValueError("points and labels must have equal length")
         self.params = params
-        self._cho = _factor_gram(self.points, params)
+        ky = kernel_matrix(self.points, self.points, params)
+        diag = np.arange(ky.shape[0])
+        ky[diag, diag] += params.noise
+        self._cho = _cholesky(ky)
         self.alpha = cho_solve(self._cho, self.labels)
         self._kinv = None
 
@@ -124,21 +124,28 @@ class GpSolve:
             self._kinv = cho_solve(self._cho, np.eye(self.points.shape[0]))
         return self._kinv
 
-    def predict(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior mean and variance at each query row."""
-        queries = np.atleast_2d(np.asarray(queries, dtype=float))
-        ks = kernel_matrix(queries, self.points, self.params)  # (q, m)
+    def posterior(self, ks: np.ndarray, with_var: bool):
+        """Posterior mean, and the variance when with_var is set (else
+        None), from the cross-covariance ks between the queries and the
+        training points, shape (q, m)."""
         mean = ks @ self.alpha
+        if not with_var:
+            return mean, None
         # var = k(0) - diag(ks Ky^-1 ks^T), computed via the explicit
         # inverse so the whole batch is one BLAS call.
         var = self.params.outputscale - np.einsum("qm,qm->q", ks @ self.kinv, ks)
         np.clip(var, 0.0, None, out=var)
         return mean, var
 
+    def predict(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior mean and variance at each query row."""
+        ks = kernel_matrix(queries, self.points, self.params)
+        return self.posterior(ks, True)
+
     def predict_mean(self, queries: np.ndarray) -> np.ndarray:
         """Posterior mean only; skips the quadratic variance term."""
-        queries = np.atleast_2d(np.asarray(queries, dtype=float))
-        return kernel_matrix(queries, self.points, self.params) @ self.alpha
+        ks = kernel_matrix(queries, self.points, self.params)
+        return self.posterior(ks, False)[0]
 
 
 def gp_posterior(
@@ -187,16 +194,7 @@ def log_marginal_likelihood(
     x, y, m, s, e, k, ky = _lml_terms(points, labels, params)
     if m == 0:
         raise ValueError("log_marginal_likelihood requires non-empty training data")
-    if not np.all(np.isfinite(ky)):
-        raise SolverError("non-finite Gram matrix")
-    for jit in _JITTERS:
-        try:
-            cho = cho_factor(ky + jit * np.eye(m), lower=True)
-            break
-        except np.linalg.LinAlgError:
-            continue
-    else:
-        raise SolverError("singular Gram matrix in marginal likelihood")
+    cho = _cholesky(ky)
     alpha = cho_solve(cho, y)
     logdet = 2.0 * np.sum(np.log(np.diag(cho[0])))
     value = -0.5 * (y @ alpha) - 0.5 * logdet - 0.5 * m * LOG_2PI

@@ -2,73 +2,47 @@
 
 The surface is the 0-level set of the posterior mean over labeled
 points: negative means interior, positive exterior. Queries support a
-free-space mean override driven by a visibility oracle, lower
-confidence bounds for conservative checks, and export to a boolean
-occupancy grid.
+free-space mean override driven by a visibility oracle. The module also
+holds the one lower-confidence-bound formula (`lcb`) used for
+conservative checks, with scipy's normal quantile behind it, and the
+one step from a mean over grid centers to a boolean occupancy grid
+(`GridSpec.occupancy`). Goal points enter as data through
+`contact.DatasetPair.seeded`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
 from .gp import GpSolve, KernelParams, PosteriorStats
 
-# Observed points closer than this are treated as the same point; the
-# most recent label wins. Keeps the Gram matrix well conditioned.
-DEDUP_TOL = 1e-9
-
 FREE_LABEL = 1.0
-
-# Acklam's rational approximation to the standard normal quantile.
-_ICDF_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-           1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_ICDF_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-           6.680131188771972e+01, -1.328068155288572e+01)
-_ICDF_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-           -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_ICDF_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-           3.754408661907416e+00)
-_ICDF_PLOW = 0.02425
 
 
 def norm_cdf(x: float) -> float:
-    """Standard normal CDF via erf."""
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+    """Standard normal CDF."""
+    return float(ndtr(x))
 
 
 def inv_norm_cdf(p: float) -> float:
-    """Standard normal quantile.
-
-    Rational approximation refined with two Newton steps on the
-    erf-based CDF; round-trip error is far below 1e-8 over (0, 1).
-    """
+    """Standard normal quantile."""
     if not (0.0 < p < 1.0):
         raise ValueError(f"quantile argument must lie in (0, 1), got {p}")
-    a, b, c, d = _ICDF_A, _ICDF_B, _ICDF_C, _ICDF_D
-    if p < _ICDF_PLOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    elif p > 1.0 - _ICDF_PLOW:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    else:
-        q = p - 0.5
-        r = q * q
-        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-    for _ in range(2):
-        err = norm_cdf(x) - p
-        pdf = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-        if pdf <= 0.0:
-            break
-        x -= err / pdf
-    return x
+    return float(ndtri(p))
+
+
+def lcb(mean, var, zeta: float):
+    """Lower confidence bound mean + Phi^-1(zeta) * std, elementwise.
+
+    zeta below one half pulls the bound pessimistic; exactly one half
+    gives the mean. Raises ValueError unless 0 < zeta < 1.
+    """
+    return mean + inv_norm_cdf(zeta) * np.sqrt(var)
 
 
 @dataclass(frozen=True)
@@ -87,7 +61,7 @@ class GridSpec:
         if lo.shape != hi.shape or np.any(hi <= lo):
             raise ValueError("grid bounds must satisfy hi > lo per axis")
 
-    @property
+    @cached_property
     def shape(self) -> tuple:
         lo = np.asarray(self.lo, dtype=float)
         hi = np.asarray(self.hi, dtype=float)
@@ -106,6 +80,14 @@ class GridSpec:
         p = np.asarray(point, dtype=float).ravel()
         idx = np.floor((p - np.asarray(self.lo)) / self.resolution).astype(int)
         return tuple(int(np.clip(i, 0, n - 1)) for i, n in zip(idx, self.shape))
+
+    def occupancy(self, mean: np.ndarray) -> "OccupancyGrid":
+        """Occupancy from the surface mean at centers(): occupied where
+        mean <= 0. The boundary value 0 counts as occupied, so a blank
+        prior marks everything occupied until data or visibility carves
+        out free space."""
+        cells = (mean <= 0.0).reshape(self.shape)
+        return OccupancyGrid(tuple(float(v) for v in self.lo), self.resolution, cells)
 
 
 @dataclass(frozen=True)
@@ -164,7 +146,6 @@ class Gpis:
         points: Optional[np.ndarray] = None,
         labels: Optional[np.ndarray] = None,
         params: Optional[KernelParams] = None,
-        goal_seeds: Optional[np.ndarray] = None,
         free_space: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ):
         self.params = params if params is not None else KernelParams()
@@ -178,50 +159,12 @@ class Gpis:
                 raise ValueError("points and labels must have equal length")
             if np.any(self.labels < -1.0) or np.any(self.labels > 1.0):
                 raise ValueError("labels must lie in [-1, 1]")
-        self.goal_seeds = (np.zeros((0, self.points.shape[1] if self.points.size else 0))
-                           if goal_seeds is None
-                           else np.atleast_2d(np.asarray(goal_seeds, dtype=float)))
         self.free_space = free_space
         self._solve: Optional[GpSolve] = None
 
-    # -- construction ------------------------------------------------
-
     def with_active(self, points: np.ndarray, labels: np.ndarray) -> "Gpis":
         """New surface conditioned on a replacement active set."""
-        return Gpis(points, labels, self.params, self.goal_seeds, self.free_space)
-
-    def with_params(self, params: KernelParams) -> "Gpis":
-        return Gpis(self.points, self.labels, params, self.goal_seeds, self.free_space)
-
-    def seed_with_goal(self, goals: np.ndarray) -> "Gpis":
-        """Add goal points as exterior evidence (label 1), idempotently.
-
-        Seeded points reflect the assumption that the goal is reachable
-        and therefore outside any obstacle.
-        """
-        goals = np.atleast_2d(np.asarray(goals, dtype=float))
-        if goals.size == 0:
-            raise ValueError("goal seeding requires at least one point")
-        pts = self.points if self.points.size else np.zeros((0, goals.shape[1]))
-        labs = self.labels
-        for g in goals:
-            if pts.shape[0]:
-                d = np.linalg.norm(pts - g[None, :], axis=1)
-                j = int(np.argmin(d))
-                if d[j] <= DEDUP_TOL:
-                    labs = labs.copy()
-                    labs[j] = FREE_LABEL
-                    continue
-            pts = np.vstack([pts, g[None, :]])
-            labs = np.append(labs, FREE_LABEL)
-        seeds = self.goal_seeds
-        if seeds.size == 0:
-            seeds = goals.copy()
-        else:
-            for g in goals:
-                if not np.any(np.linalg.norm(seeds - g[None, :], axis=1) <= DEDUP_TOL):
-                    seeds = np.vstack([seeds, g[None, :]])
-        return Gpis(pts, labs, self.params, seeds, self.free_space)
+        return Gpis(points, labels, self.params, self.free_space)
 
     # -- queries -----------------------------------------------------
 
@@ -232,60 +175,34 @@ class Gpis:
             self._solve = GpSolve(self.points, self.labels, self.params)
         return self._solve
 
-    def predict_many(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior mean (post-processed) and raw variance per query row."""
+    def _posterior(self, queries: np.ndarray, with_var: bool):
         queries = np.atleast_2d(np.asarray(queries, dtype=float))
         solver = self._solver()
         if solver is None:
             mean = np.zeros(queries.shape[0])
             var = np.full(queries.shape[0], self.params.outputscale)
-        else:
+        elif with_var:
             mean, var = solver.predict(queries)
+        else:
+            mean, var = solver.predict_mean(queries), None
         if self.free_space is not None:
             vis = np.asarray(self.free_space(queries), dtype=bool)
             mean = np.where(vis, FREE_LABEL, mean)
         return mean, var
 
+    def predict_many(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior mean (post-processed) and raw variance per query row."""
+        return self._posterior(queries, True)
+
     def predict_mean(self, queries: np.ndarray) -> np.ndarray:
         """Post-processed posterior mean only (cheaper than predict_many
         for large query batches)."""
-        queries = np.atleast_2d(np.asarray(queries, dtype=float))
-        solver = self._solver()
-        mean = (np.zeros(queries.shape[0]) if solver is None
-                else solver.predict_mean(queries))
-        if self.free_space is not None:
-            vis = np.asarray(self.free_space(queries), dtype=bool)
-            mean = np.where(vis, FREE_LABEL, mean)
-        return mean
+        return self._posterior(queries, False)[0]
 
     def predict(self, x: np.ndarray) -> PosteriorStats:
         mean, var = self.predict_many(np.asarray(x, dtype=float)[None, :])
         return PosteriorStats(float(mean[0]), float(var[0]))
 
-    def lcb(self, x: np.ndarray, zeta: float) -> float:
-        """Lower confidence bound mean + quantile(zeta) * std at x.
-
-        zeta below one half pulls the bound pessimistic; exactly one
-        half reduces to the post-processed mean.
-        """
-        if not (0.0 < zeta < 1.0):
-            raise ValueError(f"zeta must lie in (0, 1), got {zeta}")
-        stats = self.predict(x)
-        return stats.mean + inv_norm_cdf(zeta) * math.sqrt(stats.variance)
-
-    def lcb_many(self, queries: np.ndarray, zeta: float) -> np.ndarray:
-        if not (0.0 < zeta < 1.0):
-            raise ValueError(f"zeta must lie in (0, 1), got {zeta}")
-        mean, var = self.predict_many(queries)
-        return mean + inv_norm_cdf(zeta) * np.sqrt(var)
-
     def occupancy_grid(self, spec: GridSpec) -> OccupancyGrid:
-        """Boolean occupancy over the grid: occupied where mean <= 0.
-
-        The boundary value 0 counts as occupied, so a blank prior marks
-        everything occupied until seeding or visibility carves out free
-        space.
-        """
-        mean = self.predict_mean(spec.centers())
-        cells = (mean <= 0.0).reshape(spec.shape)
-        return OccupancyGrid(tuple(float(v) for v in spec.lo), spec.resolution, cells)
+        """Boolean occupancy over the grid (see GridSpec.occupancy)."""
+        return spec.occupancy(self.predict_mean(spec.centers()))

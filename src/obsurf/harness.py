@@ -23,7 +23,7 @@ import numpy as np
 from . import constraints as cons
 from . import contact, envs, mppi, refine, sensor
 from .gp import KernelParams, fit_hyperparams
-from .gpis import Gpis, GridSpec, OccupancyGrid
+from .gpis import Gpis, OccupancyGrid
 
 
 PEG_DEFAULTS = dict(
@@ -194,7 +194,7 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeReport:
     params = KernelParams(cfg.lengthscale, cfg.outputscale, cfg.kernel_noise)
     if cfg.adaptive:
         dp = contact.DatasetPair.seeded(goal_pts)
-        surface = Gpis(dp.bar_points, dp.bar_labels, params, goal_pts, free_space)
+        surface = Gpis(dp.bar_points, dp.bar_labels, params, free_space)
     else:
         dp = None
         surface = envs.ObservedSurface(env.world)
@@ -252,8 +252,7 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeReport:
                                          fit_noise=False,
                                          lengthscale_bounds=(cfg.ls_min, cfg.ls_max),
                                          outputscale_bounds=(cfg.os_min, cfg.os_max))
-                surface = Gpis(dp.bar_points, dp.bar_labels, params, goal_pts,
-                               free_space)
+                surface = Gpis(dp.bar_points, dp.bar_labels, params, free_space)
 
         dist = np.linalg.norm(
             x_true[np.asarray(goals.components)] - goal_pts, axis=1)
@@ -278,10 +277,7 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeReport:
 
     grid = None
     if scene.grid is not None:
-        mean = surface.predict_mean(scene.grid.centers())
-        grid = OccupancyGrid(tuple(float(v) for v in scene.grid.lo),
-                             scene.grid.resolution,
-                             (mean <= 0.0).reshape(scene.grid.shape))
+        grid = scene.grid.occupancy(surface.predict_mean(scene.grid.centers()))
     return EpisodeReport(
         success=success, steps_used=steps_used, records=records,
         events=events, final_grid=grid, final_datasets=dp,

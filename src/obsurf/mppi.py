@@ -102,26 +102,6 @@ def _surface_costs(
     return collision, exploration
 
 
-# -- single-trajectory views (mostly for tests and inspection) ---------
-
-def goal_cost(states: np.ndarray, goals: GoalSet, w: CostWeights) -> float:
-    return float(_goal_costs(np.asarray(states, float)[None], goals, w)[0])
-
-
-def action_cost(controls: np.ndarray) -> float:
-    return float(_action_costs(np.asarray(controls, float)[None])[0])
-
-
-def collision_cost(states: np.ndarray, surface) -> float:
-    c, _ = _surface_costs(np.asarray(states, float)[None], surface, 0)
-    return float(c[0])
-
-
-def exploration_cost(states: np.ndarray, surface, component: int) -> float:
-    _, e = _surface_costs(np.asarray(states, float)[None], surface, component)
-    return float(e[0])
-
-
 def select_component(surface, state: np.ndarray) -> int:
     """Index of the component the surface rates most interior (argmin of
     the post-processed mean; ties break to the lowest index)."""

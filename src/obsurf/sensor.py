@@ -144,24 +144,3 @@ def free_space_oracle(cam: Camera, depth: DepthData):
         return visible(points, cam, depth.z)
     return oracle
 
-
-def dump_depth(depth: DepthData, d: int = 2) -> str:
-    """Serialize a range image + cloud: header `width d`, one line of
-    ranges (inf spelled `inf`), then one cloud point per line."""
-    lines = [f"{len(depth.z)} {d}",
-             " ".join("inf" if not np.isfinite(v) else repr(float(v))
-                      for v in depth.z)]
-    for p in depth.cloud:
-        lines.append(" ".join(repr(float(c)) for c in p))
-    return "\n".join(lines) + "\n"
-
-
-def parse_depth(text: str) -> DepthData:
-    raw = [ln for ln in text.splitlines() if ln.strip()]
-    width, d = (int(v) for v in raw[0].split())
-    z = np.array([float(v) for v in raw[1].split()])
-    if len(z) != width:
-        raise ValueError("range image width does not match header")
-    cloud = np.array([[float(v) for v in ln.split()] for ln in raw[2:]],
-                     dtype=float).reshape(-1, d)
-    return DepthData(z=z, cloud=cloud)

@@ -112,9 +112,8 @@ class TestPathExists:
     params = KernelParams(0.07, 1.0, 1e-4)
 
     def test_no_interior_evidence(self):
-        g = Gpis(params=TIGHT).seed_with_goal(np.array([[0.3, 0.3]]))
-        g = g.with_active(np.vstack([g.points, [[0.1, 0.1]]]),
-                          np.append(g.labels, 1.0))
+        g = Gpis(np.array([[0.3, 0.3], [0.1, 0.1]]), np.array([1.0, 1.0]),
+                 TIGHT)
         assert path_exists(g, np.array([0.1, 0.1]), np.array([[0.3, 0.3]]),
                            self.spec)
 

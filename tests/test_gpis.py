@@ -5,8 +5,10 @@ import pytest
 import scipy.special
 import scipy.stats
 
+from obsurf.contact import DatasetPair
 from obsurf.gp import KernelParams
-from obsurf.gpis import Gpis, GridSpec, OccupancyGrid, inv_norm_cdf, norm_cdf
+from obsurf.gpis import Gpis, GridSpec, OccupancyGrid, inv_norm_cdf, lcb, \
+    norm_cdf
 
 
 TIGHT = KernelParams(lengthscale=0.05, outputscale=1.0, noise=1e-8)
@@ -36,24 +38,20 @@ class TestInvNormCdf:
 
 
 class TestSeeding:
+    """Goal seeds enter the surface as data through DatasetPair.seeded."""
+
+    def seeded(self, goals):
+        dp = DatasetPair.seeded(goals)
+        return Gpis(dp.bar_points, dp.bar_labels, TIGHT)
+
     def test_seed_definition(self):
-        g = Gpis(params=TIGHT).seed_with_goal(np.array([[0.0, 0.0]]))
+        g = self.seeded(np.array([[0.0, 0.0]]))
         assert g.points.shape == (1, 2)
         assert g.labels[0] == 1.0
 
     def test_goal_predicts_exterior(self):
-        g = Gpis(params=TIGHT).seed_with_goal(np.array([[0.1, 0.2]]))
+        g = self.seeded(np.array([[0.1, 0.2]]))
         assert g.predict(np.array([0.1, 0.2])).mean > 0.9
-
-    def test_seeding_idempotent(self):
-        goals = np.array([[0.1, 0.2], [0.3, 0.4]])
-        g = Gpis(params=TIGHT).seed_with_goal(goals).seed_with_goal(goals)
-        assert g.points.shape == (2, 2)
-        assert g.goal_seeds.shape == (2, 2)
-
-    def test_empty_goal_rejected(self):
-        with pytest.raises(ValueError):
-            Gpis().seed_with_goal(np.zeros((0, 2)))
 
 
 class TestPredict:
@@ -101,32 +99,37 @@ class TestLcb:
     def test_half_quantile_is_mean(self):
         g = Gpis(np.array([[0.2, 0.2]]), np.array([0.4]), TIGHT)
         st = g.predict(np.array([0.3, 0.3]))
-        assert g.lcb(np.array([0.3, 0.3]), 0.5) == pytest.approx(st.mean)
+        assert lcb(st.mean, st.variance, 0.5) == pytest.approx(st.mean)
 
     def test_derived_quantile_value(self):
-        # posterior here is the prior: mean 0.1 impossible without data, so
-        # check against an explicitly conditioned point with a wide kernel
+        # without data the posterior is the prior: mean 0, variance 1
         g = Gpis(params=KernelParams(1.0, 1.0, 1e-8))
-        got = g.lcb(np.array([0.0, 0.0]), 0.4)
+        st = g.predict(np.array([0.0, 0.0]))
         want = 0.0 + scipy.stats.norm.ppf(0.4) * 1.0
-        assert got == pytest.approx(want, abs=1e-9)
+        assert lcb(st.mean, st.variance, 0.4) == pytest.approx(want, abs=1e-9)
 
     def test_zero_variance_returns_mean(self):
         g = Gpis(np.array([[0.0, 0.0]]), np.array([0.7]),
                  KernelParams(1.0, 1.0, 0.0))
+        st = g.predict(np.array([0.0, 0.0]))
         for z in (0.1, 0.4, 0.9):
-            assert g.lcb(np.array([0.0, 0.0]), z) == pytest.approx(0.7, abs=1e-5)
+            assert lcb(st.mean, st.variance, z) == pytest.approx(0.7, abs=1e-5)
 
     def test_monotone_in_zeta(self):
         g = Gpis(params=KernelParams())
-        x = np.array([0.5, 0.5])
-        vals = [g.lcb(x, z) for z in (0.1, 0.3, 0.5, 0.7, 0.9)]
+        st = g.predict(np.array([0.5, 0.5]))
+        vals = [lcb(st.mean, st.variance, z) for z in (0.1, 0.3, 0.5, 0.7, 0.9)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
+    def test_elementwise(self):
+        mean, var = np.array([0.2, -0.1]), np.array([0.0, 4.0])
+        want = [0.2, -0.1 + scipy.stats.norm.ppf(0.3) * 2.0]
+        np.testing.assert_allclose(lcb(mean, var, 0.3), want, rtol=1e-12)
+
     def test_zeta_domain(self):
-        g = Gpis(params=KernelParams())
-        with pytest.raises(ValueError):
-            g.lcb(np.array([0.0, 0.0]), 1.0)
+        for bad in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                lcb(0.0, 1.0, bad)
 
 
 class TestOccupancy:

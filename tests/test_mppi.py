@@ -4,9 +4,9 @@ import pytest
 from obsurf import mppi
 from obsurf.gp import KernelParams
 from obsurf.gpis import Gpis
-from obsurf.mppi import (CostWeights, GoalSet, MppiConfig, action_cost,
-                         collision_cost, exploration_cost, goal_cost,
-                         mppi_step, select_component)
+from obsurf.mppi import (CostWeights, GoalSet, MppiConfig, _action_costs,
+                         _goal_costs, _surface_costs, mppi_step,
+                         select_component)
 
 
 W = CostWeights(action=0.5, exploration=1.0, collision=10.0, basin=5.0,
@@ -31,17 +31,17 @@ class TestGoalCost:
     def test_pinned_at_goal(self):
         goals = GoalSet.single(0, (0.1, 0.1))
         states = straight_traj((0.1, 0.1), (0.0, 0.0), horizon=7)
-        assert goal_cost(states, goals, W) == pytest.approx(-5.0 * 7)
+        assert _goal_costs(states[None], goals, W)[0] == pytest.approx(-5.0 * 7)
 
     def test_constant_distance(self):
         goals = GoalSet.single(0, (1.0, 0.0))
         states = straight_traj((0.0, 0.0), (0.0, 0.0), horizon=9)
-        assert goal_cost(states, goals, W) == pytest.approx(9.0)
+        assert _goal_costs(states[None], goals, W)[0] == pytest.approx(9.0)
 
     def test_no_goals_zero(self):
         goals = GoalSet(np.zeros(0, dtype=int), np.zeros((0, 2)))
         states = straight_traj((0.3, 0.3), (0.1, 0.0), horizon=5)
-        assert goal_cost(states, goals, W) == 0.0
+        assert _goal_costs(states[None], goals, W)[0] == 0.0
 
     def test_basin_requires_all_components(self):
         goals = GoalSet(np.array([0, 1]),
@@ -49,25 +49,26 @@ class TestGoalCost:
         states = np.zeros((2, 2, 2))
         states[:, 0] = [0.0, 0.0]       # component 0 at its goal
         states[:, 1] = [1.0, 0.5]       # component 1 far from its goal
-        val = goal_cost(states, goals, W)
+        val = _goal_costs(states[None], goals, W)[0]
         assert val == pytest.approx(0.5)  # distance only, no basin bonus
         states[:, 1] = [1.0, 1.0]
-        assert goal_cost(states, goals, W) == pytest.approx(-5.0)
+        assert _goal_costs(states[None], goals, W)[0] == pytest.approx(-5.0)
 
 
 class TestActionCost:
     def test_zero_controls(self):
-        assert action_cost(np.zeros((6, 2))) == 0.0
+        assert _action_costs(np.zeros((1, 6, 2)))[0] == 0.0
 
     def test_single_norm(self):
         u = np.zeros((4, 2))
         u[2] = [3.0, 4.0]
-        assert action_cost(u) == pytest.approx(5.0)
+        assert _action_costs(u[None])[0] == pytest.approx(5.0)
 
     def test_positive_homogeneity(self):
         rng = np.random.default_rng(0)
         u = rng.normal(size=(5, 2))
-        assert action_cost(2 * u) == pytest.approx(2 * action_cost(u))
+        once = _action_costs(u[None])[0]
+        assert _action_costs(2 * u[None])[0] == pytest.approx(2 * once)
 
 
 def tight_surface(points, labels, free=None):
@@ -80,36 +81,39 @@ class TestCollisionCost:
         surf = tight_surface([[0.5, 0.5]], [-1.0],
                              free=lambda q: np.ones(len(q), dtype=bool))
         states = straight_traj((0.5, 0.5), (0.0, 0.0), horizon=6)
-        assert collision_cost(states, surf) == 0.0
+        assert _surface_costs(states[None], surf, 0)[0][0] == 0.0
 
     def test_counts_interior_steps(self):
         surf = tight_surface([[0.0, 0.0], [1.0, 1.0]], [-1.0, 1.0])
         states = straight_traj((1.0, 1.0), (0.0, 0.0), horizon=5)
         states[2:5, 0] = [0.0, 0.0]  # three steps inside the surface
-        assert collision_cost(states, surf) == pytest.approx(3.0)
+        assert _surface_costs(states[None], surf, 0)[0][0] == pytest.approx(3.0)
 
     def test_empty_surface_counts_everything(self):
         surf = Gpis(params=KernelParams())
         states = straight_traj((0.2, 0.2), (0.01, 0.0), horizon=8, n=2)
-        assert collision_cost(states, surf) == pytest.approx(2 * 8)
+        assert _surface_costs(states[None], surf, 0)[0][0] == pytest.approx(2 * 8)
 
 
 class TestExplorationCost:
     def test_empty_surface_prior_variance(self):
         surf = Gpis(params=KernelParams(0.1, 1.3, 1e-4))
         states = straight_traj((0.2, 0.2), (0.05, 0.0), horizon=6)
-        assert exploration_cost(states, surf, 0) == pytest.approx(-1.3 * 6)
+        assert _surface_costs(states[None], surf, 0)[1][0] == pytest.approx(-1.3 * 6)
 
     def test_visited_data_kills_bonus(self):
         surf = tight_surface([[0.5, 0.5]], [1.0])
         states = straight_traj((0.5, 0.5), (0.0, 0.0), horizon=4)
-        assert exploration_cost(states, surf, 0) == pytest.approx(0.0, abs=1e-5)
+        _, expl = _surface_costs(states[None], surf, 0)
+        assert expl[0] == pytest.approx(0.0, abs=1e-5)
 
     def test_far_rollout_scores_lower(self):
         surf = tight_surface([[0.5, 0.5]], [1.0])
         near = straight_traj((0.5, 0.5), (0.001, 0.0), horizon=5)
         far = straight_traj((2.0, 2.0), (0.001, 0.0), horizon=5)
-        assert exploration_cost(far, surf, 0) < exploration_cost(near, surf, 0)
+        _, expl_far = _surface_costs(far[None], surf, 0)
+        _, expl_near = _surface_costs(near[None], surf, 0)
+        assert expl_far[0] < expl_near[0]
 
 
 class TestSelectComponent:

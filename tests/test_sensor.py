@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from obsurf import sensor
-from obsurf.sensor import Camera, DepthData, dump_depth, parse_depth, \
-    ray_box_range, ray_directions, render_depth
+from obsurf.sensor import Camera, ray_box_range, ray_directions, \
+    render_depth
 
 
 class TestRayCasting:
@@ -80,22 +80,3 @@ class TestProjection:
         u, z, _ = sensor.project(cam, np.array([[1.0, 3.0]]))
         assert u[0] == pytest.approx(cam.center_px)
         assert z[0] == pytest.approx(2.0)
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        z = np.array([1.5, np.inf, 2.25, np.inf])
-        cloud = np.array([[1.5, 0.0], [0.0, 2.25]])
-        text = dump_depth(DepthData(z, cloud))
-        back = parse_depth(text)
-        np.testing.assert_array_equal(back.z, z)
-        np.testing.assert_array_equal(back.cloud, cloud)
-
-    def test_header(self):
-        text = dump_depth(DepthData(np.array([np.inf]), np.zeros((0, 2))))
-        assert text.splitlines()[0] == "1 2"
-        assert text.splitlines()[1] == "inf"
-
-    def test_width_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            parse_depth("3 2\n1.0 2.0\n")
