@@ -49,8 +49,12 @@ def _apply_sets(cfg: EpisodeConfig, pairs) -> EpisodeConfig:
 def _parse_seeds(spec: str) -> list:
     if ".." in spec:
         a, b = spec.split("..")
-        return list(range(int(a), int(b) + 1))
-    return [int(s) for s in spec.split(",") if s != ""]
+        seeds = list(range(int(a), int(b) + 1))
+    else:
+        seeds = [int(s) for s in spec.split(",") if s != ""]
+    if not seeds:
+        raise ValueError(f"empty seed list '{spec}'")
+    return seeds
 
 
 def _build_config(args) -> EpisodeConfig:

@@ -145,21 +145,31 @@ def local_minimum(x_next: np.ndarray, x_saved: np.ndarray, window: int,
     return avg < d_min
 
 
-def _append_dedup(points, labels, tags, mask, new_pts, new_labels, tag, masked):
-    """Append rows, replacing the label of any existing point within
-    DEDUP_TOL instead of growing. Goal seeds are never relabeled."""
+def _add(points, labels, tags, mask, new_pts, new_labels, tag, masked):
+    """Fold rows into one set's arrays, in order, and return new arrays.
+
+    A row within DEDUP_TOL of a row already in the set, one added earlier
+    in the same call included, is not added: the nearest such row takes
+    its label instead, unless it is a goal seed.
+    """
+    labels = labels.copy()
     for p, lab, mk in zip(new_pts, new_labels, masked):
         if len(points):
-            dist = np.linalg.norm(np.asarray(points) - p[None, :], axis=1)
+            dist = np.linalg.norm(points - p, axis=1)
             j = int(np.argmin(dist))
             if dist[j] <= DEDUP_TOL:
                 if tags[j] != TAG_GOAL:
                     labels[j] = lab
                 continue
-        points.append(np.asarray(p, dtype=float))
-        labels.append(float(lab))
-        tags.append(int(tag))
-        mask.append(bool(mk))
+        points = np.vstack([points, p])
+        labels = np.append(labels, lab)
+        tags = np.append(tags, tag)
+        mask = np.append(mask, mk)
+    return points, labels, tags, mask
+
+
+def _select(points, labels, tags, mask, keep):
+    return points[keep], labels[keep], tags[keep], mask[keep]
 
 
 @dataclass(frozen=True)
@@ -191,14 +201,13 @@ class DatasetPair:
         return cls(goals.copy(), ones.copy(), tags.copy(), off.copy(),
                    goals.copy(), ones.copy(), tags.copy(), off.copy())
 
-    def _lists(self, which: str):
-        pre = "mem_" if which == "mem" else "bar_"
-        return (
-            [p for p in getattr(self, pre + "points")],
-            [float(v) for v in getattr(self, pre + "labels")],
-            [int(v) for v in getattr(self, pre + "tags")],
-            [bool(v) for v in getattr(self, pre + "mask")],
-        )
+    @property
+    def _mem(self):
+        return self.mem_points, self.mem_labels, self.mem_tags, self.mem_mask
+
+    @property
+    def _bar(self):
+        return self.bar_points, self.bar_labels, self.bar_tags, self.bar_mask
 
     def update(
         self,
@@ -216,54 +225,26 @@ class DatasetPair:
         x_next = np.atleast_2d(np.asarray(x_next, dtype=float))
         x_pred = np.atleast_2d(np.asarray(x_pred, dtype=float))
         contact_obs = (batch.vis & batch.near_cloud) | batch.keep_pred
-        if local_min:
-            take_obs = np.ones(len(batch.y), dtype=bool)
-        else:
-            take_obs = batch.keep_obs
+        take_obs = batch.keep_obs | bool(local_min)
         masked_obs = take_obs & ~contact_obs & bool(local_min)
 
-        mem = self._lists("mem")
-        bar = self._lists("bar")
-        for dst in (mem, bar):
-            _append_dedup(*dst, x_next[take_obs], batch.y[take_obs],
-                          TAG_OBSERVED, masked_obs[take_obs])
-            _append_dedup(*dst, x_pred[batch.keep_pred],
-                          batch.y_hat[batch.keep_pred], TAG_PREDICTED,
-                          np.zeros(int(batch.keep_pred.sum()), dtype=bool))
-        return self._rebuild(mem, bar)
-
-    def _rebuild(self, mem, bar) -> "DatasetPair":
-        dim = self.mem_points.shape[1]
-        def pack(rows):
-            pts, labs, tags, mask = rows
-            return (
-                np.array(pts, dtype=float).reshape(len(pts), dim),
-                np.array(labs, dtype=float),
-                np.array(tags, dtype=int),
-                np.array(mask, dtype=bool),
-            )
-        return DatasetPair(*pack(mem), *pack(bar))
+        obs = (x_next[take_obs], batch.y[take_obs], TAG_OBSERVED,
+               masked_obs[take_obs])
+        pred = (x_pred[batch.keep_pred], batch.y_hat[batch.keep_pred],
+                TAG_PREDICTED, np.zeros(int(batch.keep_pred.sum()), dtype=bool))
+        return DatasetPair(*_add(*_add(*self._mem, *obs), *pred),
+                           *_add(*_add(*self._bar, *obs), *pred))
 
     def purge_masked(self) -> "DatasetPair":
         """Drop every stall-injected entry from both sets."""
-        km = ~self.mem_mask
-        kb = ~self.bar_mask
-        return DatasetPair(
-            self.mem_points[km], self.mem_labels[km], self.mem_tags[km],
-            self.mem_mask[km],
-            self.bar_points[kb], self.bar_labels[kb], self.bar_tags[kb],
-            self.bar_mask[kb],
-        )
+        return DatasetPair(*_select(*self._mem, ~self.mem_mask),
+                           *_select(*self._bar, ~self.bar_mask))
 
     def keep_bar(self, keep: np.ndarray) -> "DatasetPair":
         """Restrict the active set to the given boolean selection; the
         memory set is untouched."""
         keep = np.asarray(keep, dtype=bool)
-        return DatasetPair(
-            self.mem_points, self.mem_labels, self.mem_tags, self.mem_mask,
-            self.bar_points[keep], self.bar_labels[keep], self.bar_tags[keep],
-            self.bar_mask[keep],
-        )
+        return DatasetPair(*self._mem, *_select(*self._bar, keep))
 
     @property
     def bar_size(self) -> int:

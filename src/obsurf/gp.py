@@ -167,19 +167,6 @@ def gp_posterior(
     return PosteriorStats(float(mean[0]), float(var[0]))
 
 
-def _lml_terms(points: np.ndarray, labels: np.ndarray, params: KernelParams):
-    """Shared pieces for the LML value and gradient."""
-    x = np.atleast_2d(np.asarray(points, dtype=float))
-    y = np.asarray(labels, dtype=float).ravel()
-    m = x.shape[0]
-    r = cdist(x, x)
-    s = SQRT3 * r / params.lengthscale
-    e = np.exp(-s)
-    k = params.outputscale * (1.0 + s) * e
-    ky = k + params.noise * np.eye(m)
-    return x, y, m, s, e, k, ky
-
-
 def log_marginal_likelihood(
     points: np.ndarray,
     labels: np.ndarray,
@@ -191,10 +178,15 @@ def log_marginal_likelihood(
     (d/dlog lengthscale, d/dlog outputscale, d/dlog noise). The value is
     -0.5 y^T Ky^-1 y - 0.5 log|Ky| - (m/2) log(2 pi).
     """
-    x, y, m, s, e, k, ky = _lml_terms(points, labels, params)
+    x = np.atleast_2d(np.asarray(points, dtype=float))
+    y = np.asarray(labels, dtype=float).ravel()
+    m = x.shape[0]
     if m == 0:
         raise ValueError("log_marginal_likelihood requires non-empty training data")
-    cho = _cholesky(ky)
+    s = SQRT3 * cdist(x, x) / params.lengthscale
+    e = np.exp(-s)
+    k = params.outputscale * (1.0 + s) * e
+    cho = _cholesky(k + params.noise * np.eye(m))
     alpha = cho_solve(cho, y)
     logdet = 2.0 * np.sum(np.log(np.diag(cho[0])))
     value = -0.5 * (y @ alpha) - 0.5 * logdet - 0.5 * m * LOG_2PI
@@ -217,28 +209,26 @@ def fit_hyperparams(
     p0: KernelParams,
     steps: int = 20,
     lr: float = 0.05,
-    fit_noise: bool = True,
     lengthscale_bounds: tuple | None = None,
     outputscale_bounds: tuple | None = None,
 ) -> KernelParams:
-    """Gradient ascent on the LML in log-parameter space.
+    """Gradient ascent on the LML over (log lengthscale, log outputscale);
+    the noise stays at p0.noise.
 
     Backtracking (step halving, at most 10 times) guarantees the
     accepted LML sequence is non-decreasing; on a non-finite LML the fit
-    aborts and returns the last finite parameters. With noise == 0 the
-    noise coordinate is excluded regardless of fit_noise. Optional
-    bounds box-constrain the search: candidates are projected into the
-    box before the acceptance check, so monotonicity still holds.
+    aborts and returns the last finite parameters. Optional bounds
+    box-constrain the search: candidates are projected into the box
+    before the acceptance check, so monotonicity still holds.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
     if steps == 0 or np.asarray(points).size == 0:
         return p0
 
-    fit_noise = fit_noise and p0.noise > 0.0
-    theta = np.log([p0.lengthscale, p0.outputscale, max(p0.noise, 1e-300)])
-    lo = np.full(3, -np.inf)
-    hi = np.full(3, np.inf)
+    theta = np.log([p0.lengthscale, p0.outputscale])
+    lo = np.full(2, -np.inf)
+    hi = np.full(2, np.inf)
     if lengthscale_bounds is not None:
         lo[0], hi[0] = np.log(lengthscale_bounds)
     if outputscale_bounds is not None:
@@ -246,12 +236,8 @@ def fit_hyperparams(
     theta = np.clip(theta, lo, hi)
 
     def unpack(t: np.ndarray) -> KernelParams:
-        return replace(
-            p0,
-            lengthscale=float(np.exp(t[0])),
-            outputscale=float(np.exp(t[1])),
-            noise=p0.noise if not fit_noise else float(np.exp(t[2])),
-        )
+        return replace(p0, lengthscale=float(np.exp(t[0])),
+                       outputscale=float(np.exp(t[1])))
 
     try:
         best, grad = log_marginal_likelihood(points, labels, unpack(theta))
@@ -261,10 +247,7 @@ def fit_hyperparams(
         return p0
 
     for _ in range(steps):
-        if not fit_noise:
-            grad = grad.copy()
-            grad[2] = 0.0
-        step = lr * grad
+        step = lr * grad[:2]
         accepted = False
         for _ in range(10):
             cand = np.clip(theta + step, lo, hi)

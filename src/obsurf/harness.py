@@ -14,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -26,13 +26,16 @@ from .gp import KernelParams, fit_hyperparams
 from .gpis import Gpis, OccupancyGrid
 
 
-PEG_DEFAULTS = dict(
-    temperature=0.01, samples=500, horizon=15, noise_cov=0.2,
-    alpha=0.590, beta=0.996, eta=11.03, collision_c=15.88,
-    d_min=0.01, t_m=5, t_e=0, t_fit=3, r_g=0.02, r_c=0.01,
-    t_cma=25, n_cma=20, zeta=0.4, max_steps=750, vision=False,
-)
+# Kernel every episode starts from, and its periodic refit.
+KERNEL0 = KernelParams(lengthscale=0.1, outputscale=1.0, noise=1e-4)
+FIT_STEPS = 10
+FIT_LR = 0.05
+# Refit box: marginal likelihood on discrete contact labels prefers
+# degenerate tiny lengthscales, so the fit stays workspace-commensurate.
+LENGTHSCALE_BOX = (0.06, 0.25)
+OUTPUTSCALE_BOX = (0.25, 4.0)
 
+# Cable scenes override these EpisodeConfig defaults; peg scenes keep them.
 CABLE_DEFAULTS = dict(
     temperature=0.167, samples=72, horizon=8, noise_cov=0.004,
     alpha=0.627, beta=0.995, eta=100.0, collision_c=10000.0,
@@ -67,18 +70,6 @@ class EpisodeConfig:
     # refinement
     t_cma: int = 25
     n_cma: int = 20
-    # kernel
-    lengthscale: float = 0.1
-    outputscale: float = 1.0
-    kernel_noise: float = 1e-4
-    fit_steps: int = 10
-    fit_lr: float = 0.05
-    # refit box: marginal likelihood on discrete contact labels prefers
-    # degenerate tiny lengthscales, so the fit stays workspace-commensurate
-    ls_min: float = 0.06
-    ls_max: float = 0.25
-    os_min: float = 0.25
-    os_max: float = 4.0
     # feature switches
     vision: bool = False
     refinement: bool = True
@@ -88,35 +79,8 @@ class EpisodeConfig:
 
     @classmethod
     def for_scene(cls, scene: str, seed: int = 0, **overrides) -> "EpisodeConfig":
-        base = CABLE_DEFAULTS if scene.startswith("cable") else PEG_DEFAULTS
-        kw = dict(base)
-        kw.update(overrides)
-        return cls(scene=scene, seed=seed, **kw)
-
-    def to_text(self) -> str:
-        lines = []
-        for f in dataclasses.fields(self):
-            v = getattr(self, f.name)
-            if v is None:
-                v = ""
-            lines.append(f"{f.name} = {v}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "EpisodeConfig":
-        types = {f.name: f.type for f in dataclasses.fields(cls)}
-        kw = {}
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, val = line.partition("=")
-            key = key.strip()
-            val = val.strip()
-            if key not in types:
-                raise ValueError(f"unknown config key '{key}'")
-            kw[key] = _parse_value(types[key], val)
-        return cls(**kw)
+        base = CABLE_DEFAULTS if scene.startswith("cable") else {}
+        return cls(scene=scene, seed=seed, **{**base, **overrides})
 
 
 def _parse_value(typename: str, val: str):
@@ -191,7 +155,7 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeReport:
     depth = scene.depth if use_vision else None
     free_space = sensor.free_space_oracle(cam, depth) if use_vision else None
 
-    params = KernelParams(cfg.lengthscale, cfg.outputscale, cfg.kernel_noise)
+    params = KERNEL0
     if cfg.adaptive:
         dp = contact.DatasetPair.seeded(goal_pts)
         surface = Gpis(dp.bar_points, dp.bar_labels, params, free_space)
@@ -248,10 +212,9 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeReport:
                 surface = surface.with_active(dp.bar_points, dp.bar_labels)
             if step % cfg.t_fit == 0 and dp.bar_size >= 2:
                 params = fit_hyperparams(dp.bar_points, dp.bar_labels, params,
-                                         steps=cfg.fit_steps, lr=cfg.fit_lr,
-                                         fit_noise=False,
-                                         lengthscale_bounds=(cfg.ls_min, cfg.ls_max),
-                                         outputscale_bounds=(cfg.os_min, cfg.os_max))
+                                         steps=FIT_STEPS, lr=FIT_LR,
+                                         lengthscale_bounds=LENGTHSCALE_BOX,
+                                         outputscale_bounds=OUTPUTSCALE_BOX)
                 surface = Gpis(dp.bar_points, dp.bar_labels, params, free_space)
 
         dist = np.linalg.norm(

@@ -10,8 +10,8 @@ keeps every bit explorable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -58,28 +58,15 @@ class RefinementProblem:
     feasible: Callable[[np.ndarray], bool]
 
 
-def phi(problem: RefinementProblem, omega: np.ndarray) -> float:
-    """Objective: negated kept weight plus a flat penalty on violation."""
+def phi(problem: RefinementProblem, omega: np.ndarray) -> tuple[float, bool]:
+    """Objective: negated kept weight plus a flat penalty on violation.
+
+    Returns (value, feasible). For a feasible omega the value is
+    -kept + 0.0, so 0.0 - value is the kept weight exactly.
+    """
     omega = np.asarray(omega, dtype=bool)
-    ok = problem.feasible(omega)
-    return float(-(problem.weights @ omega) + PENALTY * (0.0 if ok else 1.0))
-
-
-@dataclass
-class CmawmState:
-    """Distribution state of the bit-vector optimizer."""
-
-    mean: np.ndarray
-    step_size: float
-    cov: np.ndarray
-    margin: float
-    p_sigma: np.ndarray = field(init=False)
-    p_cov: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        m = len(self.mean)
-        self.p_sigma = np.zeros(m)
-        self.p_cov = np.zeros(m)
+    ok = bool(problem.feasible(omega))
+    return float(-(problem.weights @ omega) + PENALTY * (0.0 if ok else 1.0)), ok
 
 
 def _cma_constants(m: int, popsize: int):
@@ -122,40 +109,31 @@ def run_cmawm(
     m = len(free_idx)
 
     best_omega = np.ones(n_all, dtype=bool)
-    best_score = -1.0
-    found = False
+    best_score = -1.0  # stays -1.0 until a feasible candidate is seen
 
     def full(bits: np.ndarray) -> np.ndarray:
         omega = np.ones(n_all, dtype=bool)
         omega[free_idx] = bits
         return omega
 
-    cache: dict[bytes, tuple[float, float, bool]] = {}
-
-    def score(bits: np.ndarray) -> tuple[float, float, bool]:
-        key = bits.tobytes()
-        hit = cache.get(key)
-        if hit is None:
-            omega = full(bits)
-            ok = bool(problem.feasible(omega))
-            kept = float(problem.weights @ omega)
-            hit = (-kept + PENALTY * (0.0 if ok else 1.0), kept, ok)
-            cache[key] = hit
-        return hit
-
     if m == 0:
         # Nothing to optimize: the single candidate is the full set.
-        _, kept, ok = score(np.zeros(0, dtype=bool))
-        return best_omega, (kept if ok else -1.0), ok
+        value, ok = phi(problem, best_omega)
+        return best_omega, (0.0 - value if ok else -1.0), ok
+
+    cache: dict[bytes, tuple[float, bool]] = {}
 
     mu, w, mueff, c_sigma, d_sigma, c_c, c_1, c_mu, chi_n = _cma_constants(m, popsize)
-    state = CmawmState(mean=np.full(m, 0.5), step_size=0.25,
-                       cov=np.eye(m), margin=1.0 / (popsize * m))
-    q_margin = inv_norm_cdf(1.0 - state.margin)
+    mean = np.full(m, 0.5)
+    step_size = 0.25
+    cov = np.eye(m)
+    p_sigma = np.zeros(m)
+    p_cov = np.zeros(m)
+    q_margin = inv_norm_cdf(1.0 - 1.0 / (popsize * m))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
     for gen in range(generations):
-        cov = 0.5 * (state.cov + state.cov.T)
+        cov = 0.5 * (cov + cov.T)
         eigval, eigvec = np.linalg.eigh(cov)
         eigval = np.clip(eigval, COV_EIG_FLOOR, None)
         sqrt_c = eigvec * np.sqrt(eigval)  # B diag(D)
@@ -163,57 +141,64 @@ def run_cmawm(
 
         z = rng.standard_normal((popsize, m))
         y = z @ sqrt_c.T
-        x = state.mean[None, :] + state.step_size * y
+        x = mean[None, :] + step_size * y
         bits = x >= 0.5
 
         values = np.empty(popsize)
         for k in range(popsize):
-            val, kept, ok = score(bits[k])
-            values[k] = val
+            key = bits[k].tobytes()
+            if key not in cache:
+                cache[key] = phi(problem, full(bits[k]))
+            value, ok = cache[key]
+            values[k] = value
+            # not -value: a kept weight of 0.0 must not log as -0.0
+            kept = 0.0 - value
             if ok and kept > best_score:
                 best_omega = full(bits[k])
                 best_score = kept
-                found = True
 
         order = np.argsort(values, kind="stable")[:mu]
         y_w = w @ y[order]
-        state.mean = state.mean + state.step_size * y_w
+        mean = mean + step_size * y_w
 
-        state.p_sigma = ((1.0 - c_sigma) * state.p_sigma
-                         + np.sqrt(c_sigma * (2.0 - c_sigma) * mueff)
-                         * (inv_sqrt_c @ y_w))
-        ps_norm = np.linalg.norm(state.p_sigma)
+        p_sigma = ((1.0 - c_sigma) * p_sigma
+                   + np.sqrt(c_sigma * (2.0 - c_sigma) * mueff)
+                   * (inv_sqrt_c @ y_w))
+        ps_norm = np.linalg.norm(p_sigma)
         denom = np.sqrt(1.0 - (1.0 - c_sigma) ** (2 * (gen + 1)))
         h_sig = float(ps_norm / denom < (1.4 + 2.0 / (m + 1.0)) * chi_n)
-        state.p_cov = ((1.0 - c_c) * state.p_cov
-                       + h_sig * np.sqrt(c_c * (2.0 - c_c) * mueff) * y_w)
+        p_cov = ((1.0 - c_c) * p_cov
+                 + h_sig * np.sqrt(c_c * (2.0 - c_c) * mueff) * y_w)
 
         rank_mu = np.einsum("i,ij,ik->jk", w, y[order], y[order])
-        state.cov = ((1.0 - c_1 - c_mu) * cov
-                     + c_1 * (np.outer(state.p_cov, state.p_cov)
-                              + (1.0 - h_sig) * c_c * (2.0 - c_c) * cov)
-                     + c_mu * rank_mu)
-        state.step_size *= float(np.exp((c_sigma / d_sigma)
-                                        * (ps_norm / chi_n - 1.0)))
-        state.step_size = float(np.clip(state.step_size, 1e-8, 1e4))
+        cov = ((1.0 - c_1 - c_mu) * cov
+               + c_1 * (np.outer(p_cov, p_cov)
+                        + (1.0 - h_sig) * c_c * (2.0 - c_c) * cov)
+               + c_mu * rank_mu)
+        step_size *= float(np.exp((c_sigma / d_sigma)
+                                  * (ps_norm / chi_n - 1.0)))
+        step_size = float(np.clip(step_size, 1e-8, 1e4))
 
         # The mean lives in the bit-encoding box; letting it run past the
         # thresholds only kills exploration without changing any sample's
         # rounding.
-        state.mean = np.clip(state.mean, 0.0, 1.0)
+        mean = np.clip(mean, 0.0, 1.0)
         # Margin correction: keep both bit values reachable per coordinate.
-        sd = state.step_size * np.sqrt(np.clip(np.diag(state.cov),
-                                               COV_EIG_FLOOR, None))
+        sd = step_size * np.sqrt(np.clip(np.diag(cov), COV_EIG_FLOOR, None))
         lo = 0.5 - sd * q_margin
         hi = 0.5 + sd * q_margin
-        state.mean = np.clip(state.mean, lo, hi)
+        mean = np.clip(mean, lo, hi)
 
-    return best_omega, (best_score if found else -1.0), found
+    return best_omega, best_score, best_score > -1.0
 
 
 @dataclass(frozen=True)
 class RefinementEvent:
-    """Structured record of one refinement run."""
+    """Structured record of one refinement run.
+
+    phi_star is the kept weight of the returned set, and -1.0 when no
+    feasible set was found.
+    """
 
     step: int
     bar_before: int

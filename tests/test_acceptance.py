@@ -239,17 +239,14 @@ def enclosure_pair(seed):
     ext = ext[np.min(np.linalg.norm(ext[:, None, :] - ring[None], axis=2),
                      axis=1) > 0.03]
     ext = ext[np.linalg.norm(ext - goal[None], axis=1) > 0.10]
-    dp = DatasetPair.seeded(goal[None])
-    mem = dp._lists("mem")
-    bar = dp._lists("bar")
-    for dst in (mem, bar):
-        for p in ext:
-            dst[0].append(p); dst[1].append(1.0)
-            dst[2].append(TAG_OBSERVED); dst[3].append(False)
-        for p in ring:
-            dst[0].append(p); dst[1].append(-1.0)
-            dst[2].append(TAG_PREDICTED); dst[3].append(False)
-    return dp._rebuild(mem, bar), goal
+    pts = np.vstack([goal[None], ext, ring])
+    labels = np.concatenate([[1.0], np.ones(len(ext)), -np.ones(len(ring))])
+    tags = np.concatenate([[TAG_GOAL], np.full(len(ext), TAG_OBSERVED),
+                           np.full(len(ring), TAG_PREDICTED)])
+    mask = np.zeros(len(pts), dtype=bool)
+    dp = DatasetPair(pts, labels, tags, mask,
+                     pts.copy(), labels.copy(), tags.copy(), mask.copy())
+    return dp, goal
 
 
 def test_criterion_5_refinement_reopens_goal():

@@ -61,6 +61,15 @@ def test_batch_and_render(tmp_path, scene_file, capsys):
     assert svg_path.read_text().startswith("<svg")
 
 
+@pytest.mark.parametrize("spec", ["5..2", ","])
+def test_batch_empty_seed_list_exit_two(scene_file, capsys, spec):
+    code = main(["batch", "--scene", "free", "--scene-file", scene_file,
+                 "--seeds", spec])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "empty seed list" in err and f"'{spec}'" in err
+
+
 def test_batch_seed_list_and_ablate(tmp_path, scene_file):
     code = main(["batch", "--scene", "free", "--scene-file", scene_file,
                  "--seeds", "0,2", "--ablate", "refinement",

@@ -1,10 +1,16 @@
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from obsurf import contact
-from obsurf.contact import (DatasetPair, TAG_GOAL, TAG_OBSERVED, TAG_PREDICTED,
-                            gen_labels, local_minimum, pre_process)
+from obsurf.contact import (DEDUP_TOL, DatasetPair, LabelBatch, TAG_GOAL,
+                            TAG_OBSERVED, TAG_PREDICTED, gen_labels,
+                            local_minimum, pre_process)
 from obsurf import sensor
+from obsurf.gp import KernelParams
+from obsurf.refine import refine_contacts
 
 
 def batch_for(x_t, x_next, x_pred):
@@ -269,3 +275,106 @@ class TestDatasets:
         out = dp.keep_bar(keep)
         assert out.bar_size == dp.bar_size - 1
         assert out.mem_size == dp.mem_size
+
+
+# Well-separated base points; BASES[0] is the goal seed. A drawn row is a
+# base plus a jitter of at most JITTER per coordinate, so two rows near
+# one base are within DEDUP_TOL of each other (2 * sqrt(2) * JITTER) and
+# rows near different bases are far apart.
+BASES = np.array([[0.2, 0.2], [0.05, 0.1], [0.3, 0.05], [0.1, 0.35],
+                  [0.35, 0.3], [0.25, 0.12]])
+JITTER = 3e-10
+_row = st.tuples(st.integers(0, len(BASES) - 1), st.integers(-1, 1),
+                 st.integers(-1, 1))
+# (observed row, predicted row, y, vis, near_cloud, keep_obs, keep_pred)
+_component = st.tuples(_row, _row, st.floats(0.0, 1.0), st.booleans(),
+                       st.booleans(), st.booleans(), st.booleans())
+_transition = st.tuples(st.just("update"),
+                        st.lists(_component, min_size=1, max_size=3),
+                        st.booleans())
+_refinement = st.tuples(st.just("refine"), st.integers(0, 2 ** 32 - 1))
+
+
+def _point(row):
+    base, dx, dy = row
+    return BASES[base] + JITTER * np.array([dx, dy], dtype=float)
+
+
+def _base_of(p):
+    return int(np.argmin(np.linalg.norm(BASES - p, axis=1)))
+
+
+def _by_base(points, labels):
+    """Base index -> label; at most one row per base in either set."""
+    bases = [_base_of(p) for p in points]
+    assert len(set(bases)) == len(bases)
+    return dict(zip(bases, labels))
+
+
+class TestDatasetProperty:
+    params = KernelParams(0.1, 1.0, 1e-4)
+
+    @staticmethod
+    def _update(dp, comps, local_min):
+        x_next = np.array([_point(c[0]) for c in comps])
+        x_pred = np.array([_point(c[1]) for c in comps])
+        y = np.array([c[2] for c in comps])
+        vis, near, keep_obs, keep_pred = (np.array([c[k] for c in comps])
+                                          for k in range(3, 7))
+        batch = LabelBatch(y=y, y_hat=2.0 * y - 1.0, keep_obs=keep_obs,
+                           keep_pred=keep_pred, vis=vis, near_cloud=near)
+        out = dp.update(batch, x_next, x_pred, local_min)
+        # Rows are folded in order, observed then predicted; a row near
+        # a base already in the set relabels it (the later label wins)
+        # unless it is the goal seed.
+        take = np.ones(len(y), bool) if local_min else keep_obs
+        rows = ([(_base_of(p), v) for p, v in zip(x_next[take], y[take])]
+                + [(_base_of(p), v) for p, v in
+                   zip(x_pred[keep_pred], 2.0 * y[keep_pred] - 1.0)])
+        for before, after in (((dp.mem_points, dp.mem_labels),
+                               (out.mem_points, out.mem_labels)),
+                              ((dp.bar_points, dp.bar_labels),
+                               (out.bar_points, out.bar_labels))):
+            want = _by_base(*before)
+            for base, label in rows:
+                if base != 0:
+                    want[base] = label
+            assert _by_base(*after) == want
+        return out
+
+    def _refine(self, dp, salt):
+        salt = salt.to_bytes(4, "little")
+
+        def factory(pts, labs):
+            return lambda keep: zlib.crc32(keep.tobytes() + salt) % 2 == 0
+
+        out, _ = refine_contacts(dp, self.params, factory, generations=3,
+                                 popsize=4, seed=0)
+        assert not out.bar_mask.any() and not out.mem_mask.any()
+        return out
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(ops=st.lists(st.one_of(_transition, _refinement), max_size=12))
+    # one batch carries two rows within DEDUP_TOL: one row is added, and
+    # the later label wins
+    @example(ops=[("update", [((1, 0, 0), (2, 0, 0), 0.25, False, False,
+                               True, False),
+                              ((1, 1, -1), (2, 0, 0), 0.75, False, False,
+                               True, False)], False)])
+    def test_invariants_hold_after_every_operation(self, ops):
+        dp = DatasetPair.seeded(BASES[:1])
+        for op in ops:
+            if op[0] == "update":
+                dp = self._update(dp, op[1], op[2])
+            else:
+                dp = self._refine(dp, op[1])
+            # every active row is in memory with the same label
+            for p, lab in zip(dp.bar_points, dp.bar_labels):
+                d = np.linalg.norm(dp.mem_points - p, axis=1)
+                j = int(np.argmin(d))
+                assert d[j] <= DEDUP_TOL and dp.mem_labels[j] == lab
+            # the goal seed is in both sets with label 1
+            for pts, labs, tags in ((dp.mem_points, dp.mem_labels, dp.mem_tags),
+                                    (dp.bar_points, dp.bar_labels, dp.bar_tags)):
+                (g,) = np.flatnonzero(tags == TAG_GOAL)
+                assert np.array_equal(pts[g], BASES[0]) and labs[g] == 1.0

@@ -1,16 +1,55 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from obsurf import envs, sensor
 from obsurf.constraints import NoPenetration, PathExists, connected_components
 from obsurf.envs import (Box, CableEnv, CONTACT_GAP, ObservedSurface, PegEnv,
                          WorldGeometry, dump_scene, make_scene, parse_scene,
-                         slide_move)
+                         push_out, slide_move)
 from obsurf.gpis import OccupancyGrid
 
 
 def simple_world(boxes=()):
     return WorldGeometry(tuple(boxes), (0.0, 0.0), (0.4, 0.4))
+
+
+# A point near box k: fractions of its gap-expanded extent, reaching
+# past it on every side.
+_near_box = st.tuples(st.integers(0, 8), st.floats(-0.3, 1.3),
+                      st.floats(-0.3, 1.3))
+
+
+class TestPushOutProperty:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(cells=st.lists(st.tuples(st.integers(0, 8), st.floats(0, 1),
+                                    st.floats(0, 1), st.floats(0, 1),
+                                    st.floats(0, 1)),
+                          min_size=1, max_size=6, unique_by=lambda c: c[0]),
+           gap=st.floats(0.0, 0.01),
+           pts=st.lists(st.tuples(_near_box, _near_box), min_size=1,
+                        max_size=20))
+    def test_no_point_left_inside(self, cells, gap, pts):
+        # One box per cell of a 3 x 3 grid of 0.1 cells, at least 0.005
+        # from the cell edge once expanded by gap, so the expanded boxes
+        # are pairwise disjoint.
+        boxes = np.array([
+            [0.1 * (c % 3) + 0.015 + 0.02 * a, 0.1 * (c // 3) + 0.015 + 0.02 * b,
+             0.1 * (c % 3) + 0.085 - 0.02 * u, 0.1 * (c // 3) + 0.085 - 0.02 * v]
+            for c, a, b, u, v in cells])
+        lo = boxes[:, :2] - gap
+        hi = boxes[:, 2:] + gap
+
+        def place(near):
+            k, s, t = near
+            k %= len(boxes)
+            return lo[k] + np.array([s, t]) * (hi[k] - lo[k])
+
+        p = np.array([place(a) for a, _ in pts])
+        ref = np.array([place(b) for _, b in pts])
+        for out in (push_out(p, boxes, gap), push_out(p, boxes, gap, ref)):
+            inside = np.all((out[:, None] > lo) & (out[:, None] < hi), axis=2)
+            assert not inside.any()
 
 
 class TestSlideMove:

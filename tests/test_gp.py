@@ -213,7 +213,7 @@ class TestFit:
         k = gp.kernel_matrix(pts, pts, true) + 1e-8 * np.eye(60)
         y = np.linalg.cholesky(k) @ rng.standard_normal(60)
         fitted = fit_hyperparams(pts, y, KernelParams(0.1, 1.0, 1e-4),
-                                 steps=200, lr=0.1, fit_noise=False)
+                                 steps=200, lr=0.1)
         assert 0.2 <= fitted.lengthscale <= 0.8
 
     def test_lml_never_decreases(self):
@@ -233,7 +233,7 @@ class TestFit:
         pts = rng.uniform(0, 0.5, (20, 2))
         y = np.where(rng.random(20) < 0.5, -1.0, 1.0)
         out = fit_hyperparams(pts, y, KernelParams(0.1, 1.0, 1e-4),
-                              steps=100, lr=0.2, fit_noise=False,
+                              steps=100, lr=0.2,
                               lengthscale_bounds=(0.06, 0.25),
                               outputscale_bounds=(0.25, 4.0))
         assert 0.06 - 1e-12 <= out.lengthscale <= 0.25 + 1e-12

@@ -148,20 +148,6 @@ class TestBatch:
 
 
 class TestConfigText:
-    def test_round_trip(self):
-        cfg = EpisodeConfig.for_scene("cable_hook", seed=3, eta=42.0)
-        back = EpisodeConfig.from_text(cfg.to_text())
-        assert back == cfg
-
-    def test_comments_ignored(self):
-        text = "scene = peg_u\nseed = 4  # chosen by fair dice roll\n"
-        cfg = EpisodeConfig.from_text(text)
-        assert cfg.seed == 4
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError):
-            EpisodeConfig.from_text("warp_drive = 9\n")
-
     def test_scene_defaults(self):
         peg = EpisodeConfig.for_scene("peg_u")
         cable = EpisodeConfig.for_scene("cable_hook")

@@ -89,19 +89,22 @@ class TestPhi:
     def test_all_ones_feasible(self):
         w = np.full(4, 0.25)
         prob = RefinementProblem(w, np.zeros(4, bool), lambda om: True)
-        assert phi(prob, np.ones(4, bool)) == pytest.approx(-1.0)
+        value, ok = phi(prob, np.ones(4, bool))
+        assert value == pytest.approx(-1.0) and ok
 
     def test_all_ones_infeasible(self):
         w = np.full(4, 0.25)
         prob = RefinementProblem(w, np.zeros(4, bool), lambda om: False)
-        assert phi(prob, np.ones(4, bool)) == pytest.approx(9.0)
+        value, ok = phi(prob, np.ones(4, bool))
+        assert value == pytest.approx(9.0) and not ok
 
     def test_partial_keep(self):
         w = np.array([0.1, 0.2, 0.3, 0.4])
         pinned = np.array([True, True, False, False])
         prob = RefinementProblem(w, pinned, lambda om: True)
         omega = np.array([True, True, False, False])
-        assert phi(prob, omega) == pytest.approx(-0.3)
+        value, ok = phi(prob, omega)
+        assert value == pytest.approx(-0.3) and ok
 
 
 class TestRunCmawm:
@@ -147,7 +150,8 @@ class TestRunCmawm:
         prob = random_instance(9)
         omega, val, found = run_cmawm(prob, 25, 20, seed=1)
         assert found
-        assert phi(prob, omega) == pytest.approx(-val)
+        value, ok = phi(prob, omega)
+        assert ok and value == pytest.approx(-val)
 
     def test_population_floor(self):
         prob = random_instance(3)
@@ -169,23 +173,16 @@ class TestRunCmawm:
 def build_pair(seed=0):
     """Dataset with goal seed, exteriors, interiors, and stall entries."""
     rng = np.random.default_rng(seed)
-    dp = DatasetPair.seeded(np.array([[0.2, 0.2]]))
     ext = rng.uniform(0, 0.4, (6, 2))
     interior = rng.uniform(0.1, 0.3, (4, 2))
     stall = rng.uniform(0, 0.4, (3, 2))
-    mem = dp._lists("mem")
-    bar = dp._lists("bar")
-    for dst in (mem, bar):
-        for p in ext:
-            dst[0].append(p); dst[1].append(1.0)
-            dst[2].append(TAG_OBSERVED); dst[3].append(False)
-        for p in interior:
-            dst[0].append(p); dst[1].append(-1.0)
-            dst[2].append(TAG_PREDICTED); dst[3].append(False)
-        for p in stall:
-            dst[0].append(p); dst[1].append(1.0)
-            dst[2].append(TAG_OBSERVED); dst[3].append(True)
-    return dp._rebuild(mem, bar)
+    pts = np.vstack([[[0.2, 0.2]], ext, interior, stall])
+    labels = np.concatenate([[1.0], np.ones(6), -np.ones(4), np.ones(3)])
+    tags = np.concatenate([[TAG_GOAL], np.full(6, TAG_OBSERVED),
+                           np.full(4, TAG_PREDICTED), np.full(3, TAG_OBSERVED)])
+    mask = np.arange(len(pts)) >= 11
+    return DatasetPair(pts, labels, tags, mask,
+                       pts.copy(), labels.copy(), tags.copy(), mask.copy())
 
 
 class TestRefineContacts:
