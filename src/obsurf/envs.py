@@ -24,6 +24,10 @@ from .constraints import NoPenetration, PathExists
 # Resting gap kept between any point and an obstacle face, which avoids
 # point-on-surface ambiguity in visibility and occupancy tests.
 CONTACT_GAP = 1e-3
+# Cable relaxation caps: iterations with the grippers pinned, then with
+# them released (see CableEnv).
+PINNED_ITERATIONS = 20
+POLISH_ITERATIONS = 120
 
 
 @dataclass(frozen=True)
@@ -34,12 +38,6 @@ class Box:
 
     def as_row(self) -> np.ndarray:
         return np.array([*self.lo, *self.hi], dtype=float)
-
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        return np.all((pts > lo) & (pts < hi), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -53,13 +51,9 @@ class WorldGeometry:
         return np.array(sel, dtype=float).reshape(len(sel), 4)
 
     def inside_any(self, pts: np.ndarray, observable_only: bool = False) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        out = np.zeros(pts.shape[0], dtype=bool)
-        for b in self.boxes:
-            if observable_only and not b.observable:
-                continue
-            out |= b.contains(pts)
-        return out
+        pts = np.atleast_2d(pts)[:, None]
+        rows = self.rows(observable_only)
+        return ((pts > rows[:, :2]) & (pts < rows[:, 2:])).all(axis=2).any(axis=1)
 
 
 def _axis_slide(pos: np.ndarray, delta: np.ndarray, axis: int,
@@ -101,39 +95,33 @@ def slide_move(pos: np.ndarray, u: np.ndarray, boxes: np.ndarray,
 def push_out(pts: np.ndarray, boxes: np.ndarray, gap: float,
              ref: Optional[np.ndarray] = None) -> np.ndarray:
     """Move points strictly inside a (gap-expanded) box onto a face, a
-    gap away. Flat input (m, 2).
+    gap away. Input (..., 2); when no point is inside any box the input
+    array itself is returned, otherwise a moved copy.
 
     With a reference position per point (where it came from), points
     exit through the face on the reference's side, which prevents
     tunneling out the far side of a thin box. Without one, or when the
     reference itself is inside, the nearest face wins.
     """
-    pts = np.atleast_2d(pts).copy()
-    if ref is not None:
-        ref = np.atleast_2d(ref)
-    for box in boxes:
-        lo = box[:2] - gap
-        hi = box[2:4] + gap
-        inside = np.all((pts > lo) & (pts < hi), axis=1)
+    pts = given = np.atleast_2d(pts)
+    for lo, hi in zip(boxes[:, :2] - gap, boxes[:, 2:4] + gap):
+        inside = ((pts > lo) & (pts < hi)).all(axis=-1)
         if not inside.any():
             continue
+        if pts is given:
+            pts = pts.copy()
         p = pts[inside]
-        # clearance[:, f] > 0 when the reference is outside face f
-        depths = np.stack([p[:, 0] - lo[0], hi[0] - p[:, 0],
-                           p[:, 1] - lo[1], hi[1] - p[:, 1]], axis=1)
+        # one column per face: -x, +x, -y, +y
+        depths = np.stack([p - lo, hi - p], axis=2).reshape(-1, 4)
         if ref is None:
-            face = np.argmin(depths, axis=1)
+            face = depths.argmin(axis=1)
         else:
-            r = ref[inside]
-            clearance = np.stack([lo[0] - r[:, 0], r[:, 0] - hi[0],
-                                  lo[1] - r[:, 1], r[:, 1] - hi[1]], axis=1)
-            face = np.where(np.max(clearance, axis=1) > 0.0,
-                            np.argmax(clearance, axis=1),
-                            np.argmin(depths, axis=1))
-        p[face == 0, 0] = lo[0]
-        p[face == 1, 0] = hi[0]
-        p[face == 2, 1] = lo[1]
-        p[face == 3, 1] = hi[1]
+            r = np.atleast_2d(ref)[inside]
+            # clearance[:, f] > 0 when the reference is outside face f
+            clearance = np.stack([lo - r, r - hi], axis=2).reshape(-1, 4)
+            face = np.where(clearance.max(axis=1) > 0.0,
+                            clearance.argmax(axis=1), depths.argmin(axis=1))
+        p[np.arange(len(p)), face >> 1] = np.stack([lo, hi], axis=1).flat[face]
         pts[inside] = p
     return pts
 
@@ -182,15 +170,12 @@ class CableEnv:
     """
 
     def __init__(self, world: WorldGeometry, chain, rest: float,
-                 gripped: Sequence[int], u_max: float, iterations: int = 20,
-                 polish_iterations: int = 120):
+                 gripped: Sequence[int], u_max: float):
         self.world = world
         self.state = np.atleast_2d(np.asarray(chain, dtype=float)).copy()
         self.rest = float(rest)
         self.gripped = tuple(int(i) for i in gripped)
         self.u_max = float(u_max)
-        self.iterations = int(iterations)
-        self.polish_iterations = int(polish_iterations)
         self.n = self.state.shape[0]
         self._all = world.rows(observable_only=False)
         self._obs = world.rows(observable_only=True)
@@ -200,83 +185,98 @@ class CableEnv:
         self._invm = np.ones(self.n)
         for g in self.gripped:
             self._invm[g] = 0.0
+        # Chains each relaxation phase left off tolerance at its cap.
+        self.pinned_capped = self.polish_capped = 0
 
     @property
     def control_dim(self) -> int:
         return 2 * len(self.gripped)
 
     def _sweep(self, pos: np.ndarray, boxes: np.ndarray, invm: np.ndarray,
-               iters: int, tol: float, ref: np.ndarray) -> np.ndarray:
+               iters: int, tol: float, ref: np.ndarray) -> tuple[np.ndarray, int]:
         """Gauss-Seidel distance projection followed by obstacle
         push-out, until every segment is within tol of rest (or the
-        iteration cap); batched over the leading axis. `ref` holds the
-        pre-step positions used to pick push-out faces."""
-        b, n, _ = pos.shape
-        lo = np.asarray(self.world.bounds_lo)
-        hi = np.asarray(self.world.bounds_hi)
-        free = invm > 0.0
-        ref_flat = ref[:, free].reshape(-1, 2)
-        ref_mid = (0.5 * (ref[:, :-1] + ref[:, 1:])).reshape(-1, 2)
+        iteration cap); batched over the leading axis, in place. `ref`
+        holds the pre-step positions used to pick push-out faces.
+        Returns the positions and how many chains the cap stopped off
+        tolerance."""
+        n = pos.shape[1]
+        lo = (np.asarray(self.world.bounds_lo) + CONTACT_GAP)[:, None]
+        hi = (np.asarray(self.world.bounds_hi) - CONTACT_GAP)[:, None]
+        free = np.flatnonzero(invm > 0.0)
+        if free.size and free[-1] - free[0] == free.size - 1:
+            free = slice(free[0], free[-1] + 1)  # a view, not a copy
         # weight each endpoint's share of a segment-midpoint correction
         w_pair = invm[:-1] + invm[1:]
-        share0 = np.divide(2.0 * invm[:-1], w_pair, out=np.zeros(n - 1),
-                           where=w_pair > 0.0)[None, :, None]
-        share1 = np.divide(2.0 * invm[1:], w_pair, out=np.zeros(n - 1),
-                           where=w_pair > 0.0)[None, :, None]
-        # Converged chains freeze so each batch element evolves exactly as
-        # it would alone.
-        live = np.ones(b)
+        share0, share1 = np.divide(
+            2.0 * np.stack([invm[:-1], invm[1:]]), w_pair,
+            out=np.zeros((2, n - 1)), where=w_pair > 0.0)[..., None, None]
+        segs = [(s, invm[s], invm[s + 1], w_pair[s])
+                for s in range(n - 1) if w_pair[s] != 0.0]
+        # Work on a (link, xy, chain) copy so each per-link update is one
+        # contiguous row; push_out sees (link, chain, xy) views of it.
+        p = pos.transpose(1, 2, 0).copy()
+        rf = ref[:, free].transpose(1, 0, 2)
+        rm = (0.5 * (ref[:, :-1] + ref[:, 1:])).transpose(1, 0, 2)
+        # Converged chains freeze and leave the batch (`idx` holds the live
+        # ones), so each chain evolves exactly as it would alone.
+        idx = np.arange(pos.shape[0])
         for _ in range(iters):
-            for s in range(n - 1):
-                wsum = invm[s] + invm[s + 1]
-                if wsum == 0.0:
-                    continue
-                d = pos[:, s + 1] - pos[:, s]
-                length = np.linalg.norm(d, axis=1)
-                corr = np.where(length > 1e-12,
-                                (length - self.rest)
-                                / (wsum * np.maximum(length, 1e-12)), 0.0)
-                shift = (live * corr)[:, None] * d
-                pos[:, s] += invm[s] * shift
-                pos[:, s + 1] -= invm[s + 1] * shift
-            if len(boxes):
-                flat = pos[:, free].reshape(-1, 2)
-                out = push_out(flat, boxes, CONTACT_GAP,
-                               ref_flat).reshape(b, -1, 2)
-                pos[:, free] += live[:, None, None] * (out - pos[:, free])
-                # segment midpoints collide too, else a segment can pass
-                # clean through a thin box while its endpoints stay out
-                mid = 0.5 * (pos[:, :-1] + pos[:, 1:])
-                delta = (push_out(mid.reshape(-1, 2), boxes, CONTACT_GAP,
-                                  ref_mid).reshape(mid.shape) - mid)
-                delta *= live[:, None, None]
-                pos[:, :-1] += delta * share0
-                pos[:, 1:] += delta * share1
-            clipped = np.clip(pos[:, free], lo + CONTACT_GAP, hi - CONTACT_GAP)
-            pos[:, free] += live[:, None, None] * (clipped - pos[:, free])
-            seg = np.linalg.norm(pos[:, 1:] - pos[:, :-1], axis=2)
-            live = (np.max(np.abs(seg - self.rest), axis=1) > tol).astype(float)
-            if not live.any():
-                break
-        if len(boxes):
-            flat = pos[:, free].reshape(-1, 2)
-            pos[:, free] = push_out(flat, boxes, CONTACT_GAP,
-                                    ref_flat).reshape(b, -1, 2)
-        return pos
+            for s, w0, w1, wsum in segs:
+                d = p[s + 1] - p[s]
+                sq = d * d
+                length = np.sqrt(sq[0] + sq[1])
+                corr = (length - self.rest) / (wsum * np.maximum(length, 1e-12))
+                if not length.min() > 1e-12:
+                    corr[~(length > 1e-12)] = 0.0
+                shift = corr * d
+                if w0:
+                    p[s] += shift if w0 == 1.0 else w0 * shift
+                if w1:
+                    p[s + 1] -= shift if w1 == 1.0 else w1 * shift
+            pf = p[free].transpose(0, 2, 1)
+            out = push_out(pf, boxes, CONTACT_GAP, rf)
+            if out is not pf:
+                p[free] += (out - pf).transpose(0, 2, 1)
+            # segment midpoints collide too, else a segment can pass
+            # clean through a thin box while its endpoints stay out
+            mid = (0.5 * (p[:-1] + p[1:])).transpose(0, 2, 1)
+            out = push_out(mid, boxes, CONTACT_GAP, rm)
+            if out is not mid:
+                delta = (out - mid).transpose(0, 2, 1)
+                p[:-1] += delta * share0
+                p[1:] += delta * share1
+            pf = p[free]
+            p[free] += pf.clip(lo, hi) - pf
+            d = p[1:] - p[:-1]
+            sq = d * d
+            seg = np.sqrt(sq[:, 0] + sq[:, 1])
+            live = np.abs(seg - self.rest).max(axis=0) > tol
+            if not live.all():
+                pos[idx[~live]] = p[..., ~live].transpose(2, 0, 1)
+                idx = idx[live]
+                p, rf, rm = p[..., live], rf[:, live], rm[:, live]
+                if not idx.size:
+                    break
+        pos[idx] = p.transpose(2, 0, 1)
+        pos[:, free] = push_out(pos[:, free], boxes, CONTACT_GAP, ref[:, free])
+        return pos, idx.size
 
     def _relax(self, chain: np.ndarray, boxes: np.ndarray,
                ref: np.ndarray) -> np.ndarray:
         tol = 0.005 * self.rest
-        pos = self._sweep(chain.copy(), boxes, self._invm, self.iterations,
-                          tol, ref)
+        pos, capped = self._sweep(chain.copy(), boxes, self._invm,
+                                  PINNED_ITERATIONS, tol, ref)
+        self.pinned_capped += capped
         # Release the grippers so tautness resolves into compliance
         # rather than stretch.
-        return self._sweep(pos, boxes, np.ones(self.n),
-                           self.polish_iterations, tol, ref)
+        pos, capped = self._sweep(pos, boxes, np.ones(self.n),
+                                  POLISH_ITERATIONS, tol, ref)
+        self.polish_capped += capped
+        return pos
 
     def _move(self, states: np.ndarray, u: np.ndarray, boxes: np.ndarray) -> np.ndarray:
         states = np.asarray(states, dtype=float)
-        b = states.shape[0]
         u = np.clip(np.atleast_2d(u), -self.u_max, self.u_max)
         chain = states.copy()
         targets = []
@@ -290,9 +290,8 @@ class CableEnv:
             if over.any():
                 mid = 0.5 * (targets[0] + targets[1])
                 scale = np.where(over, self._span_max / np.maximum(span, 1e-12), 1.0)
-                targets = [mid + (t - mid) * scale[:, None] for t in targets]
-                if len(boxes):
-                    targets = [push_out(t, boxes, CONTACT_GAP) for t in targets]
+                targets = [push_out(mid + (t - mid) * scale[:, None], boxes,
+                                    CONTACT_GAP) for t in targets]
         for j, g in enumerate(self.gripped):
             chain[:, g, :] = targets[j]
         return self._relax(chain, boxes, ref=states)
@@ -350,7 +349,7 @@ def _zigzag_chain(x0: float, x1: float, y: float, k: int, rest: float) -> np.nda
     return pts
 
 
-def make_scene(name: str, cable_links: int = 8) -> Scene:
+def make_scene(name: str) -> Scene:
     """Build one of the stock tasks.
 
     peg_u: cup-shaped wall between start and goal, goal inside the cup.
@@ -408,7 +407,7 @@ def make_scene(name: str, cable_links: int = 8) -> Scene:
         bar = Box((0.20, 0.28), (0.56, 0.31), observable=False)
         barrier = Box((0.185, 0.282), (0.195, 0.326), observable=True)
         world = WorldGeometry((bar, barrier), (0.0, 0.0), (0.6, 0.5))
-        k = cable_links
+        k = 8
         chain = _zigzag_chain(0.24, 0.43, 0.10, k, rest=0.03)
         env = CableEnv(world, chain, rest=0.03, gripped=(0, k - 1), u_max=0.02)
         cam = sensor.Camera.from_fov((0.03, 0.33), yaw=-0.35, fov=2.6,

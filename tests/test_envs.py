@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from obsurf import envs, sensor
 from obsurf.constraints import NoPenetration, PathExists, connected_components
@@ -18,6 +18,154 @@ def simple_world(boxes=()):
 # past it on every side.
 _near_box = st.tuples(st.integers(0, 8), st.floats(-0.3, 1.3),
                       st.floats(-0.3, 1.3))
+
+
+# The relaxation as it stood before live-chain compaction, kept verbatim
+# as the exactness oracle for CableEnv._sweep (and push_out beneath it).
+def _reference_push_out(pts, boxes, gap, ref=None):
+    pts = np.atleast_2d(pts).copy()
+    if ref is not None:
+        ref = np.atleast_2d(ref)
+    for box in boxes:
+        lo = box[:2] - gap
+        hi = box[2:4] + gap
+        inside = np.all((pts > lo) & (pts < hi), axis=1)
+        if not inside.any():
+            continue
+        p = pts[inside]
+        # clearance[:, f] > 0 when the reference is outside face f
+        depths = np.stack([p[:, 0] - lo[0], hi[0] - p[:, 0],
+                           p[:, 1] - lo[1], hi[1] - p[:, 1]], axis=1)
+        if ref is None:
+            face = np.argmin(depths, axis=1)
+        else:
+            r = ref[inside]
+            clearance = np.stack([lo[0] - r[:, 0], r[:, 0] - hi[0],
+                                  lo[1] - r[:, 1], r[:, 1] - hi[1]], axis=1)
+            face = np.where(np.max(clearance, axis=1) > 0.0,
+                            np.argmax(clearance, axis=1),
+                            np.argmin(depths, axis=1))
+        p[face == 0, 0] = lo[0]
+        p[face == 1, 0] = hi[0]
+        p[face == 2, 1] = lo[1]
+        p[face == 3, 1] = hi[1]
+        pts[inside] = p
+    return pts
+
+
+def _reference_sweep(self, pos, boxes, invm, iters, tol, ref):
+    b, n, _ = pos.shape
+    lo = np.asarray(self.world.bounds_lo)
+    hi = np.asarray(self.world.bounds_hi)
+    free = invm > 0.0
+    ref_flat = ref[:, free].reshape(-1, 2)
+    ref_mid = (0.5 * (ref[:, :-1] + ref[:, 1:])).reshape(-1, 2)
+    # weight each endpoint's share of a segment-midpoint correction
+    w_pair = invm[:-1] + invm[1:]
+    share0 = np.divide(2.0 * invm[:-1], w_pair, out=np.zeros(n - 1),
+                       where=w_pair > 0.0)[None, :, None]
+    share1 = np.divide(2.0 * invm[1:], w_pair, out=np.zeros(n - 1),
+                       where=w_pair > 0.0)[None, :, None]
+    # Converged chains freeze so each batch element evolves exactly as
+    # it would alone.
+    live = np.ones(b)
+    for _ in range(iters):
+        for s in range(n - 1):
+            wsum = invm[s] + invm[s + 1]
+            if wsum == 0.0:
+                continue
+            d = pos[:, s + 1] - pos[:, s]
+            length = np.linalg.norm(d, axis=1)
+            corr = np.where(length > 1e-12,
+                            (length - self.rest)
+                            / (wsum * np.maximum(length, 1e-12)), 0.0)
+            shift = (live * corr)[:, None] * d
+            pos[:, s] += invm[s] * shift
+            pos[:, s + 1] -= invm[s + 1] * shift
+        if len(boxes):
+            flat = pos[:, free].reshape(-1, 2)
+            out = _reference_push_out(flat, boxes, CONTACT_GAP,
+                                      ref_flat).reshape(b, -1, 2)
+            pos[:, free] += live[:, None, None] * (out - pos[:, free])
+            # segment midpoints collide too, else a segment can pass
+            # clean through a thin box while its endpoints stay out
+            mid = 0.5 * (pos[:, :-1] + pos[:, 1:])
+            delta = (_reference_push_out(mid.reshape(-1, 2), boxes,
+                                         CONTACT_GAP, ref_mid)
+                     .reshape(mid.shape) - mid)
+            delta *= live[:, None, None]
+            pos[:, :-1] += delta * share0
+            pos[:, 1:] += delta * share1
+        clipped = np.clip(pos[:, free], lo + CONTACT_GAP, hi - CONTACT_GAP)
+        pos[:, free] += live[:, None, None] * (clipped - pos[:, free])
+        seg = np.linalg.norm(pos[:, 1:] - pos[:, :-1], axis=2)
+        live = (np.max(np.abs(seg - self.rest), axis=1) > tol).astype(float)
+        if not live.any():
+            break
+    if len(boxes):
+        flat = pos[:, free].reshape(-1, 2)
+        pos[:, free] = _reference_push_out(flat, boxes, CONTACT_GAP,
+                                           ref_flat).reshape(b, -1, 2)
+    return pos
+
+
+def _sweep_case(seed, batch, links, n_boxes, pinned):
+    """Chains of `links` points near (and across) random boxes, some at
+    exact rest length, some stretched or slack, a few with all but
+    coincident neighbours, and pre-step reference positions a little
+    away."""
+    rng = np.random.default_rng(seed)
+    rest = 0.03
+    world = WorldGeometry((), (0.0, 0.0), (0.6, 0.5))
+    lo = rng.uniform((0.1, 0.1), (0.4, 0.3), (n_boxes, 2))
+    boxes = np.hstack([lo, lo + rng.uniform(0.005, 0.15, (n_boxes, 2))])
+    if n_boxes:
+        box = boxes[rng.integers(n_boxes, size=batch)]
+        anchor = (0.5 * (box[:, :2] + box[:, 2:])
+                  + rng.uniform(-0.1, 0.1, (batch, 2)))
+    else:
+        anchor = rng.uniform((0.0, 0.0), (0.6, 0.5), (batch, 2))
+    angle = np.cumsum(rng.uniform(-1.0, 1.0, (batch, links - 1)), axis=1)
+    angle += rng.uniform(0.0, 2.0 * np.pi, (batch, 1))
+    stretch = np.where(rng.random((batch, 1)) < 0.3, 1.0,
+                       rng.uniform(0.6, 1.4, (batch, links - 1)))
+    # a few all but coincident neighbours take the zero-length guard
+    stretch[rng.random(batch) < 0.2, rng.integers(links - 1)] = 1e-13
+    step = rest * stretch[..., None] * np.stack([np.cos(angle),
+                                                 np.sin(angle)], axis=2)
+    pos = np.concatenate([anchor[:, None], anchor[:, None] + np.cumsum(
+        step, axis=1)], axis=1)
+    ref = pos + rng.uniform(-0.01, 0.01, pos.shape)
+    env = CableEnv(world, pos[0], rest=rest, gripped=(0, links - 1),
+                   u_max=0.02)
+    invm = env._invm if pinned else np.ones(links)
+    return env, pos, boxes, invm, ref
+
+
+class TestSweepOracle:
+    @settings(max_examples=700, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 12),
+           links=st.integers(3, 10), n_boxes=st.integers(0, 3),
+           pinned=st.booleans(), iters=st.integers(1, 30),
+           tol=st.sampled_from([0.0, 1.5e-4, 1e-3, 0.015]))
+    def test_matches_reference(self, seed, batch, links, n_boxes, pinned,
+                               iters, tol):
+        env, pos, boxes, invm, ref = _sweep_case(seed, batch, links,
+                                                 n_boxes, pinned)
+        want = _reference_sweep(env, pos.copy(), boxes, invm, iters, tol,
+                                ref)
+        got, capped = env._sweep(pos.copy(), boxes, invm, iters, tol, ref)
+        assert np.array_equal(got, want)
+        # Each chain evolves, and counts against the cap, as it would
+        # alone.
+        alone = [env._sweep(pos[i:i + 1].copy(), boxes, invm, iters, tol,
+                            ref[i:i + 1]) for i in range(batch)]
+        assert np.array_equal(np.concatenate([a for a, _ in alone]), want)
+        assert capped == sum(c for _, c in alone)
+        if not capped:
+            # every chain converged, so further iterations change nothing
+            more, _ = env._sweep(pos.copy(), boxes, invm, iters + 5, tol, ref)
+            assert np.array_equal(more, want)
 
 
 class TestPushOutProperty:
@@ -47,9 +195,11 @@ class TestPushOutProperty:
 
         p = np.array([place(a) for a, _ in pts])
         ref = np.array([place(b) for _, b in pts])
-        for out in (push_out(p, boxes, gap), push_out(p, boxes, gap, ref)):
+        for r in (None, ref):
+            out = push_out(p, boxes, gap, r)
             inside = np.all((out[:, None] > lo) & (out[:, None] < hi), axis=2)
             assert not inside.any()
+            assert np.array_equal(out, _reference_push_out(p, boxes, gap, r))
 
 
 class TestSlideMove:
@@ -207,16 +357,50 @@ class TestCableEnv:
         np.testing.assert_array_equal(sa, sb)
 
     def test_batched_matches_sequential(self):
+        # Each batch element evolves exactly as it would alone, against
+        # the observed and against the full geometry, in and out of
+        # contact with the bar.
         env = make_scene("cable_hook").env
-        states = np.repeat(env.state[None], 3, axis=0)
+        starts = []
+        for i in range(30):
+            s = env.step_truth(np.array([0.0, 0.02, 0.0, 0.02]))
+            if i % 10 == 9:
+                starts.append(s)
         u = np.array([[0.01, 0.0, -0.01, 0.0],
                       [0.0, 0.02, 0.0, 0.02],
                       [-0.01, -0.01, 0.01, 0.01]])
-        batch = env.nominal(states, u)
-        for i in range(3):
-            single = env.nominal(states[i:i + 1], u[i:i + 1])[0]
-            np.testing.assert_allclose(batch[i], single, atol=1e-12)
+        states = np.repeat(np.stack(starts), len(u), axis=0)
+        u = np.tile(u, (len(starts), 1))
+        for boxes in (env._obs, env._all):
+            batch = env._move(states, u, boxes)
+            for i in range(len(states)):
+                single = env._move(states[i:i + 1], u[i:i + 1], boxes)[0]
+                np.testing.assert_array_equal(batch[i], single)
 
+    # Known defect (FOUND in CHANGES.md): the push-out after the polish
+    # loop can move a converged chain off rest length. Strict, so the
+    # mark must go when that is mended.
+    @pytest.mark.xfail(strict=True, reason="final push-out breaks rest "
+                       "length of chains not counted as capped")
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 6),
+           links=st.integers(3, 10), n_boxes=st.integers(0, 3))
+    @example(seed=5, batch=3, links=3, n_boxes=3)
+    def test_relax_reaches_rest_unless_capped(self, seed, batch, links,
+                                              n_boxes):
+        env, pos, boxes, _, ref = _sweep_case(seed, batch, links, n_boxes,
+                                              pinned=True)
+        tol = 0.005 * env.rest
+        env._relax(pos, boxes, ref)
+        batch_capped = env.polish_capped
+        for i in range(batch):
+            before = env.polish_capped
+            out = env._relax(pos[i:i + 1], boxes, ref[i:i + 1])[0]
+            if env.polish_capped == before:
+                seg = np.linalg.norm(np.diff(out, axis=0), axis=1)
+                assert np.abs(seg - env.rest).max() <= tol
+        # the batch counted exactly the chains that hit the cap alone
+        assert env.polish_capped - batch_capped == batch_capped
 
 class TestObservedSurface:
     def test_sign_convention(self):
