@@ -10,7 +10,6 @@ sliding, and chains relax with projected distance constraints.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -337,155 +336,125 @@ class Scene:
     grid: Optional[GridSpec] = None
 
 
-def _zigzag_chain(x0: float, x1: float, y: float, k: int, rest: float) -> np.ndarray:
-    """Chain with exact segment rests spanning less than its length."""
-    dx = (x1 - x0) / (k - 1)
-    if dx >= rest:
-        raise ValueError("span too wide for the requested rest length")
-    dy = math.sqrt(rest * rest - dx * dx)
-    pts = np.zeros((k, 2))
-    pts[:, 0] = x0 + dx * np.arange(k)
-    pts[:, 1] = y + 0.5 * dy * np.where(np.arange(k) % 2 == 0, 1.0, -1.0)
-    return pts
+# Stock tasks in parse_scene's format.
+#
+# peg_u: cup-shaped wall between start and goal, goal inside the cup.
+# Its walls are sheet-thin: one-step nominal predictions overshoot
+# them, so impeded transitions scatter interior points into the free
+# space beyond, exactly the spurious evidence refinement exists to
+# remove.
+# peg_i: single straight wall across the direct route.
+# peg_t: tee-shaped wall; the route must round the stem.
+# cable_hook: the chain starts entirely under a long hidden bar, so
+# lifting presses into it anywhere along the span and escape needs a
+# real sideways detour that the goal pull fights. The camera looks down
+# from the left past a small barrier that shadows exactly the bar and
+# the under-bar contact zone; the start, the climb corridor left of the
+# barrier, the traverse above, and the goal all stay visible. The start
+# is a zigzag whose links are all one rest length long.
+SCENES = {
+    "peg_u": """\
+bounds 0.0 0.0 0.4 0.4
+box 0.148 0.16 0.16 0.30 0
+box 0.24 0.16 0.252 0.30 0
+box 0.148 0.148 0.252 0.16 0
+goal 0.20 0.22 0.02
+start 0.20 0.05
+""",
+    "peg_i": """\
+bounds 0.0 0.0 0.4 0.4
+box 0.12 0.19 0.28 0.22 0
+goal 0.20 0.34 0.02
+start 0.20 0.06
+""",
+    "peg_t": """\
+bounds 0.0 0.0 0.4 0.4
+box 0.19 0.08 0.22 0.24 0
+box 0.10 0.24 0.31 0.27 0
+goal 0.30 0.12 0.02
+start 0.10 0.12
+""",
+    "cable_hook": """\
+bounds 0.0 0.0 0.6 0.5
+box 0.20 0.28 0.56 0.31 0  # bar
+box 0.185 0.282 0.195 0.326 1  # barrier
+goal 0.38 0.42 0.04
+start 0.24 0.10638876564999941 0.2671428571428571 0.0936112343500006 \
+0.29428571428571426 0.10638876564999941 0.3214285714285714 0.0936112343500006 \
+0.34857142857142853 0.10638876564999941 0.37571428571428567 0.0936112343500006 \
+0.40285714285714286 0.10638876564999941 0.43 0.0936112343500006
+rest 0.03
+camera 0.03 0.33 -0.35 2.6 300
+""",
+}
+
+# Value count of each scene directive; `start` takes x y pairs.
+_ARITY = {"bounds": 4, "box": 5, "goal": 3, "start": None, "rest": 1, "camera": 5}
 
 
 def make_scene(name: str) -> Scene:
-    """Build one of the stock tasks.
-
-    peg_u: cup-shaped wall between start and goal, goal inside the cup.
-    peg_i: single straight wall across the direct route.
-    peg_t: tee-shaped wall; the route must round the stem.
-    cable_hook: overhead bar hidden behind a barrier; the chain starts
-    below the bar and the goal for its center sits above it.
-    """
-    if name == "peg_u":
-        # Sheet-thin walls: one-step nominal predictions overshoot them,
-        # so impeded transitions scatter interior points into the free
-        # space beyond, exactly the spurious evidence refinement exists
-        # to remove.
-        boxes = (
-            Box((0.148, 0.16), (0.16, 0.30), observable=False),
-            Box((0.24, 0.16), (0.252, 0.30), observable=False),
-            Box((0.148, 0.148), (0.252, 0.16), observable=False),
-        )
-        world = WorldGeometry(boxes, (0.0, 0.0), (0.4, 0.4))
-        env = PegEnv(world, [(0.20, 0.05)], u_max=0.02)
-        r_g = 0.02
-        goals = GoalSet.single(0, (0.20, 0.22))
-        grid = GridSpec((0.0, 0.0), (0.4, 0.4), r_g / 2.0)
-        return Scene(name, env, goals, r_g, None, None,
-                     [PathExists(grid=grid, component=0)], grid)
-    if name == "peg_i":
-        boxes = (Box((0.12, 0.19), (0.28, 0.22), observable=False),)
-        world = WorldGeometry(boxes, (0.0, 0.0), (0.4, 0.4))
-        env = PegEnv(world, [(0.20, 0.06)], u_max=0.02)
-        r_g = 0.02
-        goals = GoalSet.single(0, (0.20, 0.34))
-        grid = GridSpec((0.0, 0.0), (0.4, 0.4), r_g / 2.0)
-        return Scene(name, env, goals, r_g, None, None,
-                     [PathExists(grid=grid, component=0)], grid)
-    if name == "peg_t":
-        boxes = (
-            Box((0.19, 0.08), (0.22, 0.24), observable=False),
-            Box((0.10, 0.24), (0.31, 0.27), observable=False),
-        )
-        world = WorldGeometry(boxes, (0.0, 0.0), (0.4, 0.4))
-        env = PegEnv(world, [(0.10, 0.12)], u_max=0.02)
-        r_g = 0.02
-        goals = GoalSet.single(0, (0.30, 0.12))
-        grid = GridSpec((0.0, 0.0), (0.4, 0.4), r_g / 2.0)
-        return Scene(name, env, goals, r_g, None, None,
-                     [PathExists(grid=grid, component=0)], grid)
-    if name == "cable_hook":
-        # The chain starts entirely under a long hidden bar, so lifting
-        # presses into it anywhere along the span and escape needs a real
-        # sideways detour that the goal pull fights. The camera looks
-        # down from the left past a small barrier that shadows exactly
-        # the bar and the under-bar contact zone; the start, the climb
-        # corridor left of the barrier, the traverse above, and the goal
-        # all stay visible.
-        bar = Box((0.20, 0.28), (0.56, 0.31), observable=False)
-        barrier = Box((0.185, 0.282), (0.195, 0.326), observable=True)
-        world = WorldGeometry((bar, barrier), (0.0, 0.0), (0.6, 0.5))
-        k = 8
-        chain = _zigzag_chain(0.24, 0.43, 0.10, k, rest=0.03)
-        env = CableEnv(world, chain, rest=0.03, gripped=(0, k - 1), u_max=0.02)
-        cam = sensor.Camera.from_fov((0.03, 0.33), yaw=-0.35, fov=2.6,
-                                     width=300)
-        depth = sensor.render_depth(world.rows(observable_only=False), cam)
-        r_g = 0.04
-        goals = GoalSet.single(k // 2, (0.38, 0.42))
-        grid = GridSpec((0.0, 0.0), (0.6, 0.5), r_g / 2.0)
-        return Scene(name, env, goals, r_g, cam, depth,
-                     [NoPenetration(zeta=0.4)], grid)
-    raise ValueError(f"unknown scene '{name}'")
-
-
-# -- scene files -------------------------------------------------------
-
-def dump_scene(scene: Scene) -> str:
-    """Plain-text scene description, one element per line."""
-    env = scene.env
-    lines = []
-    lines.append("bounds " + " ".join(repr(float(v)) for v in
-                                       (*env.world.bounds_lo, *env.world.bounds_hi)))
-    for b in env.world.boxes:
-        lines.append("box " + " ".join(repr(float(v)) for v in (*b.lo, *b.hi))
-                     + f" {1 if b.observable else 0}")
-    g = scene.goals
-    for comp, pt in zip(g.components, g.points):
-        lines.append(f"goal {float(pt[0])!r} {float(pt[1])!r} {float(scene.r_g)!r}")
-    start = np.atleast_2d(env.state)
-    lines.append("start " + " ".join(repr(float(v)) for v in start.ravel()))
-    if scene.camera is not None:
-        c = scene.camera
-        fov = 2.0 * math.atan((c.width / 2.0) / c.focal_px)
-        lines.append(f"camera {c.position[0]!r} {c.position[1]!r} {c.yaw!r} "
-                     f"{fov!r} {c.width}")
-    return "\n".join(lines) + "\n"
+    """Build one of the stock tasks in SCENES."""
+    if name not in SCENES:
+        raise ValueError(f"unknown scene '{name}'")
+    return parse_scene(SCENES[name], name)
 
 
 def parse_scene(text: str, name: str = "custom") -> Scene:
-    """Inverse of dump_scene. A one-point start builds a peg task, a
-    longer start builds a cable gripped at both ends."""
+    """Build a task from text: one directive per line, `#` comments.
+    Directives: `bounds x0 y0 x1 y1` (default 0 0 1 1), `box x0 y0 x1 y1
+    observable`, `goal x y radius`, `start x y [x y ...]`, `rest length`
+    and `camera x y yaw fov width`. A one-point start builds a peg task; a
+    longer one a cable gripped at both ends, which needs `rest`.
+    Malformed input raises ValueError naming the line."""
     boxes = []
     bounds = ((0.0, 0.0), (1.0, 1.0))
-    goal_pt = None
-    r_g = 0.02
-    start = None
-    cam = None
-    for raw in text.splitlines():
+    start = goal_pt = r_g = rest = cam = None
+    for no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        tok = line.split()
-        kind, vals = tok[0], [float(v) for v in tok[1:]]
-        if kind == "box":
-            boxes.append(Box((vals[0], vals[1]), (vals[2], vals[3]),
-                             observable=bool(int(vals[4]))))
-        elif kind == "bounds":
-            bounds = ((vals[0], vals[1]), (vals[2], vals[3]))
-        elif kind == "goal":
-            goal_pt = (vals[0], vals[1])
-            r_g = vals[2]
-        elif kind == "start":
-            start = np.array(vals, dtype=float).reshape(-1, 2)
-        elif kind == "camera":
-            cam = sensor.Camera.from_fov((vals[0], vals[1]), vals[2], vals[3],
-                                         int(vals[4]))
-        else:
-            raise ValueError(f"unknown scene directive '{kind}'")
+        kind, *tok = line.split()
+        try:
+            if kind not in _ARITY:
+                raise ValueError(f"unknown scene directive '{kind}'")
+            vals = [float(v) for v in tok]
+            want = _ARITY[kind]
+            if len(vals) != want if want else not vals or len(vals) % 2:
+                raise ValueError(f"takes {want or 'a positive even number of'}"
+                                 f" values, not {len(vals)}")
+            if kind in ("box", "bounds") and not (vals[0] < vals[2]
+                                                  and vals[1] < vals[3]):
+                raise ValueError("needs x0 < x1 and y0 < y1")
+            if kind in ("goal", "rest") and not vals[-1] > 0.0:
+                raise ValueError("goal radius and rest must be positive")
+            if kind == "box":
+                boxes.append(Box((vals[0], vals[1]), (vals[2], vals[3]),
+                                 observable=bool(int(vals[4]))))
+            elif kind == "bounds":
+                bounds = ((vals[0], vals[1]), (vals[2], vals[3]))
+            elif kind == "goal":
+                goal_pt, r_g = (vals[0], vals[1]), vals[2]
+            elif kind == "start":
+                start = np.array(vals, dtype=float).reshape(-1, 2)
+            elif kind == "rest":
+                rest = vals[0]
+            else:
+                cam = sensor.Camera.from_fov((vals[0], vals[1]), vals[2],
+                                             vals[3], int(vals[4]))
+        except ValueError as exc:
+            raise ValueError(f"scene line {no} '{line}': {exc}") from None
     if start is None or goal_pt is None:
         raise ValueError("scene file must define start and goal")
+    if (rest is None) != (start.shape[0] == 1):
+        raise ValueError("scene file needs rest exactly when start has 2+ points")
     world = WorldGeometry(tuple(boxes), bounds[0], bounds[1])
     grid = GridSpec(bounds[0], bounds[1], r_g / 2.0)
-    if start.shape[0] == 1:
+    if rest is None:
         env = PegEnv(world, start, u_max=0.02)
         goals = GoalSet.single(0, goal_pt)
         specs = [PathExists(grid=grid, component=0)]
     else:
         k = start.shape[0]
-        rest = float(np.mean(np.linalg.norm(np.diff(start, axis=0), axis=1)))
         env = CableEnv(world, start, rest=rest, gripped=(0, k - 1), u_max=0.02)
         goals = GoalSet.single(k // 2, goal_pt)
         specs = [NoPenetration(zeta=0.4)]

@@ -39,8 +39,8 @@ OUTPUTSCALE_BOX = (0.25, 4.0)
 CABLE_DEFAULTS = dict(
     temperature=0.167, samples=72, horizon=8, noise_cov=0.004,
     alpha=0.627, beta=0.995, eta=100.0, collision_c=10000.0,
-    d_min=0.01, t_m=3, t_e=3, t_fit=2, r_g=0.04, r_c=0.01,
-    t_cma=25, n_cma=50, zeta=0.4, max_steps=200, vision=True,
+    d_min=0.01, t_m=3, t_e=3, t_fit=2, r_c=0.01,
+    t_cma=25, n_cma=50, max_steps=200, vision=True,
 )
 
 
@@ -59,14 +59,12 @@ class EpisodeConfig:
     beta: float = 0.996
     eta: float = 11.03
     collision_c: float = 15.88
-    r_g: float = 0.02
     # contact pipeline
     d_min: float = 0.01
     t_m: int = 5
     t_e: int = 0  # 0 disables periodic re-selection (single component)
     t_fit: int = 3
     r_c: float = 0.01
-    zeta: float = 0.4
     # refinement
     t_cma: int = 25
     n_cma: int = 20
@@ -128,20 +126,23 @@ def _observe(x_true: np.ndarray, std: float, rng) -> np.ndarray:
     return x_true + rng.normal(0.0, std, size=x_true.shape)
 
 
+def _scene(cfg: EpisodeConfig) -> envs.Scene:
+    if cfg.scene_file:
+        return envs.parse_scene(Path(cfg.scene_file).read_text(), cfg.scene)
+    return envs.make_scene(cfg.scene)
+
+
 def run_episode(cfg: EpisodeConfig) -> EpisodeReport:
     """Execute the high-level control loop until success or budget."""
     start_time = time.perf_counter()
-    if cfg.scene_file:
-        scene = envs.parse_scene(Path(cfg.scene_file).read_text(), name=cfg.scene)
-    else:
-        scene = envs.make_scene(cfg.scene)
+    scene = _scene(cfg)
     env = scene.env
     n = env.n
     goal_pts = scene.goals.points
     goals = mppi.GoalSet(scene.goals.components, goal_pts)
     weights = mppi.CostWeights(action=cfg.alpha, exploration=cfg.beta,
                                collision=cfg.collision_c, basin=cfg.eta,
-                               r_g=cfg.r_g)
+                               r_g=scene.r_g)
     u_dim = env.control_dim
     mcfg = mppi.MppiConfig(
         temperature=cfg.temperature, samples=cfg.samples, horizon=cfg.horizon,
@@ -219,7 +220,7 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeReport:
 
         dist = np.linalg.norm(
             x_true[np.asarray(goals.components)] - goal_pts, axis=1)
-        success = bool(np.all(dist < cfg.r_g))
+        success = bool(np.all(dist < scene.r_g))
         steps_used = step
         records.append({
             "step": step,
@@ -334,12 +335,10 @@ def export_artifacts(report: EpisodeReport, out_dir, svg: bool = False) -> list:
     return written
 
 
-def render_svg(report: EpisodeReport, scene: Optional[envs.Scene] = None) -> str:
+def render_svg(report: EpisodeReport) -> str:
     """World, estimated-surface cells, and one polyline per tracked
     component."""
-    if scene is None:
-        scene = envs.make_scene(report.config.scene) if not report.config.scene_file \
-            else envs.parse_scene(Path(report.config.scene_file).read_text())
+    scene = _scene(report.config)
     lo = np.asarray(scene.env.world.bounds_lo)
     hi = np.asarray(scene.env.world.bounds_hi)
     span = hi - lo

@@ -36,10 +36,12 @@ def test_run_failure_exit_one(scene_file):
 
 
 def test_bad_parameter_exit_two(scene_file, capsys):
-    code = main(["run", "--scene", "free", "--scene-file", scene_file,
-                 "--set", "bogus=1"])
-    assert code == 2
-    assert "error" in capsys.readouterr().err
+    # zeta and r_g are not configuration fields: the scene fixes both.
+    for pair in ("bogus=1", "zeta=0.1", "r_g=0.05"):
+        code = main(["run", "--scene", "free", "--scene-file", scene_file,
+                     "--set", pair])
+        assert code == 2
+        assert "unknown parameter" in capsys.readouterr().err
 
 
 def test_unknown_scene_exit_two():

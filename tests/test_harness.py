@@ -55,6 +55,17 @@ class TestRunEpisode:
         b = run_episode(dataclasses.replace(cfg))
         assert a.log_text() == b.log_text()
 
+    def test_goal_radius_comes_from_scene(self, tmp_path):
+        # The success test uses the scene's goal radius, here wider than
+        # the 0.02 of the stock pegs. One step moves at most 0.02 * sqrt 2,
+        # so the run crosses 0.02 <= dist < 0.05 before it ends.
+        p = tmp_path / "wide_goal.txt"
+        p.write_text(FREE_SCENE.replace("0.3 0.02", "0.3 0.05"))
+        rep = run_episode(quick_cfg(str(p)))
+        dists = [r["goal_dist"][0] for r in rep.records]
+        assert rep.success and dists[-1] < 0.05
+        assert all(d >= 0.05 for d in dists[:-1])
+
     def test_seed_changes_trajectory(self, free_scene_file):
         a = run_episode(quick_cfg(free_scene_file, seed=1))
         b = run_episode(quick_cfg(free_scene_file, seed=2))
