@@ -58,9 +58,8 @@ def _parse_seeds(spec: str) -> list:
 
 
 def _build_config(args) -> EpisodeConfig:
-    cfg = EpisodeConfig.for_scene(args.scene, seed=getattr(args, "seed", 0))
-    if getattr(args, "scene_file", None):
-        cfg = dataclasses.replace(cfg, scene_file=args.scene_file)
+    cfg = EpisodeConfig.for_scene(args.scene, seed=getattr(args, "seed", 0),
+                                  scene_file=args.scene_file)
     for name in getattr(args, "ablate", None) or []:
         field, value = _ABLATIONS[name]
         cfg = dataclasses.replace(cfg, **{field: value})

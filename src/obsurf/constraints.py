@@ -190,7 +190,8 @@ class SubsetEvaluator:
         solve = GpSolve(self.points[idx], self.labels[idx], self.params)
         for spec, vis, kq in self._jobs:
             is_path = isinstance(spec, PathExists)
-            mean, var = solve.posterior(kq[:, idx], not is_path)
+            mean, var = solve.posterior(kq[:, idx],
+                                        None if is_path else slice(None))
             if vis is not None:
                 mean = np.where(vis, FREE_LABEL, mean)
             if is_path:

@@ -317,8 +317,13 @@ class ObservedSurface:
         return np.where(inside, -1.0, 1.0)
 
     def predict_many(self, pts: np.ndarray):
+        return self.predict_split(pts, slice(None))
+
+    def predict_split(self, pts: np.ndarray, var_rows):
+        """Mean at every row and zero variance at the rows var_rows
+        selects (None skips the variance), as `Gpis.predict_split`."""
         mean = self.predict_mean(pts)
-        return mean, np.zeros_like(mean)
+        return mean, None if var_rows is None else np.zeros_like(mean)[var_rows]
 
 
 @dataclass

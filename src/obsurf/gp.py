@@ -67,9 +67,17 @@ def matern32(r, params: KernelParams):
     r = np.asarray(r, dtype=float)
     if np.any(r < 0.0):
         raise ValueError("matern32 requires non-negative distances")
-    s = SQRT3 * r / params.lengthscale
-    out = params.outputscale * (1.0 + s) * np.exp(-s)
-    return out if out.ndim else float(out)
+    # Evaluated in place, in the operation order of
+    # outputscale * (1 + s) * exp(-s), so the result is bit-identical to
+    # that expression without its full-size temporaries; r is not written.
+    s = np.multiply(SQRT3, r, out=np.empty_like(r))
+    s /= params.lengthscale
+    e = np.negative(s, out=np.empty_like(s))
+    np.exp(e, out=e)
+    s += 1.0
+    s *= params.outputscale
+    s *= e
+    return s if s.ndim else float(s)
 
 
 def kernel_matrix(a: np.ndarray, b: np.ndarray, params: KernelParams) -> np.ndarray:
@@ -124,28 +132,31 @@ class GpSolve:
             self._kinv = cho_solve(self._cho, np.eye(self.points.shape[0]))
         return self._kinv
 
-    def posterior(self, ks: np.ndarray, with_var: bool):
-        """Posterior mean, and the variance when with_var is set (else
-        None), from the cross-covariance ks between the queries and the
-        training points, shape (q, m)."""
+    def posterior(self, ks: np.ndarray, var_rows):
+        """Posterior mean at every row of the cross-covariance ks between
+        the queries and the training points, shape (q, m), and the
+        variance at the rows var_rows selects (any numpy index, e.g.
+        slice(None) for all; None skips the variance and returns None)."""
         mean = ks @ self.alpha
-        if not with_var:
+        if var_rows is None:
             return mean, None
-        # var = k(0) - diag(ks Ky^-1 ks^T), computed via the explicit
+        kv = np.ascontiguousarray(ks[var_rows])
+        # var = k(0) - diag(kv Ky^-1 kv^T), computed via the explicit
         # inverse so the whole batch is one BLAS call.
-        var = self.params.outputscale - np.einsum("qm,qm->q", ks @ self.kinv, ks)
+        var = self.params.outputscale - np.einsum("qm,qm->q", kv @ self.kinv, kv)
         np.clip(var, 0.0, None, out=var)
         return mean, var
 
-    def predict(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior mean and variance at each query row."""
+    def predict(self, queries: np.ndarray, var_rows):
+        """Posterior mean at each query row and variance at the rows
+        var_rows selects (see posterior), from one kernel evaluation."""
         ks = kernel_matrix(queries, self.points, self.params)
-        return self.posterior(ks, True)
+        return self.posterior(ks, var_rows)
 
     def predict_mean(self, queries: np.ndarray) -> np.ndarray:
         """Posterior mean only; skips the quadratic variance term."""
         ks = kernel_matrix(queries, self.points, self.params)
-        return self.posterior(ks, False)[0]
+        return self.posterior(ks, None)[0]
 
 
 def gp_posterior(
@@ -163,7 +174,8 @@ def gp_posterior(
     points = np.asarray(points, dtype=float)
     if points.size == 0:
         return PosteriorStats(0.0, params.outputscale)
-    mean, var = GpSolve(points, labels, params).predict(query[None, :])
+    mean, var = GpSolve(points, labels, params).predict(query[None, :],
+                                                        slice(None))
     return PosteriorStats(float(mean[0]), float(var[0]))
 
 

@@ -135,10 +135,11 @@ class Gpis:
     """The estimated environment: a GP implicit surface over labeled points.
 
     Instances are immutable after construction; every update returns a
-    new value, so concurrent readers are safe. The optional free-space
-    oracle maps a (q, d) array of points to a boolean visibility mask;
-    where it reports True the predicted mean is overridden to the
-    exterior label value (variance is never touched).
+    new value, so concurrent readers are safe, and the factorization and
+    each occupancy grid are computed at most once per instance. The
+    optional free-space oracle maps a (q, d) array of points to a boolean
+    visibility mask; where it reports True the predicted mean is
+    overridden to the exterior label value (variance is never touched).
     """
 
     def __init__(
@@ -161,9 +162,14 @@ class Gpis:
                 raise ValueError("labels must lie in [-1, 1]")
         self.free_space = free_space
         self._solve: Optional[GpSolve] = None
+        self._grids: dict = {}  # GridSpec -> OccupancyGrid
 
     def with_active(self, points: np.ndarray, labels: np.ndarray) -> "Gpis":
-        """New surface conditioned on a replacement active set."""
+        """Surface conditioned on a replacement active set: this instance
+        when the set equals its own by value, else a new one."""
+        if (np.array_equal(points, self.points)
+                and np.array_equal(labels, self.labels)):
+            return self
         return Gpis(points, labels, self.params, self.free_space)
 
     # -- queries -----------------------------------------------------
@@ -175,16 +181,18 @@ class Gpis:
             self._solve = GpSolve(self.points, self.labels, self.params)
         return self._solve
 
-    def _posterior(self, queries: np.ndarray, with_var: bool):
+    def predict_split(self, queries: np.ndarray, var_rows):
+        """Post-processed mean at every query row and raw variance at the
+        rows var_rows selects (any numpy index; None skips the variance
+        and returns None), from one kernel evaluation."""
         queries = np.atleast_2d(np.asarray(queries, dtype=float))
         solver = self._solver()
         if solver is None:
             mean = np.zeros(queries.shape[0])
-            var = np.full(queries.shape[0], self.params.outputscale)
-        elif with_var:
-            mean, var = solver.predict(queries)
+            var = (None if var_rows is None else
+                   np.full(queries.shape[0], self.params.outputscale)[var_rows])
         else:
-            mean, var = solver.predict_mean(queries), None
+            mean, var = solver.predict(queries, var_rows)
         if self.free_space is not None:
             vis = np.asarray(self.free_space(queries), dtype=bool)
             mean = np.where(vis, FREE_LABEL, mean)
@@ -192,17 +200,23 @@ class Gpis:
 
     def predict_many(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean (post-processed) and raw variance per query row."""
-        return self._posterior(queries, True)
+        return self.predict_split(queries, slice(None))
 
     def predict_mean(self, queries: np.ndarray) -> np.ndarray:
         """Post-processed posterior mean only (cheaper than predict_many
         for large query batches)."""
-        return self._posterior(queries, False)[0]
+        return self.predict_split(queries, None)[0]
 
     def predict(self, x: np.ndarray) -> PosteriorStats:
         mean, var = self.predict_many(np.asarray(x, dtype=float)[None, :])
         return PosteriorStats(float(mean[0]), float(var[0]))
 
     def occupancy_grid(self, spec: GridSpec) -> OccupancyGrid:
-        """Boolean occupancy over the grid (see GridSpec.occupancy)."""
-        return spec.occupancy(self.predict_mean(spec.centers()))
+        """Boolean occupancy over the grid (see GridSpec.occupancy),
+        computed once per spec; the cached cells are read-only."""
+        grid = self._grids.get(spec)
+        if grid is None:
+            grid = spec.occupancy(self.predict_mean(spec.centers()))
+            grid.cells.flags.writeable = False
+            self._grids[spec] = grid
+        return grid

@@ -77,7 +77,11 @@ class EpisodeConfig:
 
     @classmethod
     def for_scene(cls, scene: str, seed: int = 0, **overrides) -> "EpisodeConfig":
-        base = CABLE_DEFAULTS if scene.startswith("cable") else {}
+        """Defaults for the scene, CABLE_DEFAULTS when it is a cable, with
+        the overrides on top. The kind is read from the built scene (from
+        the `scene_file` override when one is given), not from its name."""
+        env = _scene(scene, overrides.get("scene_file")).env
+        base = CABLE_DEFAULTS if isinstance(env, envs.CableEnv) else {}
         return cls(scene=scene, seed=seed, **{**base, **overrides})
 
 
@@ -126,16 +130,16 @@ def _observe(x_true: np.ndarray, std: float, rng) -> np.ndarray:
     return x_true + rng.normal(0.0, std, size=x_true.shape)
 
 
-def _scene(cfg: EpisodeConfig) -> envs.Scene:
-    if cfg.scene_file:
-        return envs.parse_scene(Path(cfg.scene_file).read_text(), cfg.scene)
-    return envs.make_scene(cfg.scene)
+def _scene(name: str, scene_file: Optional[str]) -> envs.Scene:
+    if scene_file:
+        return envs.parse_scene(Path(scene_file).read_text(), name)
+    return envs.make_scene(name)
 
 
 def run_episode(cfg: EpisodeConfig) -> EpisodeReport:
     """Execute the high-level control loop until success or budget."""
     start_time = time.perf_counter()
-    scene = _scene(cfg)
+    scene = _scene(cfg.scene, cfg.scene_file)
     env = scene.env
     n = env.n
     goal_pts = scene.goals.points
@@ -216,7 +220,9 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeReport:
                                          steps=FIT_STEPS, lr=FIT_LR,
                                          lengthscale_bounds=LENGTHSCALE_BOX,
                                          outputscale_bounds=OUTPUTSCALE_BOX)
-                surface = Gpis(dp.bar_points, dp.bar_labels, params, free_space)
+                if params != surface.params:  # else keep its caches
+                    surface = Gpis(dp.bar_points, dp.bar_labels, params,
+                                   free_space)
 
         dist = np.linalg.norm(
             x_true[np.asarray(goals.components)] - goal_pts, axis=1)
@@ -338,7 +344,7 @@ def export_artifacts(report: EpisodeReport, out_dir, svg: bool = False) -> list:
 def render_svg(report: EpisodeReport) -> str:
     """World, estimated-surface cells, and one polyline per tracked
     component."""
-    scene = _scene(report.config)
+    scene = _scene(report.config.scene, report.config.scene_file)
     lo = np.asarray(scene.env.world.bounds_lo)
     hi = np.asarray(scene.env.world.bounds_hi)
     span = hi - lo

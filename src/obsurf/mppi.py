@@ -90,14 +90,13 @@ def _surface_costs(
 
     Collision counts every component whose post-processed mean is <= 0;
     exploration uses the raw posterior variance of the selected
-    component only.
+    component only. Both come from one surface query: the rows of the
+    selected component are every n-th row of the flattened rollout.
     """
     k, t1, n, d = states.shape
     pts = states[:, 1:].reshape(-1, d)
-    mean = surface.predict_mean(pts)
+    mean, var = surface.predict_split(pts, slice(component, None, n))
     collision = (mean <= 0.0).reshape(k, -1).sum(axis=1).astype(float)
-    sel = states[:, 1:, component, :].reshape(-1, d)
-    _, var = surface.predict_many(sel)
     exploration = -var.reshape(k, -1).sum(axis=1)
     return collision, exploration
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from obsurf import envs
 from obsurf.cli import main
 
 
@@ -42,6 +43,23 @@ def test_bad_parameter_exit_two(scene_file, capsys):
                      "--set", pair])
         assert code == 2
         assert "unknown parameter" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, stock, want", [
+    ("mycable", "cable_hook", (72, 8, 0.004, True)),
+    ("cable_peg", "peg_u", (500, 15, 0.2, False)),
+])
+def test_scene_file_kind_picks_defaults(tmp_path, name, stock, want):
+    # The controller defaults follow what the scene file holds, not the
+    # name it runs under.
+    path = tmp_path / "scene.txt"
+    path.write_text(envs.SCENES[stock])
+    out = tmp_path / "out"
+    main(["run", "--scene", name, "--scene-file", str(path),
+          "--set", "max_steps=1", "--out", str(out)])
+    cfg = json.loads((out / "summary.json").read_text())["config"]
+    assert (cfg["samples"], cfg["horizon"], cfg["noise_cov"],
+            cfg["vision"]) == want
 
 
 def test_unknown_scene_exit_two():

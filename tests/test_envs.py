@@ -500,7 +500,10 @@ class TestObservedSurface:
         mean = surf.predict_mean(pts)
         np.testing.assert_array_equal(mean, [-1.0, 1.0, 1.0])
         _, var = surf.predict_many(pts)
-        assert (var == 0).all()
+        assert (var == 0).all() and var.shape == (3,)
+        _, var = surf.predict_split(pts, slice(1, None, 2))
+        assert (var == 0).all() and var.shape == (1,)
+        assert surf.predict_split(pts, None)[1] is None
 
 
 class TestScenes:

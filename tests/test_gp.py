@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from obsurf import gp
 from obsurf.gp import KernelParams, fit_hyperparams, gp_posterior, \
@@ -70,6 +71,45 @@ class TestMatern:
     def test_negative_distance_rejected(self):
         with pytest.raises(ValueError):
             matern32(-0.1, KernelParams())
+
+    @staticmethod
+    def _reference(r, p):
+        s = gp.SQRT3 * np.asarray(r, dtype=float) / p.lengthscale
+        return p.outputscale * (1.0 + s) * np.exp(-s)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1),
+           shape=st.sampled_from(["empty", "vector", "matrix"]),
+           q=st.integers(1, 60), m=st.integers(1, 60),
+           lengthscale=st.floats(1e-3, 10.0), outputscale=st.floats(1e-3, 10.0))
+    def test_in_place_equals_expression(self, seed, shape, q, m, lengthscale,
+                                        outputscale):
+        # matern32 works in place on its own buffers; its bits must equal
+        # the plain expression's, and the caller's r must stay untouched.
+        rng = np.random.default_rng(seed)
+        p = KernelParams(lengthscale, outputscale, 0.0)
+        dims = {"empty": (0,), "vector": (q,), "matrix": (q, m)}[shape]
+        r = rng.uniform(0.0, 5.0 * lengthscale, dims)
+        r[rng.random(dims) < 0.2] = 0.0
+        before = r.copy()
+        out = matern32(r, p)
+        assert isinstance(out, np.ndarray) and out.shape == dims
+        assert np.array_equal(out, self._reference(r, p))
+        assert np.array_equal(r, before)
+
+        x = float(r.flat[0]) if r.size else 0.0
+        for scalar in (x, np.array(x)):
+            val = matern32(scalar, p)
+            assert type(val) is float
+            assert val == float(self._reference(scalar, p))
+        zero_d = np.array(x)
+        matern32(zero_d, p)
+        assert zero_d == x
+
+        if r.size:
+            r[tuple(rng.integers(n) for n in dims)] = -1e-12
+            with pytest.raises(ValueError):
+                matern32(r, p)
 
     def test_param_validation(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 import scipy.special
 import scipy.stats
 
-from obsurf.contact import DatasetPair
+from obsurf.contact import DatasetPair, LabelBatch
 from obsurf.gp import KernelParams
 from obsurf.gpis import Gpis, GridSpec, OccupancyGrid, inv_norm_cdf, lcb, \
     norm_cdf
@@ -94,6 +94,19 @@ class TestPredict:
         _, var_raw = Gpis(pts, labels, TIGHT).predict_many(q)
         np.testing.assert_allclose(var_seen, var_raw, rtol=0, atol=0)
 
+    def test_split_rows_match_separate_queries(self):
+        # Variance for any index of rows (an index array here) equals a
+        # query on those rows alone; the mean covers every row.
+        rng = np.random.default_rng(2)
+        q = rng.uniform(0, 1, (40, 2))
+        rows = rng.choice(40, 15, replace=False)
+        for g in (Gpis(rng.uniform(0, 1, (15, 2)), rng.uniform(-1, 1, 15),
+                       TIGHT), Gpis(params=TIGHT)):
+            mean, var = g.predict_split(q, rows)
+            np.testing.assert_array_equal(mean, g.predict_mean(q))
+            np.testing.assert_array_equal(var, g.predict_many(q[rows])[1])
+            assert g.predict_split(q, None)[1] is None
+
 
 class TestLcb:
     def test_half_quantile_is_mean(self):
@@ -176,6 +189,72 @@ class TestOccupancy:
     def test_resolution_validation(self):
         with pytest.raises(ValueError):
             GridSpec((0.0, 0.0), (1.0, 1.0), 0.0)
+
+
+def _observed(y: float) -> LabelBatch:
+    """One observed, stored, non-contact label for a single-point state."""
+    no = np.array([False])
+    return LabelBatch(np.array([y]), np.array([2 * y - 1]), np.array([True]),
+                      no, no, no)
+
+
+class TestSurfaceReuse:
+    SPEC = GridSpec((0.0, 0.0), (0.4, 0.4), 0.01)
+
+    def _pair(self):
+        rng = np.random.default_rng(11)
+        pts = rng.uniform(0.0, 0.4, (12, 2))
+        labels = np.where(rng.random(12) < 0.5, -1.0, 1.0)
+        return pts, labels
+
+    def test_unchanged_set_keeps_instance(self):
+        pts, labels = self._pair()
+        g = Gpis(pts, labels, TIGHT)
+        assert g.with_active(pts.copy(), labels.copy()) is g
+
+    def test_relabel_of_same_size_rebuilds(self):
+        # A dedup relabel keeps bar_size but changes a label: the
+        # surface must follow the values, not the size.
+        x = np.array([[0.1, 0.1]])
+        dp = DatasetPair.seeded(np.array([[0.3, 0.3]]))
+        dp = dp.update(_observed(0.2), x, x, False)
+        g = Gpis(dp.bar_points, dp.bar_labels, TIGHT)
+        before = g.predict(x[0]).mean
+        relabeled = dp.update(_observed(1.0), x, x, False)
+        assert relabeled.bar_size == dp.bar_size
+        h = g.with_active(relabeled.bar_points, relabeled.bar_labels)
+        assert h is not g
+        assert np.array_equal(h.labels, relabeled.bar_labels)
+        assert before == pytest.approx(0.2, abs=1e-4)
+        assert h.predict(x[0]).mean == pytest.approx(1.0, abs=1e-4)
+
+    def test_cached_grid_equals_fresh(self):
+        pts, labels = self._pair()
+        g = Gpis(pts, labels, KernelParams(0.08, 1.0, 1e-4),
+                 free_space=lambda q: q[:, 1] > 0.35)
+        first = g.occupancy_grid(self.SPEC)
+        assert g.occupancy_grid(self.SPEC) is first
+        assert g.occupancy_grid(GridSpec((0.0, 0.0), (0.4, 0.4), 0.01)) is first
+        fresh = Gpis(pts, labels, KernelParams(0.08, 1.0, 1e-4),
+                     free_space=lambda q: q[:, 1] > 0.35)
+        assert np.array_equal(first.cells, fresh.occupancy_grid(self.SPEC).cells)
+        assert not first.cells.flags.writeable
+        coarse = GridSpec((0.0, 0.0), (0.4, 0.4), 0.02)
+        assert g.occupancy_grid(coarse).cells.shape == coarse.shape
+
+    def test_new_instances_start_without_cache(self):
+        pts, labels = self._pair()
+        g = Gpis(pts, labels, TIGHT)
+        old = g.occupancy_grid(self.SPEC)
+        flipped = -labels
+        h = g.with_active(pts, flipped)
+        refit = Gpis(pts, labels, KernelParams(0.2, 1.0, 1e-4))
+        for new, want in ((h, Gpis(pts, flipped, TIGHT)),
+                          (refit, Gpis(pts, labels, KernelParams(0.2, 1.0, 1e-4)))):
+            grid = new.occupancy_grid(self.SPEC)
+            assert grid is not old
+            assert np.array_equal(grid.cells, want.occupancy_grid(self.SPEC).cells)
+            assert not np.array_equal(grid.cells, old.cells)
 
 
 class TestGridText:

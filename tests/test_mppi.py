@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from obsurf import mppi
+from obsurf import envs, mppi
 from obsurf.gp import KernelParams
 from obsurf.gpis import Gpis
 from obsurf.mppi import (CostWeights, GoalSet, MppiConfig, _action_costs,
@@ -114,6 +115,49 @@ class TestExplorationCost:
         _, expl_far = _surface_costs(far[None], surf, 0)
         _, expl_near = _surface_costs(near[None], surf, 0)
         assert expl_far[0] < expl_near[0]
+
+
+def two_query_surface_costs(states, surface, component):
+    """Reference: the mean over every rollout row from one query, and
+    the selected component's variance from a second query on its rows."""
+    k, t1, n, d = states.shape
+    pts = states[:, 1:].reshape(-1, d)
+    mean = surface.predict_mean(pts)
+    collision = (mean <= 0.0).reshape(k, -1).sum(axis=1).astype(float)
+    sel = states[:, 1:, component, :].reshape(-1, d)
+    _, var = surface.predict_many(sel)
+    exploration = -var.reshape(k, -1).sum(axis=1)
+    return collision, exploration
+
+
+def _oracle_surface(kind, rng):
+    if kind == "observed":
+        return envs.ObservedSurface(envs.make_scene("peg_u").env.world)
+    free = (lambda q: q[:, 0] > 0.25) if kind.endswith("free") else None
+    if kind.startswith("prior"):
+        return Gpis(params=KernelParams(0.08, 1.3, 1e-4), free_space=free)
+    pts = rng.uniform(0.0, 0.4, (30, 2))
+    labels = rng.uniform(-1.0, 1.0, 30)
+    return Gpis(pts, labels, KernelParams(0.08, 1.3, 1e-4), free_space=free)
+
+
+class TestSurfaceCostsOracle:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 8]),
+           kind=st.sampled_from(["data", "data+free", "prior", "prior+free",
+                                 "observed"]),
+           data=st.data())
+    def test_one_query_equals_two(self, seed, n, kind, data):
+        # One kernel evaluation per step must give the two-query costs
+        # bit for bit, for every surface the planner is handed.
+        rng = np.random.default_rng(seed)
+        component = data.draw(st.integers(0, n - 1))
+        surface = _oracle_surface(kind, rng)
+        states = rng.uniform(0.0, 0.4, (50, 16, n, 2))
+        got = _surface_costs(states, surface, component)
+        want = two_query_surface_costs(states, surface, component)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestSelectComponent:
