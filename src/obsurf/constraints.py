@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 from scipy import ndimage
 
-from .gp import GpSolve, KernelParams, kernel_matrix
+from .gp import GpSolve, KernelParams, kernel_matrix, noisy_gram
 from .gpis import Gpis, GridSpec, OccupancyGrid, FREE_LABEL, lcb
 
 
@@ -93,19 +93,17 @@ def path_exists(gpis: Gpis, state_point: np.ndarray, goals: np.ndarray,
     exactly the situation refinement should fix.
     """
     grid = gpis.occupancy_grid(spec)
-    return _grid_path_exists(grid, spec, state_point, goals)
+    goals = np.atleast_2d(np.asarray(goals, dtype=float))
+    return _cells_connected(grid, spec.cell_index(state_point),
+                            [spec.cell_index(g) for g in goals])
 
 
-def _grid_path_exists(grid: OccupancyGrid, spec: GridSpec,
-                      state_point: np.ndarray, goals: np.ndarray) -> bool:
+def _cells_connected(grid: OccupancyGrid, start: tuple, goals: list) -> bool:
+    """True when the start cell is free and every goal cell lies in its
+    free component."""
     labels = connected_components(grid)
-    start = labels[spec.cell_index(state_point)]
-    if start == 0:
-        return False
-    for g in np.atleast_2d(np.asarray(goals, dtype=float)):
-        if labels[spec.cell_index(g)] != start:
-            return False
-    return True
+    first = labels[start]
+    return bool(first != 0 and all(labels[g] == first for g in goals))
 
 
 def no_penetration(gpis: Gpis, state: np.ndarray, zeta: float) -> bool:
@@ -152,10 +150,13 @@ class SubsetEvaluator:
     """Constraint conjunction over candidate subsets of the active set.
 
     Refinement evaluates hundreds of subsets against fixed query points
-    (grid centers, state components), so the kernel blocks between the
-    full active set and those queries are computed once here and sliced
-    per candidate into the same posterior core `Gpis` uses. Results are
-    identical to conditioning a fresh surface on the subset.
+    (grid centers, state components), so everything that does not
+    depend on the subset is computed once here: the noisy Gram of the
+    full active set, the kernel blocks between it and the queries, the
+    visibility of the queries and the grid cells of the state and the
+    goals. Each candidate slices the Gram and the blocks into the same
+    posterior core `Gpis` uses. Results are identical to conditioning a
+    fresh surface on the subset.
     """
 
     def __init__(
@@ -176,27 +177,39 @@ class SubsetEvaluator:
         self.params = params
         self.state = np.atleast_2d(np.asarray(state, dtype=float))
         self.goals = np.atleast_2d(np.asarray(goals, dtype=float))
+        self._ky = noisy_gram(self.points, params)
 
+        # (spec, visibility, kernel block, None or (start cell, goal cells))
         self._jobs = []
         for spec in self.specs:
-            q = spec.grid.centers() if isinstance(spec, PathExists) else self.state
+            cells = None
+            if isinstance(spec, PathExists):
+                q = spec.grid.centers()
+                cells = (spec.grid.cell_index(self.state[spec.component]),
+                         [spec.grid.cell_index(g) for g in self.goals])
+            else:
+                q = self.state
             vis = (None if free_space is None
                    else np.asarray(free_space(q), dtype=bool))
-            self._jobs.append((spec, vis, kernel_matrix(q, self.points, params)))
+            self._jobs.append((spec, vis, kernel_matrix(q, self.points, params),
+                               cells))
+        # Cheap specs first: a NoPenetration check costs less than a
+        # connected-component labelling, and a conjunction does not
+        # depend on the order it is judged in.
+        self._jobs.sort(key=lambda job: job[3] is not None)
 
     def __call__(self, keep: np.ndarray) -> bool:
         """Evaluate the conjunction on the subset selected by `keep`."""
         idx = np.where(np.asarray(keep, dtype=bool))[0]
-        solve = GpSolve(self.points[idx], self.labels[idx], self.params)
-        for spec, vis, kq in self._jobs:
-            is_path = isinstance(spec, PathExists)
+        solve = GpSolve(self.points[idx], self.labels[idx], self.params,
+                        self._ky.take(idx, 0).take(idx, 1))
+        for spec, vis, kq, cells in self._jobs:
             mean, var = solve.posterior(kq[:, idx],
-                                        None if is_path else slice(None))
+                                        None if cells else slice(None))
             if vis is not None:
                 mean = np.where(vis, FREE_LABEL, mean)
-            if is_path:
-                ok = _grid_path_exists(spec.grid.occupancy(mean), spec.grid,
-                                       self.state[spec.component], self.goals)
+            if cells:
+                ok = _cells_connected(spec.grid.occupancy(mean), *cells)
             else:
                 ok = _supported_bound_holds(mean, var, spec.zeta,
                                             self.params.outputscale)

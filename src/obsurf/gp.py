@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import get_lapack_funcs
 from scipy.spatial.distance import cdist
 
 SQRT3 = np.sqrt(3.0)
@@ -87,22 +87,56 @@ def kernel_matrix(a: np.ndarray, b: np.ndarray, params: KernelParams) -> np.ndar
     return matern32(cdist(a, b), params)
 
 
-def _cholesky(ky: np.ndarray):
-    """Lower Cholesky factor (cho_factor tuple) of a noisy Gram matrix.
+def noisy_gram(points: np.ndarray, params: KernelParams) -> np.ndarray:
+    """Training covariance k(x_i, x_j) + noise * [i == j].
+
+    Every entry depends on its own pair of points only, so the Gram of a
+    subset is the same subset of this matrix, bit for bit.
+    """
+    ky = kernel_matrix(points, points, params)
+    diag = np.arange(ky.shape[0])
+    ky[diag, diag] += params.noise
+    return ky
+
+
+# LAPACK's double-precision Cholesky and Cholesky solve, called without
+# scipy's wrappers: those re-check finiteness on every call, which the
+# factorization below does once, and their results are the same bits.
+_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.empty(0),))
+
+
+def _cholesky(ky: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a noisy Gram matrix (upper triangle
+    left as garbage, as scipy's cho_factor leaves it).
 
     On failure the smallest jitter from _JITTERS that works is added to
     the diagonal. Raises SolverError on non-finite entries or when even
     the largest jitter fails.
     """
+    if not np.isfinite(ky).all():
+        raise SolverError("non-finite entries in Gram matrix")
     for jit in _JITTERS:
         a = ky + jit * np.eye(len(ky)) if jit else ky
-        try:
-            return cho_factor(a, lower=True)
-        except np.linalg.LinAlgError:
-            continue
-        except ValueError as exc:  # cho_factor's finiteness check
-            raise SolverError("non-finite entries in Gram matrix") from exc
+        c, info = _POTRF(a, lower=True, clean=False)
+        if info == 0:
+            return c
     raise SolverError(f"Gram matrix not positive definite after jitter {max(_JITTERS)}")
+
+
+def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve (c c^T) x = b for the lower factor c of _cholesky."""
+    if b.size == 0:
+        return np.empty_like(b)
+    return _POTRS(c, b, lower=True)[0]
+
+
+def _factor(ky: np.ndarray, y: np.ndarray):
+    """Lower Cholesky factor of ky (see _cholesky) and alpha = ky^-1 y.
+    Non-finite labels raise ValueError."""
+    c = _cholesky(ky)
+    if not np.isfinite(y).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return c, _cho_solve(c, y)
 
 
 class GpSolve:
@@ -113,23 +147,25 @@ class GpSolve:
     Treat instances as immutable once built.
     """
 
-    def __init__(self, points: np.ndarray, labels: np.ndarray, params: KernelParams):
+    def __init__(self, points: np.ndarray, labels: np.ndarray,
+                 params: KernelParams, ky: np.ndarray):
+        """ky is the noisy Gram of the points, noisy_gram(points, params),
+        or the same subset of a larger set's noisy Gram."""
         self.points = np.atleast_2d(np.asarray(points, dtype=float))
         self.labels = np.asarray(labels, dtype=float).ravel()
-        if self.points.shape[0] != self.labels.shape[0]:
+        m = self.points.shape[0]
+        if m != self.labels.shape[0]:
             raise ValueError("points and labels must have equal length")
+        if ky.shape != (m, m):
+            raise ValueError("ky must be the (m, m) Gram of the m points")
         self.params = params
-        ky = kernel_matrix(self.points, self.points, params)
-        diag = np.arange(ky.shape[0])
-        ky[diag, diag] += params.noise
-        self._cho = _cholesky(ky)
-        self.alpha = cho_solve(self._cho, self.labels)
+        self._cho, self.alpha = _factor(ky, self.labels)
         self._kinv = None
 
     @property
     def kinv(self) -> np.ndarray:
         if self._kinv is None:
-            self._kinv = cho_solve(self._cho, np.eye(self.points.shape[0]))
+            self._kinv = _cho_solve(self._cho, np.eye(self.points.shape[0]))
         return self._kinv
 
     def posterior(self, ks: np.ndarray, var_rows):
@@ -174,8 +210,8 @@ def gp_posterior(
     points = np.asarray(points, dtype=float)
     if points.size == 0:
         return PosteriorStats(0.0, params.outputscale)
-    mean, var = GpSolve(points, labels, params).predict(query[None, :],
-                                                        slice(None))
+    solve = GpSolve(points, labels, params, noisy_gram(points, params))
+    mean, var = solve.predict(query[None, :], slice(None))
     return PosteriorStats(float(mean[0]), float(var[0]))
 
 
@@ -198,12 +234,11 @@ def log_marginal_likelihood(
     s = SQRT3 * cdist(x, x) / params.lengthscale
     e = np.exp(-s)
     k = params.outputscale * (1.0 + s) * e
-    cho = _cholesky(k + params.noise * np.eye(m))
-    alpha = cho_solve(cho, y)
-    logdet = 2.0 * np.sum(np.log(np.diag(cho[0])))
+    cho, alpha = _factor(k + params.noise * np.eye(m), y)
+    logdet = 2.0 * np.sum(np.log(np.diag(cho)))
     value = -0.5 * (y @ alpha) - 0.5 * logdet - 0.5 * m * LOG_2PI
 
-    kinv = cho_solve(cho, np.eye(m))
+    kinv = _cho_solve(cho, np.eye(m))
     w = np.outer(alpha, alpha) - kinv  # dLML/dKy = 0.5 * w
 
     # dK/dlog(l) = outputscale * s^2 * exp(-s); dK/dlog(sf2) = K;
@@ -258,15 +293,21 @@ def fit_hyperparams(
     if not np.isfinite(best):
         return p0
 
+    # A halving clipped onto the box can give the candidate just scored
+    # again; its score is reused instead of recomputed.
+    scored = (theta, best, grad)
     for _ in range(steps):
         step = lr * grad[:2]
         accepted = False
         for _ in range(10):
             cand = np.clip(theta + step, lo, hi)
-            try:
-                val, g = log_marginal_likelihood(points, labels, unpack(cand))
-            except SolverError:
-                val = -np.inf
+            if np.any(cand != scored[0]):
+                try:
+                    val, g = log_marginal_likelihood(points, labels, unpack(cand))
+                except SolverError:
+                    val, g = -np.inf, None
+                scored = (cand, val, g)
+            _, val, g = scored
             if np.isfinite(val) and val >= best and np.any(cand != theta):
                 theta, best, grad = cand, val, g
                 accepted = True

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .gp import GpSolve, KernelParams, PosteriorStats
+from .gp import GpSolve, KernelParams, PosteriorStats, noisy_gram
 
 FREE_LABEL = 1.0
 
@@ -79,7 +79,8 @@ class GridSpec:
         """Index of the cell containing a point (clipped to the grid)."""
         p = np.asarray(point, dtype=float).ravel()
         idx = np.floor((p - np.asarray(self.lo)) / self.resolution).astype(int)
-        return tuple(int(np.clip(i, 0, n - 1)) for i, n in zip(idx, self.shape))
+        return tuple(min(max(i, 0), n - 1)
+                     for i, n in zip(idx.tolist(), self.shape))
 
     def occupancy(self, mean: np.ndarray) -> "OccupancyGrid":
         """Occupancy from the surface mean at centers(): occupied where
@@ -178,7 +179,8 @@ class Gpis:
         if self.points.size == 0:
             return None
         if self._solve is None:
-            self._solve = GpSolve(self.points, self.labels, self.params)
+            self._solve = GpSolve(self.points, self.labels, self.params,
+                                  noisy_gram(self.points, self.params))
         return self._solve
 
     def predict_split(self, queries: np.ndarray, var_rows):

@@ -1,14 +1,18 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import example, given, settings, strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
 from obsurf import constraints as cons
 from obsurf.constraints import (NoPenetration, PathExists, SubsetEvaluator,
                                 all_satisfied, connected_components,
                                 no_penetration, path_exists)
-from obsurf.gp import KernelParams
-from obsurf.gpis import Gpis, GridSpec, OccupancyGrid
+from obsurf.gp import (GpSolve, KernelParams, SolverError, kernel_matrix,
+                       noisy_gram)
+from obsurf.gpis import FREE_LABEL, Gpis, GridSpec, OccupancyGrid
 
 
 TIGHT = KernelParams(lengthscale=0.04, outputscale=1.0, noise=1e-6)
@@ -307,3 +311,190 @@ class TestSubsetEvaluatorProperty:
         fresh = Gpis(pts[keep], labels[keep], self.params)
         assert ev(keep) == all_satisfied(self.specs, fresh, ENCLOSURE_STATE,
                                          ENCLOSURE_GOAL)
+
+
+# -- reference: the evaluator as it was before it sliced one Gram -------
+# Kept verbatim (names prefixed) as an exactness oracle: the GP solve
+# built from the points through scipy's checked cho_factor/cho_solve,
+# and the evaluator that builds one such solve per subset.
+
+_JITTERS = (0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
+
+
+def _ref_cholesky(ky: np.ndarray):
+    for jit in _JITTERS:
+        a = ky + jit * np.eye(len(ky)) if jit else ky
+        try:
+            return cho_factor(a, lower=True)
+        except np.linalg.LinAlgError:
+            continue
+        except ValueError as exc:  # cho_factor's finiteness check
+            raise SolverError("non-finite entries in Gram matrix") from exc
+    raise SolverError(f"Gram matrix not positive definite after jitter {max(_JITTERS)}")
+
+
+class RefGpSolve:
+    def __init__(self, points: np.ndarray, labels: np.ndarray, params: KernelParams):
+        self.points = np.atleast_2d(np.asarray(points, dtype=float))
+        self.labels = np.asarray(labels, dtype=float).ravel()
+        if self.points.shape[0] != self.labels.shape[0]:
+            raise ValueError("points and labels must have equal length")
+        self.params = params
+        ky = kernel_matrix(self.points, self.points, params)
+        diag = np.arange(ky.shape[0])
+        ky[diag, diag] += params.noise
+        self._cho = _ref_cholesky(ky)
+        self.alpha = cho_solve(self._cho, self.labels)
+        self._kinv = None
+
+    @property
+    def kinv(self) -> np.ndarray:
+        if self._kinv is None:
+            self._kinv = cho_solve(self._cho, np.eye(self.points.shape[0]))
+        return self._kinv
+
+    def posterior(self, ks: np.ndarray, var_rows):
+        mean = ks @ self.alpha
+        if var_rows is None:
+            return mean, None
+        kv = np.ascontiguousarray(ks[var_rows])
+        var = self.params.outputscale - np.einsum("qm,qm->q", kv @ self.kinv, kv)
+        np.clip(var, 0.0, None, out=var)
+        return mean, var
+
+
+def _ref_grid_path_exists(grid, spec, state_point, goals) -> bool:
+    labels = connected_components(grid)
+    start = labels[spec.cell_index(state_point)]
+    if start == 0:
+        return False
+    for g in np.atleast_2d(np.asarray(goals, dtype=float)):
+        if labels[spec.cell_index(g)] != start:
+            return False
+    return True
+
+
+class RefSubsetEvaluator:
+    def __init__(self, specs, points, labels, params, free_space, state, goals):
+        if not specs:
+            raise ValueError("constraint set must not be empty")
+        self.specs = list(specs)
+        self.points = np.atleast_2d(np.asarray(points, dtype=float))
+        self.labels = np.asarray(labels, dtype=float).ravel()
+        self.params = params
+        self.state = np.atleast_2d(np.asarray(state, dtype=float))
+        self.goals = np.atleast_2d(np.asarray(goals, dtype=float))
+
+        self._jobs = []
+        for spec in self.specs:
+            q = spec.grid.centers() if isinstance(spec, PathExists) else self.state
+            vis = (None if free_space is None
+                   else np.asarray(free_space(q), dtype=bool))
+            self._jobs.append((spec, vis, kernel_matrix(q, self.points, params)))
+
+    def __call__(self, keep: np.ndarray) -> bool:
+        """Evaluate the conjunction on the subset selected by `keep`."""
+        idx = np.where(np.asarray(keep, dtype=bool))[0]
+        solve = RefGpSolve(self.points[idx], self.labels[idx], self.params)
+        for spec, vis, kq in self._jobs:
+            is_path = isinstance(spec, PathExists)
+            mean, var = solve.posterior(kq[:, idx],
+                                        None if is_path else slice(None))
+            if vis is not None:
+                mean = np.where(vis, FREE_LABEL, mean)
+            if is_path:
+                ok = _ref_grid_path_exists(spec.grid.occupancy(mean), spec.grid,
+                                           self.state[spec.component], self.goals)
+            else:
+                ok = cons._supported_bound_holds(mean, var, spec.zeta,
+                                                 self.params.outputscale)
+            if not ok:
+                return False
+        return True
+
+
+# -- the oracle test ----------------------------------------------------
+
+ORACLE_PARAMS = KernelParams(0.07, 1.0, 1e-4)
+# noise 0 leaves a near-duplicate pair's Gram singular, so factorizing
+# any subset holding both needs the jitter ladder
+ORACLE_NOISELESS = KernelParams(0.07, 1.0, 0.0)
+ORACLE_MAX = ENCLOSURE_SIZE + 1
+
+
+def near_duplicate_enclosure(rot, spin):
+    """penetrating_enclosure plus a copy of its first ring point moved
+    by 1e-12, which the kernel cannot tell from the point itself."""
+    pts, labels = penetrating_enclosure(rot, spin)
+    ring0 = 6  # goal seed, five trail points, then the ring
+    return (np.vstack([pts, pts[ring0] + 1e-12]),
+            np.append(labels, labels[ring0]))
+
+
+def visible_near_state(q):
+    """Free-space oracle: everything within 0.06 of the tracked point."""
+    return np.linalg.norm(q - ENCLOSURE_STATE[0], axis=1) < 0.06
+
+
+class TestSubsetEvaluatorOracle:
+    spec_sets = {
+        "path": [PathExists(grid=ENCLOSURE_GRID, component=0)],
+        "penetration": [NoPenetration(zeta=0.4)],
+        # PathExists listed first: the evaluator judges it last
+        "both": [PathExists(grid=ENCLOSURE_GRID, component=0),
+                 NoPenetration(zeta=0.4)],
+    }
+
+    def test_near_duplicate_pair_needs_jitter(self):
+        pts, _ = near_duplicate_enclosure(0.0, 0.0)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(noisy_gram(pts, ORACLE_NOISELESS))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(rot=st.floats(0.0, 2 * np.pi / 12), spin=st.floats(0.0, 2 * np.pi),
+           near_dup=st.booleans(), specs=st.sampled_from(sorted(spec_sets)),
+           free=st.booleans(),
+           bits=st.lists(st.booleans(), min_size=ORACLE_MAX,
+                         max_size=ORACLE_MAX))
+    @example(rot=0.0, spin=0.0, near_dup=False, specs="both", free=False,
+             bits=[False] * ORACLE_MAX)
+    @example(rot=0.0, spin=0.0, near_dup=True, specs="both", free=True,
+             bits=[False] * ORACLE_MAX)
+    @example(rot=0.0, spin=0.0, near_dup=False, specs="both", free=False,
+             bits=[True] * ORACLE_MAX)
+    @example(rot=0.0, spin=0.0, near_dup=True, specs="both", free=True,
+             bits=[True] * ORACLE_MAX)
+    def test_matches_reference(self, rot, spin, near_dup, specs, free, bits):
+        if near_dup:
+            pts, labels = near_duplicate_enclosure(rot, spin)
+            params = ORACLE_NOISELESS
+        else:
+            pts, labels = penetrating_enclosure(rot, spin)
+            params = ORACLE_PARAMS
+        keep = np.array(bits[:len(pts)], dtype=bool)
+        specs = self.spec_sets[specs]
+        oracle = visible_near_state if free else None
+        args = (specs, pts, labels, params, oracle, ENCLOSURE_STATE,
+                ENCLOSURE_GOAL)
+        built = []
+
+        class Recorded(GpSolve):
+            def __init__(self, *solve_args):
+                super().__init__(*solve_args)
+                built.append(self)
+
+        with mock.patch.object(cons, "GpSolve", Recorded):
+            got = SubsetEvaluator(*args)(keep)
+        assert got == RefSubsetEvaluator(*args)(keep)
+
+        # the evaluator's solve, from its sliced Gram, is the solve built
+        # from the points, bit for bit
+        idx = np.where(keep)[0]
+        (sliced,) = built
+        ref = RefGpSolve(pts[idx], labels[idx], params)
+        assert np.array_equal(sliced.alpha, ref.alpha)
+        queries = np.vstack([ENCLOSURE_GRID.centers()[::7], ENCLOSURE_STATE])
+        ks = kernel_matrix(queries, pts[idx], params)
+        for got, want in zip(sliced.posterior(ks, slice(None)),
+                             ref.posterior(ks, slice(None))):
+            assert np.array_equal(got, want)

@@ -278,3 +278,68 @@ class TestFit:
                               outputscale_bounds=(0.25, 4.0))
         assert 0.06 - 1e-12 <= out.lengthscale <= 0.25 + 1e-12
         assert 0.25 - 1e-12 <= out.outputscale <= 4.0 + 1e-12
+
+
+def reference_fit(lml, points, labels, p0, steps, lr, lengthscale_bounds,
+                  outputscale_bounds):
+    """fit_hyperparams as it was before it reused scores, scoring through
+    `lml`: every halving calls the LML, also on a candidate it has just
+    scored."""
+    theta = np.log([p0.lengthscale, p0.outputscale])
+    lo = np.log([lengthscale_bounds[0], outputscale_bounds[0]])
+    hi = np.log([lengthscale_bounds[1], outputscale_bounds[1]])
+    theta = np.clip(theta, lo, hi)
+
+    def unpack(t):
+        return dataclasses.replace(p0, lengthscale=float(np.exp(t[0])),
+                                   outputscale=float(np.exp(t[1])))
+
+    best, grad = lml(points, labels, unpack(theta))
+    for _ in range(steps):
+        step = lr * grad[:2]
+        accepted = False
+        for _ in range(10):
+            cand = np.clip(theta + step, lo, hi)
+            try:
+                val, g = lml(points, labels, unpack(cand))
+            except gp.SolverError:
+                val = -np.inf
+            if np.isfinite(val) and val >= best and np.any(cand != theta):
+                theta, best, grad = cand, val, g
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            break
+    return unpack(theta)
+
+
+class TestFitScoresOnce:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 5])
+    def test_clipped_fit_never_rescores(self, seed, monkeypatch):
+        # lengthscale runs onto its lower bound and, for seeds 1 and 2,
+        # outputscale onto its upper one: every halving from that corner
+        # clips back onto the corner, which the reference scores again
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(0, 0.5, (15, 2))
+        y = np.where(rng.random(15) < 0.5, -1.0, 1.0)
+        p0 = KernelParams(0.08, 1.0, 1e-4)
+        args = dict(steps=10, lr=0.05, lengthscale_bounds=(0.06, 0.25),
+                    outputscale_bounds=(0.25, 1.2))
+        ref_calls, calls = [], []
+
+        def counted(log):
+            def lml(points, labels, params):
+                log.append(params)
+                return log_marginal_likelihood(points, labels, params)
+            return lml
+
+        want = reference_fit(counted(ref_calls), pts, y, p0, **args)
+        monkeypatch.setattr(gp, "log_marginal_likelihood", counted(calls))
+        got = fit_hyperparams(pts, y, p0, **args)
+        assert got == want
+        assert len(calls) == len(set(calls))
+        assert set(calls) == set(ref_calls)
+        if seed in (1, 2):
+            assert got.outputscale == 1.2
+            assert len(calls) == 2 < len(ref_calls) == 12

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 from obsurf.contact import DatasetPair, LabelBatch
 from obsurf.gp import KernelParams
@@ -196,6 +197,52 @@ def _observed(y: float) -> LabelBatch:
     no = np.array([False])
     return LabelBatch(np.array([y]), np.array([2 * y - 1]), np.array([True]),
                       no, no, no)
+
+
+def reference_cell_index(spec, point):
+    """The original per-axis np.clip expression of GridSpec.cell_index."""
+    p = np.asarray(point, dtype=float).ravel()
+    idx = np.floor((p - np.asarray(spec.lo)) / spec.resolution).astype(int)
+    return tuple(int(np.clip(i, 0, n - 1)) for i, n in zip(idx, spec.shape))
+
+
+@st.composite
+def grid_and_point(draw):
+    """A 2-D or 3-D GridSpec and a point inside it, on a cell edge, or
+    outside the box."""
+    d = draw(st.sampled_from([2, 3]))
+    lo = [draw(st.floats(-2.0, 2.0)) for _ in range(d)]
+    res = draw(st.sampled_from([0.01, 0.05, 0.1, 0.25, 0.3]))
+    cells = [draw(st.integers(1, 40)) for _ in range(d)]
+    hi = [l + n * res for l, n in zip(lo, cells)]
+    spec = GridSpec(tuple(lo), tuple(hi), res)
+    point = []
+    for l, h, n in zip(lo, hi, spec.shape):
+        kind = draw(st.sampled_from(["inside", "edge", "outside"]))
+        if kind == "inside":
+            point.append(draw(st.floats(l, h)))
+        elif kind == "edge":
+            point.append(l + draw(st.integers(0, n)) * res)
+        else:
+            gap = draw(st.floats(1e-9, 10.0))
+            point.append(draw(st.sampled_from([l - gap, h + gap])))
+    return spec, np.array(point)
+
+
+class TestCellIndex:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(grid_and_point())
+    def test_matches_clip_expression(self, case):
+        spec, point = case
+        got = spec.cell_index(point)
+        assert got == reference_cell_index(spec, point)
+        assert all(type(i) is int for i in got)
+
+    def test_corners_and_far_points(self):
+        spec = GridSpec((0.0, 0.0), (0.4, 0.4), 0.01)
+        assert spec.cell_index(np.array([0.0, 0.0])) == (0, 0)
+        assert spec.cell_index(np.array([0.4, 0.4])) == (39, 39)
+        assert spec.cell_index(np.array([-5.0, 7.0])) == (0, 39)
 
 
 class TestSurfaceReuse:
