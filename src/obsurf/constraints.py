@@ -7,9 +7,12 @@ confidence bound wherever the data supports the surface. A constraint
 set is satisfied only when every member is.
 
 `all_satisfied` judges a `Gpis`; `SubsetEvaluator` judges subsets of a
-fixed active set for the refiner. Both read the same posterior core
-(`gp.GpSolve.posterior`), the same `gpis.lcb` and the same
-`GridSpec.occupancy`, so they give the same verdicts.
+fixed active set for the refiner, a whole stack of them at once. Both
+read the same alphas and variances (`gp.GpSolve`), the same `gpis.lcb`,
+the same occupancy step (`GridSpec.occupied`) and the same labelling,
+so they give the same verdicts; grid means may differ in the last bits,
+because the refiner's come from one matrix product for the whole
+stack.
 """
 
 from __future__ import annotations
@@ -71,6 +74,16 @@ class NoPenetration:
 ConstraintSpec = Union[PathExists, NoPenetration]
 
 
+def _label_free(occupied: np.ndarray) -> np.ndarray:
+    """Component ids of the free cells of a (U, *grid) stack of
+    occupancy grids (occupied cells get 0). The structure is zero
+    across the stack axis, so no component joins two grids."""
+    structure = np.ones((3,) * occupied.ndim, dtype=bool)
+    structure[0] = structure[2] = False
+    labels, _ = ndimage.label(~occupied, structure=structure)
+    return labels
+
+
 def connected_components(grid: OccupancyGrid) -> np.ndarray:
     """Label free cells by component id (occupied cells get 0).
 
@@ -80,9 +93,7 @@ def connected_components(grid: OccupancyGrid) -> np.ndarray:
     cells = grid.cells
     if cells.size == 0:
         raise ValueError("empty grid")
-    structure = np.ones((3,) * cells.ndim, dtype=int)
-    labels, _ = ndimage.label(~cells, structure=structure)
-    return labels
+    return _label_free(cells[None])[0]
 
 
 def path_exists(gpis: Gpis, state_point: np.ndarray, goals: np.ndarray,
@@ -90,20 +101,23 @@ def path_exists(gpis: Gpis, state_point: np.ndarray, goals: np.ndarray,
     """True when the cells holding the state point and every goal share
     one free component. An occupied endpoint cell counts as violated,
     not as an error: the state sitting on the predicted surface is
-    exactly the situation refinement should fix.
+    exactly the situation refinement should fix. The components are
+    labelled once per surface and grid (`Gpis.grid_components`).
     """
-    grid = gpis.occupancy_grid(spec)
+    labels = gpis.grid_components(spec, connected_components)
     goals = np.atleast_2d(np.asarray(goals, dtype=float))
-    return _cells_connected(grid, spec.cell_index(state_point),
-                            [spec.cell_index(g) for g in goals])
+    return bool(_cells_connected(labels[None], spec.cell_index(state_point),
+                                 [spec.cell_index(g) for g in goals])[0])
 
 
-def _cells_connected(grid: OccupancyGrid, start: tuple, goals: list) -> bool:
-    """True when the start cell is free and every goal cell lies in its
-    free component."""
-    labels = connected_components(grid)
-    first = labels[start]
-    return bool(first != 0 and all(labels[g] == first for g in goals))
+def _cells_connected(labels: np.ndarray, start: tuple, goals: list) -> np.ndarray:
+    """Per grid of a (U, *grid) stack of component ids: True when the
+    start cell is free and every goal cell lies in its component."""
+    first = labels[(slice(None),) + start]
+    ok = first != 0
+    for g in goals:
+        ok &= labels[(slice(None),) + g] == first
+    return ok
 
 
 def no_penetration(gpis: Gpis, state: np.ndarray, zeta: float) -> bool:
@@ -154,9 +168,13 @@ class SubsetEvaluator:
     depend on the subset is computed once here: the noisy Gram of the
     full active set, the kernel blocks between it and the queries, the
     visibility of the queries and the grid cells of the state and the
-    goals. Each candidate slices the Gram and the blocks into the same
-    posterior core `Gpis` uses. Results are identical to conditioning a
-    fresh surface on the subset.
+    goals. Each candidate gets its own solve from a slice of the Gram,
+    through the same posterior core, `lcb` and occupancy step `Gpis`
+    uses. A stack of candidates is judged at once (`batch`): one matrix
+    product gives every candidate's grid mean and one labelling every
+    candidate's components. The verdicts are those of a fresh surface
+    conditioned on the subset; grid means may differ from it in the
+    last bits, because the product sums in another order.
     """
 
     def __init__(
@@ -200,19 +218,43 @@ class SubsetEvaluator:
 
     def __call__(self, keep: np.ndarray) -> bool:
         """Evaluate the conjunction on the subset selected by `keep`."""
-        idx = np.where(np.asarray(keep, dtype=bool))[0]
-        solve = GpSolve(self.points[idx], self.labels[idx], self.params,
-                        self._ky.take(idx, 0).take(idx, 1))
+        return bool(self.batch(np.asarray(keep, dtype=bool)[None])[0])
+
+    def batch(self, keeps: np.ndarray) -> np.ndarray:
+        """Evaluate the conjunction on each subset of a (U, n) stack of
+        keep vectors; returns U booleans. A candidate that fails one
+        spec is not judged on the later ones."""
+        keeps = np.asarray(keeps, dtype=bool)
+        solves = []
+        for keep in keeps:
+            idx = np.flatnonzero(keep)
+            solves.append((idx, GpSolve(self.points[idx], self.labels[idx],
+                                        self.params,
+                                        self._ky.take(idx, 0).take(idx, 1))))
+        ok = np.ones(len(keeps), dtype=bool)
         for spec, vis, kq, cells in self._jobs:
-            mean, var = solve.posterior(kq[:, idx],
-                                        None if cells else slice(None))
-            if vis is not None:
-                mean = np.where(vis, FREE_LABEL, mean)
-            if cells:
-                ok = _cells_connected(spec.grid.occupancy(mean), *cells)
+            live = np.flatnonzero(ok)
+            if live.size == 0:
+                break
+            if cells is None:
+                for u in live:
+                    idx, solve = solves[u]
+                    mean, var = solve.posterior(kq[:, idx], slice(None))
+                    if vis is not None:
+                        mean = np.where(vis, FREE_LABEL, mean)
+                    ok[u] = _supported_bound_holds(mean, var, spec.zeta,
+                                                   self.params.outputscale)
             else:
-                ok = _supported_bound_holds(mean, var, spec.zeta,
-                                            self.params.outputscale)
-            if not ok:
-                return False
-        return True
+                # Every live candidate's alpha, scattered into the
+                # columns of its subset, so one product gives all their
+                # grid means.
+                alphas = np.zeros((len(live), len(self.points)))
+                for row, u in zip(alphas, live):
+                    idx, solve = solves[u]
+                    row[idx] = solve.alpha
+                means = alphas @ kq.T
+                if vis is not None:
+                    means[:, vis] = FREE_LABEL
+                labels = _label_free(spec.grid.occupied(means))
+                ok[live] = _cells_connected(labels, *cells)
+        return ok

@@ -82,13 +82,17 @@ class GridSpec:
         return tuple(min(max(i, 0), n - 1)
                      for i, n in zip(idx.tolist(), self.shape))
 
+    def occupied(self, mean: np.ndarray) -> np.ndarray:
+        """Occupied cells from the surface mean at centers(): mean <= 0.
+        The boundary value 0 counts as occupied, so a blank prior marks
+        everything occupied until data or visibility carves out free
+        space. A (U, q) stack of means gives a (U, *shape) stack."""
+        return (mean <= 0.0).reshape(mean.shape[:-1] + self.shape)
+
     def occupancy(self, mean: np.ndarray) -> "OccupancyGrid":
-        """Occupancy from the surface mean at centers(): occupied where
-        mean <= 0. The boundary value 0 counts as occupied, so a blank
-        prior marks everything occupied until data or visibility carves
-        out free space."""
-        cells = (mean <= 0.0).reshape(self.shape)
-        return OccupancyGrid(tuple(float(v) for v in self.lo), self.resolution, cells)
+        """The occupancy grid of one mean over centers() (see occupied)."""
+        return OccupancyGrid(tuple(float(v) for v in self.lo), self.resolution,
+                             self.occupied(mean))
 
 
 @dataclass(frozen=True)
@@ -137,10 +141,11 @@ class Gpis:
 
     Instances are immutable after construction; every update returns a
     new value, so concurrent readers are safe, and the factorization and
-    each occupancy grid are computed at most once per instance. The
-    optional free-space oracle maps a (q, d) array of points to a boolean
-    visibility mask; where it reports True the predicted mean is
-    overridden to the exterior label value (variance is never touched).
+    each occupancy grid and its components are computed at most once per
+    instance. The optional free-space oracle maps a (q, d) array of
+    points to a boolean visibility mask; where it reports True the
+    predicted mean is overridden to the exterior label value (variance
+    is never touched).
     """
 
     def __init__(
@@ -164,6 +169,7 @@ class Gpis:
         self.free_space = free_space
         self._solve: Optional[GpSolve] = None
         self._grids: dict = {}  # GridSpec -> OccupancyGrid
+        self._components: dict = {}  # GridSpec -> component ids of its grid
 
     def with_active(self, points: np.ndarray, labels: np.ndarray) -> "Gpis":
         """Surface conditioned on a replacement active set: this instance
@@ -222,3 +228,14 @@ class Gpis:
             grid.cells.flags.writeable = False
             self._grids[spec] = grid
         return grid
+
+    def grid_components(self, spec: GridSpec,
+                        label: Callable[[OccupancyGrid], np.ndarray]) -> np.ndarray:
+        """label(self.occupancy_grid(spec)), the free-space component ids
+        of the grid, computed once per spec; read-only like the cells."""
+        labels = self._components.get(spec)
+        if labels is None:
+            labels = label(self.occupancy_grid(spec))
+            labels.flags.writeable = False
+            self._components[spec] = labels
+        return labels

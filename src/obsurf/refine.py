@@ -51,6 +51,10 @@ class RefinementProblem:
     weights is the full-length weight vector; pinned marks entries whose
     bit is fixed at 1 (exterior-labeled points and goal seeds); feasible
     evaluates the constraint conjunction on a full-length bit vector.
+    When feasible also has a `batch` method, which takes a (U, n) stack
+    of bit vectors and returns U verdicts (as `SubsetEvaluator` does),
+    `run_cmawm` judges each generation's new candidates with one call
+    to it; otherwise it calls feasible once per candidate.
     """
 
     weights: np.ndarray
@@ -66,7 +70,21 @@ def phi(problem: RefinementProblem, omega: np.ndarray) -> tuple[float, bool]:
     """
     omega = np.asarray(omega, dtype=bool)
     ok = bool(problem.feasible(omega))
-    return float(-(problem.weights @ omega) + PENALTY * (0.0 if ok else 1.0)), ok
+    return _value(problem, omega, ok), ok
+
+
+def _value(problem: RefinementProblem, omega: np.ndarray, ok: bool) -> float:
+    """phi's value for a bit vector whose verdict is already known."""
+    return float(-(problem.weights @ omega) + PENALTY * (0.0 if ok else 1.0))
+
+
+def _judge(feasible, omegas: np.ndarray) -> list:
+    """Verdicts for a (U, n) stack of bit vectors: one call to
+    feasible.batch when it has one, else one call per vector."""
+    batch = getattr(feasible, "batch", None)
+    if batch is not None:
+        return [bool(ok) for ok in batch(omegas)]
+    return [bool(feasible(omega)) for omega in omegas]
 
 
 def _cma_constants(m: int, popsize: int):
@@ -92,8 +110,11 @@ def run_cmawm(
     """Search for the feasible bit vector keeping the most weight.
 
     Samples are binarized at 0.5, scored by `phi`, and recombined by
-    rank; after each distribution update every coordinate's marginal is
-    clipped so the minority bit keeps probability >= 1/(popsize * m).
+    rank. Each generation's bit vectors not seen before are judged
+    together, in order of first appearance (see RefinementProblem);
+    scores are cached by bit vector. After each distribution update
+    every coordinate's marginal is clipped so the minority bit keeps
+    probability >= 1/(popsize * m).
     The best feasible candidate by kept weight is returned; if none is
     found the all-ones vector comes back with found_feasible False.
 
@@ -112,8 +133,8 @@ def run_cmawm(
     best_score = -1.0  # stays -1.0 until a feasible candidate is seen
 
     def full(bits: np.ndarray) -> np.ndarray:
-        omega = np.ones(n_all, dtype=bool)
-        omega[free_idx] = bits
+        omega = np.ones(bits.shape[:-1] + (n_all,), dtype=bool)
+        omega[..., free_idx] = bits
         return omega
 
     if m == 0:
@@ -144,11 +165,19 @@ def run_cmawm(
         x = mean[None, :] + step_size * y
         bits = x >= 0.5
 
-        values = np.empty(popsize)
-        for k in range(popsize):
-            key = bits[k].tobytes()
+        keys = [row.tobytes() for row in bits]
+        new = {}  # key -> row of its first appearance
+        for k, key in enumerate(keys):
             if key not in cache:
-                cache[key] = phi(problem, full(bits[k]))
+                new.setdefault(key, k)
+        if new:
+            omegas = full(bits[list(new.values())])
+            for key, omega, ok in zip(new, omegas,
+                                      _judge(problem.feasible, omegas)):
+                cache[key] = (_value(problem, omega, ok), ok)
+
+        values = np.empty(popsize)
+        for k, key in enumerate(keys):
             value, ok = cache[key]
             values[k] = value
             # not -value: a kept weight of 0.0 must not log as -0.0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import example, given, settings, strategies as st
+from scipy import ndimage
 from scipy.linalg import cho_factor, cho_solve
 
 from obsurf import constraints as cons
@@ -86,6 +87,41 @@ class TestConnectedComponents:
             connected_components(OccupancyGrid((0, 0), 1.0,
                                                np.zeros((0, 0), dtype=bool)))
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(shape=st.one_of(st.tuples(st.integers(1, 9), st.integers(1, 9)),
+                           st.tuples(st.integers(1, 5), st.integers(1, 5),
+                                     st.integers(1, 5))),
+           fill=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 16))
+    def test_same_ids_as_plain_labelling(self, shape, fill, seed):
+        # the stack-aware labelling of one grid gives the very ids a
+        # plain full-neighborhood labelling of that grid gives
+        cells = np.random.default_rng(seed).random(shape) < fill
+        want, _ = ndimage.label(~cells, structure=np.ones((3,) * len(shape)))
+        got = connected_components(OccupancyGrid((0,) * len(shape), 1.0, cells))
+        assert np.array_equal(got, want)
+
+
+class TestStackSeparation:
+    @pytest.mark.parametrize("spec", [
+        GridSpec((0.0, 0.0), (0.5, 0.5), 0.1),
+        GridSpec((0.0, 0.0, 0.0), (0.5, 0.5, 0.5), 0.1),
+    ], ids=["2d", "3d"])
+    def test_no_path_across_stack(self, spec):
+        # grid 0 walls the start off from the goal; grid 1 is all free,
+        # so the two free cells of grid 0 meet only through grid 1
+        start = spec.cell_index(np.full(len(spec.lo), 0.05))
+        goal = spec.cell_index(np.full(len(spec.lo), 0.45))
+        walled = np.zeros(spec.shape, dtype=bool)
+        walled[2] = True
+        stack = np.stack([walled, np.zeros(spec.shape, dtype=bool)])
+        joined, _ = ndimage.label(~stack, structure=np.ones((3,) * stack.ndim))
+        assert joined[(0,) + start] == joined[(0,) + goal]
+        got = cons._cells_connected(cons._label_free(stack), start, [goal])
+        assert got.tolist() == [False, True]
+        got = cons._cells_connected(cons._label_free(stack[::-1]), start,
+                                    [goal])
+        assert got.tolist() == [True, False]
+
 
 def ring_points(center, radius, n):
     ang = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
@@ -142,6 +178,39 @@ class TestPathExists:
         # state cell being occupied must already decide it
         assert not path_exists(g, np.array([0.1, 0.1]),
                                np.array([[0.3, 0.3]]), self.spec)
+
+
+class TestComponentsCache:
+    spec = GridSpec((0.0, 0.0), (0.4, 0.4), 0.01)
+    params = KernelParams(0.07, 1.0, 1e-4)
+
+    def test_second_check_does_not_label_again(self):
+        pts, labels, _, goal = ring_dataset(drop=3)
+        g = Gpis(pts, labels, self.params)
+        state = np.array([0.05, 0.05])
+        with mock.patch.object(ndimage, "label", wraps=ndimage.label) as label:
+            first = path_exists(g, state, goal[None], self.spec)
+            second = path_exists(g, state, goal[None], self.spec)
+        assert label.call_count == 1
+        assert first and second
+        cached = g.grid_components(self.spec, connected_components)
+        assert not cached.flags.writeable
+        fresh = Gpis(pts, labels, self.params).occupancy_grid(self.spec)
+        want, _ = ndimage.label(~fresh.cells, structure=np.ones((3, 3)))
+        assert np.array_equal(cached, want)
+        assert np.array_equal(cached, connected_components(fresh))
+
+    def test_one_labelling_per_spec(self):
+        pts, labels, _, goal = ring_dataset(drop=0)
+        g = Gpis(pts, labels, self.params)
+        coarse = GridSpec((0.0, 0.0), (0.4, 0.4), 0.02)
+        state = np.array([0.05, 0.05])
+        with mock.patch.object(ndimage, "label", wraps=ndimage.label) as label:
+            for spec in (self.spec, coarse, self.spec, coarse):
+                assert not path_exists(g, state, goal[None], spec)
+        assert label.call_count == 2
+        assert (g.grid_components(coarse, connected_components).shape
+                == coarse.shape)
 
 
 class TestNoPenetration:
@@ -498,3 +567,48 @@ class TestSubsetEvaluatorOracle:
         for got, want in zip(sliced.posterior(ks, slice(None)),
                              ref.posterior(ks, slice(None))):
             assert np.array_equal(got, want)
+
+
+# -- a stack of candidates against the reference, one by one ------------
+
+# One drawn keep row: none kept, all kept, or any bits.
+KEEP_ROW = st.one_of(st.just(False), st.just(True),
+                     st.lists(st.booleans(), min_size=ORACLE_MAX,
+                              max_size=ORACLE_MAX))
+
+
+class TestSubsetEvaluatorBatch:
+    spec_sets = TestSubsetEvaluatorOracle.spec_sets
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(rot=st.floats(0.0, 2 * np.pi / 12), spin=st.floats(0.0, 2 * np.pi),
+           near_dup=st.booleans(), specs=st.sampled_from(sorted(spec_sets)),
+           free=st.booleans(),
+           rows=st.lists(KEEP_ROW, min_size=1, max_size=16),
+           copies=st.lists(st.integers(0, 15), max_size=4))
+    @example(rot=0.0, spin=0.0, near_dup=True, specs="both", free=False,
+             rows=[False, True, [True] * ORACLE_MAX, False], copies=[1, 0])
+    @example(rot=0.0, spin=0.0, near_dup=False, specs="path", free=True,
+             rows=[True, False], copies=[0, 1, 0, 1])
+    def test_each_row_matches_reference(self, rot, spin, near_dup, specs,
+                                        free, rows, copies):
+        if near_dup:
+            pts, labels = near_duplicate_enclosure(rot, spin)
+            params = ORACLE_NOISELESS
+        else:
+            pts, labels = penetrating_enclosure(rot, spin)
+            params = ORACLE_PARAMS
+        n = len(pts)
+        keeps = [np.full(n, r) if isinstance(r, bool)
+                 else np.array(r[:n], dtype=bool) for r in rows]
+        keeps += [keeps[c % len(keeps)] for c in copies]  # duplicate rows
+        stack = np.array(keeps)
+        args = (self.spec_sets[specs], pts, labels, params,
+                visible_near_state if free else None, ENCLOSURE_STATE,
+                ENCLOSURE_GOAL)
+        ev = SubsetEvaluator(*args)
+        ref = RefSubsetEvaluator(*args)
+        got = ev.batch(stack)
+        assert got.shape == (len(stack),) and got.dtype == bool
+        for keep, verdict in zip(stack, got):
+            assert verdict == ref(keep) == ev(keep)

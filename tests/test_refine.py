@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from obsurf import refine
-from obsurf.constraints import NoPenetration, SubsetEvaluator, all_satisfied
+from obsurf.constraints import (NoPenetration, PathExists,
+                                SubsetEvaluator, all_satisfied)
 from obsurf.contact import DatasetPair, TAG_GOAL, TAG_OBSERVED, TAG_PREDICTED
 from obsurf.gp import KernelParams, matern32
-from obsurf.gpis import Gpis
-from obsurf.refine import (RefinementProblem, compute_weights, phi,
+from obsurf.gpis import Gpis, inv_norm_cdf
+from obsurf.refine import (COV_EIG_FLOOR, PENALTY, RefinementProblem,
+                           _cma_constants, compute_weights, phi,
                            refine_contacts, run_cmawm)
+from test_constraints import (ENCLOSURE_GOAL, ENCLOSURE_GRID, ENCLOSURE_STATE,
+                              penetrating_enclosure)
 
 
 PARAMS = KernelParams(0.1, 1.0, 1e-4)
@@ -312,3 +317,203 @@ class TestRefineContacts:
         assert (out.bar_tags == TAG_GOAL).sum() == 1
         assert all_satisfied(specs, Gpis(out.bar_points, out.bar_labels, params),
                              state, goal)
+
+
+# -- reference: the search as it was before it judged whole generations --
+# Kept verbatim (names prefixed) as an exactness oracle: every candidate
+# not in the cache is scored through phi, one feasible call each.
+
+def _reference_phi(problem: RefinementProblem, omega: np.ndarray) -> tuple[float, bool]:
+    """Objective: negated kept weight plus a flat penalty on violation.
+
+    Returns (value, feasible). For a feasible omega the value is
+    -kept + 0.0, so 0.0 - value is the kept weight exactly.
+    """
+    omega = np.asarray(omega, dtype=bool)
+    ok = bool(problem.feasible(omega))
+    return float(-(problem.weights @ omega) + PENALTY * (0.0 if ok else 1.0)), ok
+
+
+def _reference_run_cmawm(
+    problem: RefinementProblem,
+    generations: int,
+    popsize: int,
+    seed: int,
+) -> tuple[np.ndarray, float, bool]:
+    """Search for the feasible bit vector keeping the most weight.
+
+    Samples are binarized at 0.5, scored by `phi`, and recombined by
+    rank; after each distribution update every coordinate's marginal is
+    clipped so the minority bit keeps probability >= 1/(popsize * m).
+    The best feasible candidate by kept weight is returned; if none is
+    found the all-ones vector comes back with found_feasible False.
+
+    Deterministic for a fixed (problem, seed).
+    """
+    if generations < 1:
+        raise ValueError("generations must be >= 1")
+    if popsize < 4:
+        raise ValueError("population size must be >= 4")
+    pinned = np.asarray(problem.pinned, dtype=bool)
+    n_all = len(pinned)
+    free_idx = np.where(~pinned)[0]
+    m = len(free_idx)
+
+    best_omega = np.ones(n_all, dtype=bool)
+    best_score = -1.0  # stays -1.0 until a feasible candidate is seen
+
+    def full(bits: np.ndarray) -> np.ndarray:
+        omega = np.ones(n_all, dtype=bool)
+        omega[free_idx] = bits
+        return omega
+
+    if m == 0:
+        # Nothing to optimize: the single candidate is the full set.
+        value, ok = _reference_phi(problem, best_omega)
+        return best_omega, (0.0 - value if ok else -1.0), ok
+
+    cache: dict[bytes, tuple[float, bool]] = {}
+
+    mu, w, mueff, c_sigma, d_sigma, c_c, c_1, c_mu, chi_n = _cma_constants(m, popsize)
+    mean = np.full(m, 0.5)
+    step_size = 0.25
+    cov = np.eye(m)
+    p_sigma = np.zeros(m)
+    p_cov = np.zeros(m)
+    q_margin = inv_norm_cdf(1.0 - 1.0 / (popsize * m))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+    for gen in range(generations):
+        cov = 0.5 * (cov + cov.T)
+        eigval, eigvec = np.linalg.eigh(cov)
+        eigval = np.clip(eigval, COV_EIG_FLOOR, None)
+        sqrt_c = eigvec * np.sqrt(eigval)  # B diag(D)
+        inv_sqrt_c = (eigvec / np.sqrt(eigval)) @ eigvec.T
+
+        z = rng.standard_normal((popsize, m))
+        y = z @ sqrt_c.T
+        x = mean[None, :] + step_size * y
+        bits = x >= 0.5
+
+        values = np.empty(popsize)
+        for k in range(popsize):
+            key = bits[k].tobytes()
+            if key not in cache:
+                cache[key] = _reference_phi(problem, full(bits[k]))
+            value, ok = cache[key]
+            values[k] = value
+            # not -value: a kept weight of 0.0 must not log as -0.0
+            kept = 0.0 - value
+            if ok and kept > best_score:
+                best_omega = full(bits[k])
+                best_score = kept
+
+        order = np.argsort(values, kind="stable")[:mu]
+        y_w = w @ y[order]
+        mean = mean + step_size * y_w
+
+        p_sigma = ((1.0 - c_sigma) * p_sigma
+                   + np.sqrt(c_sigma * (2.0 - c_sigma) * mueff)
+                   * (inv_sqrt_c @ y_w))
+        ps_norm = np.linalg.norm(p_sigma)
+        denom = np.sqrt(1.0 - (1.0 - c_sigma) ** (2 * (gen + 1)))
+        h_sig = float(ps_norm / denom < (1.4 + 2.0 / (m + 1.0)) * chi_n)
+        p_cov = ((1.0 - c_c) * p_cov
+                 + h_sig * np.sqrt(c_c * (2.0 - c_c) * mueff) * y_w)
+
+        rank_mu = np.einsum("i,ij,ik->jk", w, y[order], y[order])
+        cov = ((1.0 - c_1 - c_mu) * cov
+               + c_1 * (np.outer(p_cov, p_cov)
+                        + (1.0 - h_sig) * c_c * (2.0 - c_c) * cov)
+               + c_mu * rank_mu)
+        step_size *= float(np.exp((c_sigma / d_sigma)
+                                  * (ps_norm / chi_n - 1.0)))
+        step_size = float(np.clip(step_size, 1e-8, 1e4))
+
+        # The mean lives in the bit-encoding box; letting it run past the
+        # thresholds only kills exploration without changing any sample's
+        # rounding.
+        mean = np.clip(mean, 0.0, 1.0)
+        # Margin correction: keep both bit values reachable per coordinate.
+        sd = step_size * np.sqrt(np.clip(np.diag(cov), COV_EIG_FLOOR, None))
+        lo = 0.5 - sd * q_margin
+        hi = 0.5 + sd * q_margin
+        mean = np.clip(mean, lo, hi)
+
+    return best_omega, best_score, best_score > -1.0
+
+
+class Recorded:
+    """A feasible callable that logs every bit vector it judges; it has a
+    batch method only when the wrapped one does."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.judged = []
+        if hasattr(inner, "batch"):
+            self.batch = self._batch
+
+    def __call__(self, omega):
+        self.judged.append(np.asarray(omega, dtype=bool).tobytes())
+        return self.inner(omega)
+
+    def _batch(self, omegas):
+        self.judged += [row.tobytes() for row in omegas]
+        return self.inner.batch(omegas)
+
+
+class TestRunCmawmOracle:
+    enclosure_specs = {
+        "path": [PathExists(grid=ENCLOSURE_GRID, component=0)],
+        "penetration": [NoPenetration(zeta=0.4)],
+        "both": [PathExists(grid=ENCLOSURE_GRID, component=0),
+                 NoPenetration(zeta=0.4)],
+    }
+
+    @staticmethod
+    def assert_same_search(weights, pinned, make_feasible, generations,
+                           popsize, seed):
+        runs = []
+        for search in (_reference_run_cmawm, run_cmawm):
+            feasible = Recorded(make_feasible())
+            out = search(RefinementProblem(weights, pinned, feasible),
+                         generations, popsize, seed)
+            runs.append((out, feasible.judged))
+        (want, want_judged), (got, got_judged) = runs
+        assert np.array_equal(got[0], want[0])
+        assert got[1] == want[1]
+        assert got[2] == want[2]
+        assert sorted(got_judged) == sorted(want_judged)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(instance=st.integers(0, 10 ** 6), kind=st.sampled_from(
+               ["instance", "always", "never", "pinned"]),
+           generations=st.integers(1, 12), popsize=st.integers(4, 24),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_lambda_problems(self, instance, kind, generations, popsize, seed):
+        prob = random_instance(instance)
+        pinned = prob.pinned.copy()
+        feasible = {"instance": prob.feasible, "always": lambda om: True,
+                    "never": lambda om: False, "pinned": prob.feasible}[kind]
+        if kind == "pinned":  # nothing left to search
+            pinned[:] = True
+        self.assert_same_search(prob.weights, pinned, lambda: feasible,
+                                generations, popsize, seed)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(rot=st.floats(0.0, 2 * np.pi / 12), spin=st.floats(0.0, 2 * np.pi),
+           specs=st.sampled_from(sorted(enclosure_specs)),
+           generations=st.integers(1, 8), popsize=st.integers(4, 24),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_subset_evaluator_problems(self, rot, spin, specs, generations,
+                                       popsize, seed):
+        pts, labels = penetrating_enclosure(rot, spin)
+        weights = compute_weights(pts, pts, PARAMS)
+        specs = self.enclosure_specs[specs]
+
+        def make_feasible():
+            return SubsetEvaluator(specs, pts, labels, KernelParams(0.07, 1.0, 1e-4),
+                                   None, ENCLOSURE_STATE, ENCLOSURE_GOAL)
+
+        self.assert_same_search(weights, labels > 0.5, make_feasible,
+                                generations, popsize, seed)
