@@ -10,7 +10,16 @@ sliding, and chains relax with projected distance constraints.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
+import os
+import platform
+import shutil
+import subprocess
+import tempfile
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,6 +36,67 @@ CONTACT_GAP = 1e-3
 # them released (see CableEnv).
 PINNED_ITERATIONS = 20
 POLISH_ITERATIONS = 120
+# Build of the cable relaxation kernel. Its results must equal the numpy
+# formulation's bit for bit: no -ffast-math, no FMA contraction.
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno")
+_COMPILERS = ("cc", "gcc")
+
+
+def _compiler() -> Optional[str]:
+    """Path of the first C compiler on PATH, or None."""
+    return next(filter(None, map(shutil.which, _COMPILERS)), None)
+
+
+@functools.cache
+def _sweep_kernel():
+    """The C relaxation kernel of sweep.c. The first call in a process
+    compiles it, unless a per-user cache ($XDG_CACHE_HOME/obsurf, else
+    ~/.cache/obsurf) holds a build of the same source, flags and
+    machine."""
+    src = Path(__file__).with_name("sweep.c")
+    key = hashlib.sha256(src.read_bytes() + repr(
+        (_CFLAGS, platform.machine())).encode()).hexdigest()[:16]
+    xdg = os.environ.get("XDG_CACHE_HOME", "")
+    cache = (Path(xdg) if os.path.isabs(xdg)
+             else Path.home() / ".cache") / "obsurf"
+    lib = cache / f"sweep-{key}.so"
+    if not lib.exists():
+        cc = _compiler()
+        if cc is None:
+            raise RuntimeError("cable relaxation needs a C compiler to build "
+                               f"{src.name}; found none of "
+                               f"{', '.join(_COMPILERS)} on PATH")
+        cache.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".so.tmp", dir=cache)
+        os.close(fd)
+        try:
+            subprocess.run([cc, *_CFLAGS, "-o", tmp, str(src)],
+                           check=True, capture_output=True, text=True)
+            # whole or absent, so concurrent builders never load half a file
+            os.replace(tmp, lib)
+        except subprocess.CalledProcessError as exc:
+            raise RuntimeError(f"{cc} failed to build {src.name}:\n"
+                               f"{exc.stderr}") from None
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    fn = ctypes.CDLL(str(lib)).obsurf_sweep
+    ptr, long_, dbl = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
+    fn.argtypes = [ptr, ptr, long_, long_, ptr, long_, ptr, long_, dbl, dbl,
+                   dbl, ptr]
+    fn.restype = long_
+    return fn
+
+
+def _kernel_arg(name: str, a, shape: tuple) -> int:
+    """Address of a C-contiguous float64 array of the given shape."""
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64
+            and a.flags.c_contiguous and a.shape == shape):
+        raise ValueError(f"_sweep: {name} must be a C-contiguous float64 "
+                         f"array of shape {shape}, not "
+                         f"{getattr(a, 'dtype', type(a).__name__)} "
+                         f"{np.shape(a)}")
+    return a.ctypes.data
 
 
 @dataclass(frozen=True)
@@ -184,6 +254,9 @@ class CableEnv:
         self._invm = np.ones(self.n)
         for g in self.gripped:
             self._invm[g] = 0.0
+        # where free points are clipped: lo x, lo y, hi x, hi y
+        self._clip = np.concatenate([np.asarray(world.bounds_lo) + CONTACT_GAP,
+                                     np.asarray(world.bounds_hi) - CONTACT_GAP])
         # Chains each relaxation phase left off tolerance at its cap.
         self.pinned_capped = self.polish_capped = 0
 
@@ -198,68 +271,28 @@ class CableEnv:
         iteration cap); batched over the leading axis, in place. `ref`
         holds the pre-step positions used to pick push-out faces.
         Returns the positions and how many chains the cap stopped off
-        tolerance."""
-        n = pos.shape[1]
-        lo = (np.asarray(self.world.bounds_lo) + CONTACT_GAP)[:, None]
-        hi = (np.asarray(self.world.bounds_hi) - CONTACT_GAP)[:, None]
-        free = np.flatnonzero(invm > 0.0)
-        if free.size and free[-1] - free[0] == free.size - 1:
-            free = slice(free[0], free[-1] + 1)  # a view, not a copy
-        # weight each endpoint's share of a segment-midpoint correction
-        w_pair = invm[:-1] + invm[1:]
-        share0, share1 = np.divide(
-            2.0 * np.stack([invm[:-1], invm[1:]]), w_pair,
-            out=np.zeros((2, n - 1)), where=w_pair > 0.0)[..., None, None]
-        segs = [(s, invm[s], invm[s + 1], w_pair[s])
-                for s in range(n - 1) if w_pair[s] != 0.0]
-        # Work on a (link, xy, chain) copy so each per-link update is one
-        # contiguous row; push_out sees (link, chain, xy) views of it.
-        p = pos.transpose(1, 2, 0).copy()
-        rf = ref[:, free].transpose(1, 0, 2)
-        rm = (0.5 * (ref[:, :-1] + ref[:, 1:])).transpose(1, 0, 2)
-        # Converged chains freeze and leave the batch (`idx` holds the live
-        # ones), so each chain evolves exactly as it would alone.
-        idx = np.arange(pos.shape[0])
-        for _ in range(iters):
-            for s, w0, w1, wsum in segs:
-                d = p[s + 1] - p[s]
-                sq = d * d
-                length = np.sqrt(sq[0] + sq[1])
-                corr = (length - self.rest) / (wsum * np.maximum(length, 1e-12))
-                if not length.min() > 1e-12:
-                    corr[~(length > 1e-12)] = 0.0
-                shift = corr * d
-                if w0:
-                    p[s] += shift if w0 == 1.0 else w0 * shift
-                if w1:
-                    p[s + 1] -= shift if w1 == 1.0 else w1 * shift
-            pf = p[free].transpose(0, 2, 1)
-            out = push_out(pf, boxes, CONTACT_GAP, rf)
-            if out is not pf:
-                p[free] += (out - pf).transpose(0, 2, 1)
-            # segment midpoints collide too, else a segment can pass
-            # clean through a thin box while its endpoints stay out
-            mid = (0.5 * (p[:-1] + p[1:])).transpose(0, 2, 1)
-            out = push_out(mid, boxes, CONTACT_GAP, rm)
-            if out is not mid:
-                delta = (out - mid).transpose(0, 2, 1)
-                p[:-1] += delta * share0
-                p[1:] += delta * share1
-            pf = p[free]
-            p[free] += pf.clip(lo, hi) - pf
-            d = p[1:] - p[:-1]
-            sq = d * d
-            seg = np.sqrt(sq[:, 0] + sq[:, 1])
-            live = np.abs(seg - self.rest).max(axis=0) > tol
-            if not live.all():
-                pos[idx[~live]] = p[..., ~live].transpose(2, 0, 1)
-                idx = idx[live]
-                p, rf, rm = p[..., live], rf[:, live], rm[:, live]
-                if not idx.size:
-                    break
-        pos[idx] = p.transpose(2, 0, 1)
-        pos[:, free] = push_out(pos[:, free], boxes, CONTACT_GAP, ref[:, free])
-        return pos, idx.size
+        tolerance.
+
+        Each chain evolves exactly as it would alone; the work is done
+        by the C kernel in sweep.c. Every array must be C-contiguous
+        float64: pos and ref (chains, n, 2) with n >= 2, boxes (m, 4)
+        and invm (n,); anything else raises ValueError."""
+        shape = np.shape(pos)
+        if len(shape) != 3 or shape[1] < 2 or shape[2] != 2:
+            raise ValueError(f"_sweep: pos must have shape (chains, n >= 2, 2), "
+                             f"not {shape}")
+        pos_p, ref_p, boxes_p, invm_p = (
+            _kernel_arg(name, a, want) for name, a, want in (
+                ("pos", pos, shape), ("ref", ref, shape),
+                ("boxes", boxes, (len(boxes), 4)), ("invm", invm, shape[1:2])))
+        if not pos.flags.writeable or np.may_share_memory(pos, ref):
+            raise ValueError("_sweep: pos must be writeable and apart from ref")
+        capped = _sweep_kernel()(pos_p, ref_p, shape[0], shape[1], boxes_p,
+                                 len(boxes), invm_p, iters, tol, self.rest,
+                                 CONTACT_GAP, self._clip.ctypes.data)
+        if capped < 0:
+            raise MemoryError("_sweep: no memory for the kernel's scratch")
+        return pos, capped
 
     def _relax(self, chain: np.ndarray, boxes: np.ndarray,
                ref: np.ndarray) -> np.ndarray:
@@ -275,7 +308,7 @@ class CableEnv:
         return pos
 
     def _move(self, states: np.ndarray, u: np.ndarray, boxes: np.ndarray) -> np.ndarray:
-        states = np.asarray(states, dtype=float)
+        states = np.ascontiguousarray(states, dtype=float)
         u = np.clip(np.atleast_2d(u), -self.u_max, self.u_max)
         chain = states.copy()
         targets = []

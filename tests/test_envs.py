@@ -1,4 +1,10 @@
+import contextlib
+import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +16,7 @@ from obsurf.envs import (Box, CableEnv, CONTACT_GAP, ObservedSurface, PegEnv,
                          Scene, WorldGeometry, make_scene, parse_scene,
                          push_out, slide_move)
 from obsurf.gpis import GridSpec, OccupancyGrid
+from obsurf.harness import EpisodeConfig, run_episode
 from obsurf.mppi import GoalSet
 
 
@@ -112,6 +119,79 @@ def _reference_sweep(self, pos, boxes, invm, iters, tol, ref):
     return pos
 
 
+# The relaxation as it stood before the C kernel, kept verbatim as the
+# exactness oracle for CableEnv._sweep.
+def _numpy_sweep(self, pos: np.ndarray, boxes: np.ndarray, invm: np.ndarray,
+                 iters: int, tol: float, ref: np.ndarray) -> tuple[np.ndarray, int]:
+    """Gauss-Seidel distance projection followed by obstacle
+    push-out, until every segment is within tol of rest (or the
+    iteration cap); batched over the leading axis, in place. `ref`
+    holds the pre-step positions used to pick push-out faces.
+    Returns the positions and how many chains the cap stopped off
+    tolerance."""
+    n = pos.shape[1]
+    lo = (np.asarray(self.world.bounds_lo) + CONTACT_GAP)[:, None]
+    hi = (np.asarray(self.world.bounds_hi) - CONTACT_GAP)[:, None]
+    free = np.flatnonzero(invm > 0.0)
+    if free.size and free[-1] - free[0] == free.size - 1:
+        free = slice(free[0], free[-1] + 1)  # a view, not a copy
+    # weight each endpoint's share of a segment-midpoint correction
+    w_pair = invm[:-1] + invm[1:]
+    share0, share1 = np.divide(
+        2.0 * np.stack([invm[:-1], invm[1:]]), w_pair,
+        out=np.zeros((2, n - 1)), where=w_pair > 0.0)[..., None, None]
+    segs = [(s, invm[s], invm[s + 1], w_pair[s])
+            for s in range(n - 1) if w_pair[s] != 0.0]
+    # Work on a (link, xy, chain) copy so each per-link update is one
+    # contiguous row; push_out sees (link, chain, xy) views of it.
+    p = pos.transpose(1, 2, 0).copy()
+    rf = ref[:, free].transpose(1, 0, 2)
+    rm = (0.5 * (ref[:, :-1] + ref[:, 1:])).transpose(1, 0, 2)
+    # Converged chains freeze and leave the batch (`idx` holds the live
+    # ones), so each chain evolves exactly as it would alone.
+    idx = np.arange(pos.shape[0])
+    for _ in range(iters):
+        for s, w0, w1, wsum in segs:
+            d = p[s + 1] - p[s]
+            sq = d * d
+            length = np.sqrt(sq[0] + sq[1])
+            corr = (length - self.rest) / (wsum * np.maximum(length, 1e-12))
+            if not length.min() > 1e-12:
+                corr[~(length > 1e-12)] = 0.0
+            shift = corr * d
+            if w0:
+                p[s] += shift if w0 == 1.0 else w0 * shift
+            if w1:
+                p[s + 1] -= shift if w1 == 1.0 else w1 * shift
+        pf = p[free].transpose(0, 2, 1)
+        out = push_out(pf, boxes, CONTACT_GAP, rf)
+        if out is not pf:
+            p[free] += (out - pf).transpose(0, 2, 1)
+        # segment midpoints collide too, else a segment can pass
+        # clean through a thin box while its endpoints stay out
+        mid = (0.5 * (p[:-1] + p[1:])).transpose(0, 2, 1)
+        out = push_out(mid, boxes, CONTACT_GAP, rm)
+        if out is not mid:
+            delta = (out - mid).transpose(0, 2, 1)
+            p[:-1] += delta * share0
+            p[1:] += delta * share1
+        pf = p[free]
+        p[free] += pf.clip(lo, hi) - pf
+        d = p[1:] - p[:-1]
+        sq = d * d
+        seg = np.sqrt(sq[:, 0] + sq[:, 1])
+        live = np.abs(seg - self.rest).max(axis=0) > tol
+        if not live.all():
+            pos[idx[~live]] = p[..., ~live].transpose(2, 0, 1)
+            idx = idx[live]
+            p, rf, rm = p[..., live], rf[:, live], rm[:, live]
+            if not idx.size:
+                break
+    pos[idx] = p.transpose(2, 0, 1)
+    pos[:, free] = push_out(pos[:, free], boxes, CONTACT_GAP, ref[:, free])
+    return pos, idx.size
+
+
 # The stock scenes as code, before they became text, kept verbatim as
 # the exactness oracle for make_scene.
 def _zigzag_chain(x0: float, x1: float, y: float, k: int, rest: float) -> np.ndarray:
@@ -198,11 +278,12 @@ def _reference_make_scene(name: str) -> Scene:
     raise ValueError(f"unknown scene '{name}'")
 
 
-def _sweep_case(seed, batch, links, n_boxes, pinned):
+def _sweep_case(seed, batch, links, n_boxes, pinned, nan=False):
     """Chains of `links` points near (and across) random boxes, some at
     exact rest length, some stretched or slack, a few with all but
     coincident neighbours, and pre-step reference positions a little
-    away."""
+    away. With `nan`, one coordinate of the first chain (and of its
+    reference) is NaN."""
     rng = np.random.default_rng(seed)
     rest = 0.03
     world = WorldGeometry((), (0.0, 0.0), (0.6, 0.5))
@@ -228,33 +309,137 @@ def _sweep_case(seed, batch, links, n_boxes, pinned):
     env = CableEnv(world, pos[0], rest=rest, gripped=(0, links - 1),
                    u_max=0.02)
     invm = env._invm if pinned else np.ones(links)
+    if nan:
+        at = rng.integers(links), rng.integers(2)
+        pos[(0, *at)] = ref[(0, *at)] = np.nan
     return env, pos, boxes, invm, ref
 
 
 class TestSweepOracle:
+    # Chains of 3-10 links, and of 65-100 (past any fixed-size buffer).
     @settings(max_examples=700, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 12),
-           links=st.integers(3, 10), n_boxes=st.integers(0, 3),
-           pinned=st.booleans(), iters=st.integers(1, 30),
-           tol=st.sampled_from([0.0, 1.5e-4, 1e-3, 0.015]))
+           links=st.integers(3, 10) | st.integers(65, 100),
+           n_boxes=st.integers(0, 3), pinned=st.booleans(),
+           iters=st.integers(1, 30),
+           tol=st.sampled_from([0.0, 1.5e-4, 1e-3, 0.015]),
+           nan=st.booleans())
     def test_matches_reference(self, seed, batch, links, n_boxes, pinned,
-                               iters, tol):
+                               iters, tol, nan):
         env, pos, boxes, invm, ref = _sweep_case(seed, batch, links,
-                                                 n_boxes, pinned)
-        want = _reference_sweep(env, pos.copy(), boxes, invm, iters, tol,
-                                ref)
+                                                 n_boxes, pinned, nan)
         got, capped = env._sweep(pos.copy(), boxes, invm, iters, tol, ref)
-        assert np.array_equal(got, want)
         # Each chain evolves, and counts against the cap, as it would
         # alone.
         alone = [env._sweep(pos[i:i + 1].copy(), boxes, invm, iters, tol,
                             ref[i:i + 1]) for i in range(batch)]
-        assert np.array_equal(np.concatenate([a for a, _ in alone]), want)
+        assert np.array_equal(np.concatenate([a for a, _ in alone]), got,
+                              equal_nan=True)
         assert capped == sum(c for _, c in alone)
+        # Both numpy formulations, bit for bit. A NaN chain is checked
+        # against the numpy code run on it alone: there the push-outs'
+        # p + (out - p) reaches a chain only when something in its batch
+        # moved, and NaN + 0 * NaN spreads, so batch-mates would decide.
+        want, want_capped = _numpy_sweep(env, pos.copy(), boxes, invm, iters,
+                                         tol, ref)
+        if nan:
+            want[0], first_capped = _numpy_sweep(env, pos[:1].copy(), boxes,
+                                                 invm, iters, tol, ref[:1])
+            assert first_capped == alone[0][1]
+            # NaN > tol is false, so the chain froze after one iteration
+            assert np.isnan(got[0]).any() and not first_capped
+        else:
+            assert np.array_equal(got, _reference_sweep(
+                env, pos.copy(), boxes, invm, iters, tol, ref))
+        assert np.array_equal(got, want, equal_nan=True)
+        assert capped == want_capped
         if not capped:
             # every chain converged, so further iterations change nothing
             more, _ = env._sweep(pos.copy(), boxes, invm, iters + 5, tol, ref)
-            assert np.array_equal(more, want)
+            assert np.array_equal(more, got, equal_nan=True)
+
+
+# Run in fresh processes by TestSweepKernel: a few relaxations of the
+# stock cable, printed as bytes.
+_CABLE_RUN = """
+import numpy as np
+from obsurf.envs import make_scene
+env = make_scene("cable_hook").env
+for u in np.linspace(-0.02, 0.02, 12).reshape(3, 4):
+    env.step_truth(u)
+print(env.state.tobytes().hex(), env.pinned_capped, env.polish_capped)
+"""
+
+
+class TestSweepKernel:
+    def _case(self):
+        return _sweep_case(3, 4, 6, 2, pinned=True)
+
+    @pytest.mark.parametrize("name,bad", [
+        ("pos", lambda a: a.astype(np.float32)),
+        ("pos", lambda a: np.asfortranarray(a)),
+        ("pos", lambda a: a[:, :-1]),
+        ("pos", lambda a: a[:, :1].copy()),
+        ("pos", lambda a: a.reshape(-1, 2)),
+        ("ref", lambda a: a.astype(np.float32)),
+        ("ref", lambda a: a[:, ::-1]),
+        ("ref", lambda a: a[1:].copy()),
+        ("boxes", lambda a: a.T.copy()),
+        ("boxes", lambda a: a.tolist()),
+        ("invm", lambda a: a[:-1].copy()),
+        ("invm", lambda a: a.astype(np.float32)),
+    ])
+    def test_bad_arrays_rejected(self, name, bad):
+        env, pos, boxes, invm, ref = self._case()
+        args = dict(pos=pos, boxes=boxes, invm=invm, ref=ref)
+        args[name] = bad(args[name])
+        with pytest.raises(ValueError, match="_sweep"):
+            env._sweep(args["pos"], args["boxes"], args["invm"], 5, 0.0,
+                       args["ref"])
+
+    def test_pos_sharing_ref_rejected(self):
+        env, pos, boxes, invm, _ = self._case()
+        with pytest.raises(ValueError, match="apart from ref"):
+            env._sweep(pos, boxes, invm, 5, 0.0, pos)
+
+    def test_missing_compiler_named(self, monkeypatch, tmp_path):
+        env, pos, boxes, invm, ref = self._case()
+        monkeypatch.setattr(envs, "_compiler", lambda: None)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        envs._sweep_kernel.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match="C compiler.*cc, gcc"):
+                env._sweep(pos, boxes, invm, 5, 0.0, ref)
+        finally:
+            envs._sweep_kernel.cache_clear()
+        assert not any(tmp_path.rglob("*.so*"))
+
+    def test_peg_episode_never_builds(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        envs._sweep_kernel.cache_clear()
+        run_episode(EpisodeConfig.for_scene("peg_u", seed=0, max_steps=5))
+        assert envs._sweep_kernel.cache_info().misses == 0
+        assert not any(tmp_path.iterdir())
+
+    def test_concurrent_first_builds(self, tmp_path):
+        # Two fresh processes find the same empty cache; both build and
+        # load the kernel, and compute what this process computes.
+        src = str(Path(envs.__file__).resolve().parents[1])
+        env_vars = dict(os.environ, XDG_CACHE_HOME=str(tmp_path),
+                        PYTHONPATH=os.pathsep.join(
+                            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        procs = [subprocess.Popen([sys.executable, "-c", _CABLE_RUN],
+                                  env=env_vars, stdout=subprocess.PIPE,
+                                  stderr=subprocess.PIPE, text=True)
+                 for _ in range(2)]
+        outs = [p.communicate(timeout=120) for p in procs]
+        assert [p.returncode for p in procs] == [0, 0], outs
+        here = io.StringIO()
+        with contextlib.redirect_stdout(here):
+            exec(_CABLE_RUN, {})
+        assert outs[0][0] == outs[1][0] == here.getvalue()
+        built = [p.name for p in (tmp_path / "obsurf").iterdir()]
+        assert len(built) == 1 and built[0].endswith(".so"), built
 
 
 class TestPushOutProperty:
