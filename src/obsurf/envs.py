@@ -13,6 +13,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
+import math
 import os
 import platform
 import shutil
@@ -36,10 +37,20 @@ CONTACT_GAP = 1e-3
 # them released (see CableEnv).
 PINNED_ITERATIONS = 20
 POLISH_ITERATIONS = 120
-# Build of the cable relaxation kernel. Its results must equal the numpy
-# formulation's bit for bit: no -ffast-math, no FMA contraction.
+# Build of the dynamics kernels in sweep.c. Their results must equal the
+# numpy formulation's bit for bit: no -ffast-math, no FMA contraction.
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno")
 _COMPILERS = ("cc", "gcc")
+_ptr, _long, _dbl = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
+# Result and argument types of each kernel.
+_KERNELS = {
+    "obsurf_sweep": (_long, [_ptr, _ptr, _long, _long, _ptr, _long, _ptr,
+                             _long, _dbl, _dbl, _dbl, _ptr]),
+    "obsurf_slide": (None, [_ptr, _long, _ptr, _ptr, _long, _ptr, _dbl,
+                            _dbl]),
+    "obsurf_rollout": (None, [_ptr, _long, _long, _ptr, _ptr, _long, _ptr,
+                              _dbl, _dbl]),
+}
 
 
 def _compiler() -> Optional[str]:
@@ -48,9 +59,10 @@ def _compiler() -> Optional[str]:
 
 
 @functools.cache
-def _sweep_kernel():
-    """The C relaxation kernel of sweep.c. The first call in a process
-    compiles it, unless a per-user cache ($XDG_CACHE_HOME/obsurf, else
+def _kernels() -> ctypes.CDLL:
+    """The C dynamics kernels of sweep.c: the point slide, the peg
+    rollout and the cable relaxation. The first call in a process
+    compiles them, unless a per-user cache ($XDG_CACHE_HOME/obsurf, else
     ~/.cache/obsurf) holds a build of the same source, flags and
     machine."""
     src = Path(__file__).with_name("sweep.c")
@@ -63,8 +75,8 @@ def _sweep_kernel():
     if not lib.exists():
         cc = _compiler()
         if cc is None:
-            raise RuntimeError("cable relaxation needs a C compiler to build "
-                               f"{src.name}; found none of "
+            raise RuntimeError("the dynamics kernels need a C compiler to "
+                               f"build {src.name}; found none of "
                                f"{', '.join(_COMPILERS)} on PATH")
         cache.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(suffix=".so.tmp", dir=cache)
@@ -80,23 +92,33 @@ def _sweep_kernel():
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-    fn = ctypes.CDLL(str(lib)).obsurf_sweep
-    ptr, long_, dbl = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
-    fn.argtypes = [ptr, ptr, long_, long_, ptr, long_, ptr, long_, dbl, dbl,
-                   dbl, ptr]
-    fn.restype = long_
-    return fn
+    kernels = ctypes.CDLL(str(lib))
+    for name, (restype, argtypes) in _KERNELS.items():
+        fn = getattr(kernels, name)
+        fn.restype, fn.argtypes = restype, argtypes
+    return kernels
 
 
-def _kernel_arg(name: str, a, shape: tuple) -> int:
-    """Address of a C-contiguous float64 array of the given shape."""
+def _kernel_arg(name: str, a, shape: tuple, fixed: tuple = ()) -> int:
+    """Address of a C-contiguous float64 array of the given shape. An
+    array of `fixed`, (array, address) pairs from `_fixed`, skips the
+    checks and the address lookup, which costs ~3 us a call."""
+    for own, addr in fixed:
+        if a is own and a.shape == shape:
+            return addr
     if not (isinstance(a, np.ndarray) and a.dtype == np.float64
             and a.flags.c_contiguous and a.shape == shape):
-        raise ValueError(f"_sweep: {name} must be a C-contiguous float64 "
+        raise ValueError(f"{name} must be a C-contiguous float64 "
                          f"array of shape {shape}, not "
                          f"{getattr(a, 'dtype', type(a).__name__)} "
                          f"{np.shape(a)}")
     return a.ctypes.data
+
+
+def _fixed(*arrays: np.ndarray) -> tuple:
+    """An env's kernel arguments that never change, as `_kernel_arg`
+    takes them."""
+    return tuple((a, _kernel_arg("fixed", a, a.shape)) for a in arrays)
 
 
 @dataclass(frozen=True)
@@ -125,40 +147,45 @@ class WorldGeometry:
         return ((pts > rows[:, :2]) & (pts < rows[:, 2:])).all(axis=2).any(axis=1)
 
 
-def _axis_slide(pos: np.ndarray, delta: np.ndarray, axis: int,
-                boxes: np.ndarray, lo, hi, gap: float) -> np.ndarray:
-    """Advance one coordinate of each point, stopping a gap short of the
-    first box face crossed. Points already resting on a face stay put
-    when pushed toward it and move freely otherwise."""
-    pos = np.atleast_2d(pos)
-    delta = np.asarray(delta, dtype=float)
-    other = 1 - axis
-    start = pos[:, axis]
-    new = start + delta
-    for box in boxes:
-        lo_a, hi_a = box[axis], box[axis + 2]
-        lo_o, hi_o = box[other], box[other + 2]
-        blocking = (pos[:, other] > lo_o - gap) & (pos[:, other] < hi_o + gap)
-        fwd = (blocking & (delta > 0)
-               & (start <= lo_a - gap + 1e-12) & (new > lo_a - gap))
-        new = np.where(fwd, lo_a - gap, new)
-        bwd = (blocking & (delta < 0)
-               & (start >= hi_a + gap - 1e-12) & (new < hi_a + gap))
-        new = np.where(bwd, hi_a + gap, new)
-    new = np.clip(new, lo[axis] + gap, hi[axis] - gap)
-    out = pos.copy()
-    out[:, axis] = new
-    return out
+def _limits(lo, hi, gap: float) -> np.ndarray:
+    """Where sliding points are clipped, a gap inside the bounds: lo x,
+    lo y, hi x, hi y."""
+    return np.array([lo[0] + gap, lo[1] + gap, hi[0] - gap, hi[1] - gap],
+                    dtype=float)
+
+
+def _slide(pts: np.ndarray, u, boxes: np.ndarray, lim: np.ndarray,
+           gap: float, u_max: float = math.inf,
+           fixed: tuple = ()) -> np.ndarray:
+    """Slide pts, a C-contiguous float64 (m, 2) array, in place by u
+    broadcast to its shape (see slide_move), each control first clipped
+    to +-u_max. boxes is C-contiguous float64 (nb, 4) and lim is
+    `_limits`'s."""
+    u = np.asarray(u, dtype=float)
+    if u.shape != pts.shape:
+        u = np.broadcast_to(u, pts.shape)
+    u = np.ascontiguousarray(u)
+    _kernels().obsurf_slide(
+        _kernel_arg("slide: points", pts, (len(pts), 2)), len(pts),
+        u.ctypes.data, _kernel_arg("slide: boxes", boxes, (len(boxes), 4),
+                                   fixed),
+        len(boxes), _kernel_arg("slide: lim", lim, (4,), fixed), gap, u_max)
+    return pts
 
 
 def slide_move(pos: np.ndarray, u: np.ndarray, boxes: np.ndarray,
                lo, hi, gap: float = CONTACT_GAP) -> np.ndarray:
-    """Axis-separable sliding: apply the x then the y component, each
-    clipped at first contact. A diagonal push into a wall keeps its
-    lateral component."""
-    u = np.atleast_2d(u)
-    p = _axis_slide(np.atleast_2d(pos), u[:, 0], 0, boxes, lo, hi, gap)
-    return _axis_slide(p, u[:, 1], 1, boxes, lo, hi, gap)
+    """Axis-separable sliding of points (m, 2) by controls (m, 2), or
+    one control for all: apply the x then the y component, each stopped
+    a gap short of the first box face it crosses, then clipped a gap
+    inside the bounds. A point already resting on a face stays put when
+    pushed toward it and moves freely otherwise, so a diagonal push into
+    a wall keeps its lateral component. Returns the new points."""
+    pts = np.array(np.atleast_2d(pos), dtype=float, order="C")
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"slide_move: pos must be (m, 2), not {np.shape(pos)}")
+    boxes = np.ascontiguousarray(boxes, dtype=float).reshape(len(boxes), 4)
+    return _slide(pts, u, boxes, _limits(lo, hi, gap), gap)
 
 
 def push_out(pts: np.ndarray, boxes: np.ndarray, gap: float,
@@ -206,12 +233,14 @@ class PegEnv:
         self.state = np.atleast_2d(np.asarray(start, dtype=float)).copy()
         self._all = world.rows(observable_only=False)
         self._obs = world.rows(observable_only=True)
+        self._lim = _limits(world.bounds_lo, world.bounds_hi, CONTACT_GAP)
+        self._fixed = _fixed(self._all, self._obs, self._lim)
 
     def _move(self, states: np.ndarray, u: np.ndarray, boxes: np.ndarray) -> np.ndarray:
-        pos = states[:, 0, :]
-        u = np.clip(np.atleast_2d(u), -self.u_max, self.u_max)
-        new = slide_move(pos, u, boxes, self.world.bounds_lo, self.world.bounds_hi)
-        return new[:, None, :]
+        new = np.array(states, dtype=float, order="C")
+        _slide(new.reshape(-1, 2), u, boxes, self._lim, CONTACT_GAP,
+               self.u_max, self._fixed)
+        return new
 
     def step_truth(self, u: np.ndarray) -> np.ndarray:
         self.state = self._move(self.state[None], u[None], self._all)[0]
@@ -220,6 +249,24 @@ class PegEnv:
     def nominal(self, states: np.ndarray, controls: np.ndarray) -> np.ndarray:
         """Obstacle-free prediction (workspace walls still apply)."""
         return self._move(states, controls, self._obs)
+
+    def rollout(self, x0: np.ndarray, cand: np.ndarray) -> np.ndarray:
+        """Nominal states (K, T + 1, 1, 2) of K control sequences cand
+        (K, T, 2) from x0 (1, 2), step 0 being x0: `nominal` step by
+        step, bit for bit, in one kernel call."""
+        cand = np.ascontiguousarray(cand, dtype=float)
+        if cand.ndim != 3 or cand.shape[2] != 2:
+            raise ValueError(f"rollout: cand must be (K, T, 2), not {cand.shape}")
+        k, t_hor = cand.shape[:2]
+        states = np.empty((k, t_hor + 1, 1, 2))
+        states[:, 0] = x0
+        _kernels().obsurf_rollout(
+            states.ctypes.data, k, t_hor, cand.ctypes.data,
+            _kernel_arg("rollout: boxes", self._obs, self._obs.shape,
+                        self._fixed), len(self._obs),
+            _kernel_arg("rollout: lim", self._lim, (4,), self._fixed),
+            CONTACT_GAP, self.u_max)
+        return states
 
     @property
     def control_dim(self) -> int:
@@ -251,12 +298,13 @@ class CableEnv:
         # Keep a little slack so two grippers can never force the chain
         # beyond its total length.
         self._span_max = 0.98 * self.rest * (self.n - 1)
-        self._invm = np.ones(self.n)
-        for g in self.gripped:
-            self._invm[g] = 0.0
-        # where free points are clipped: lo x, lo y, hi x, hi y
-        self._clip = np.concatenate([np.asarray(world.bounds_lo) + CONTACT_GAP,
-                                     np.asarray(world.bounds_hi) - CONTACT_GAP])
+        # inverse masses with the grippers pinned, and released
+        self._free = np.ones(self.n)
+        self._invm = self._free.copy()
+        self._invm[list(self.gripped)] = 0.0
+        self._lim = _limits(world.bounds_lo, world.bounds_hi, CONTACT_GAP)
+        self._fixed = _fixed(self._all, self._obs, self._invm, self._free,
+                             self._lim)
         # Chains each relaxation phase left off tolerance at its cap.
         self.pinned_capped = self.polish_capped = 0
 
@@ -281,15 +329,17 @@ class CableEnv:
         if len(shape) != 3 or shape[1] < 2 or shape[2] != 2:
             raise ValueError(f"_sweep: pos must have shape (chains, n >= 2, 2), "
                              f"not {shape}")
-        pos_p, ref_p, boxes_p, invm_p = (
-            _kernel_arg(name, a, want) for name, a, want in (
+        pos_p, ref_p, boxes_p, invm_p, lim_p = (
+            _kernel_arg(f"_sweep: {name}", a, want, self._fixed)
+            for name, a, want in (
                 ("pos", pos, shape), ("ref", ref, shape),
-                ("boxes", boxes, (len(boxes), 4)), ("invm", invm, shape[1:2])))
+                ("boxes", boxes, (len(boxes), 4)), ("invm", invm, shape[1:2]),
+                ("lim", self._lim, (4,))))
         if not pos.flags.writeable or np.may_share_memory(pos, ref):
             raise ValueError("_sweep: pos must be writeable and apart from ref")
-        capped = _sweep_kernel()(pos_p, ref_p, shape[0], shape[1], boxes_p,
-                                 len(boxes), invm_p, iters, tol, self.rest,
-                                 CONTACT_GAP, self._clip.ctypes.data)
+        capped = _kernels().obsurf_sweep(pos_p, ref_p, shape[0], shape[1],
+                                         boxes_p, len(boxes), invm_p, iters,
+                                         tol, self.rest, CONTACT_GAP, lim_p)
         if capped < 0:
             raise MemoryError("_sweep: no memory for the kernel's scratch")
         return pos, capped
@@ -302,31 +352,46 @@ class CableEnv:
         self.pinned_capped += capped
         # Release the grippers so tautness resolves into compliance
         # rather than stretch.
-        pos, capped = self._sweep(pos, boxes, np.ones(self.n),
+        pos, capped = self._sweep(pos, boxes, self._free,
                                   POLISH_ITERATIONS, tol, ref)
         self.polish_capped += capped
         return pos
 
     def _move(self, states: np.ndarray, u: np.ndarray, boxes: np.ndarray) -> np.ndarray:
         states = np.ascontiguousarray(states, dtype=float)
-        u = np.clip(np.atleast_2d(u), -self.u_max, self.u_max)
-        chain = states.copy()
-        targets = []
-        for j, g in enumerate(self.gripped):
-            t = slide_move(states[:, g, :], u[:, 2 * j:2 * j + 2], boxes,
-                           self.world.bounds_lo, self.world.bounds_hi)
-            targets.append(t)
-        if len(targets) == 2:
-            span = np.linalg.norm(targets[0] - targets[1], axis=1)
+        k, grip = len(states), list(self.gripped)
+        # Every gripper of every chain slides in one kernel call, gripper
+        # j by columns 2j and 2j + 1 of u; each point slides alone.
+        targets = states.take(grip, axis=1)
+        u = np.asarray(u, dtype=float)
+        if u.shape != (k, self.control_dim):
+            u = np.broadcast_to(u, (k, self.control_dim))
+        _slide(targets.reshape(-1, 2), u.reshape(-1, 2), boxes, self._lim,
+               CONTACT_GAP, self.u_max, self._fixed)
+        if len(grip) == 2:
+            a, b = targets[:, 0], targets[:, 1]
+            span = np.linalg.norm(a - b, axis=1)
             over = span > self._span_max
             if over.any():
-                mid = 0.5 * (targets[0] + targets[1])
+                mid = 0.5 * (a + b)
                 scale = np.where(over, self._span_max / np.maximum(span, 1e-12), 1.0)
-                targets = [push_out(mid + (t - mid) * scale[:, None], boxes,
-                                    CONTACT_GAP) for t in targets]
-        for j, g in enumerate(self.gripped):
-            chain[:, g, :] = targets[j]
+                for t in (a, b):
+                    t[:] = push_out(mid + (t - mid) * scale[:, None], boxes,
+                                    CONTACT_GAP)
+        chain = states.copy()
+        chain[:, grip] = targets
         return self._relax(chain, boxes, ref=states)
+
+    def rollout(self, x0: np.ndarray, cand: np.ndarray) -> np.ndarray:
+        """Nominal states (K, T + 1, n, 2) of K control sequences cand
+        (K, T, u) from x0 (n, 2), step 0 being x0: one `nominal` call
+        per step."""
+        k, t_hor = cand.shape[:2]
+        states = np.empty((k, t_hor + 1) + x0.shape)
+        states[:, 0] = x0[None]
+        for t in range(t_hor):
+            states[:, t + 1] = self.nominal(states[:, t], cand[:, t])
+        return states
 
     def step_truth(self, u: np.ndarray) -> np.ndarray:
         self.state = self._move(self.state[None], u[None], self._all)[0]

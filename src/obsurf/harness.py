@@ -180,7 +180,7 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeReport:
     for step in range(1, cfg.max_steps + 1):
         if n > 1 and cfg.t_e and (step - 1) % cfg.t_e == 0:
             sel = mppi.select_component(surface, x)
-        u, nominal_seq = mppi.mppi_step(x, nominal_seq, env.nominal, surface,
+        u, nominal_seq = mppi.mppi_step(x, nominal_seq, env.rollout, surface,
                                         goals, weights, mcfg, sel, mppi_rng)
         x_true = env.step_truth(u)
         x_next = _observe(x_true, cfg.obs_noise_std, noise_rng)

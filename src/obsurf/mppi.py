@@ -66,19 +66,34 @@ class MppiConfig:
 
 # -- cost terms (batched over samples; leading axis K) -----------------
 
+def _norm(cols) -> np.ndarray:
+    """Euclidean norm of stacked coordinate columns, summing the squares
+    in order as np.linalg.norm does over a short last axis."""
+    cols = iter(cols)
+    first = next(cols)
+    sq = first * first
+    for c in cols:
+        sq += c * c
+    return np.sqrt(sq, out=sq)
+
+
 def _goal_costs(states: np.ndarray, goals: GoalSet, w: CostWeights) -> np.ndarray:
     """Distance-to-goal plus success-basin bonus, summed over t=1..T."""
-    k = states.shape[0]
+    k, t1, _, d = states.shape
     if goals.empty:
         return np.zeros(k)
-    pos = states[:, 1:, goals.components, :]  # (K, T, g, d)
-    dist = np.linalg.norm(pos - goals.points[None, None, :, :], axis=-1)
+    g = len(goals.components)
+    # (K, T, g) laid out goal-major, as np.linalg.norm leaves it over
+    # states[:, 1:, components]: the sum below runs in memory order
+    dist = np.empty((g, k, t1 - 1)).transpose(1, 2, 0)
+    for i, (c, pt) in enumerate(zip(goals.components, goals.points)):
+        dist[..., i] = _norm(states[:, 1:, c, j] - pt[j] for j in range(d))
     in_basin = np.all(dist < w.r_g, axis=-1)  # (K, T)
     return dist.sum(axis=(1, 2)) - w.basin * in_basin.sum(axis=1)
 
 
 def _action_costs(controls: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(controls, axis=-1).sum(axis=-1)
+    return _norm(controls[..., j] for j in range(controls.shape[-1])).sum(axis=-1)
 
 
 def _surface_costs(
@@ -111,7 +126,7 @@ def select_component(surface, state: np.ndarray) -> int:
 def mppi_step(
     x0: np.ndarray,
     nominal: np.ndarray,
-    dynamics: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    rollout: Callable[[np.ndarray, np.ndarray], np.ndarray],
     surface,
     goals: GoalSet,
     weights: CostWeights,
@@ -121,11 +136,12 @@ def mppi_step(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One planning step.
 
-    dynamics maps a batch of states (K, n, d) and controls (K, u) to
-    next states. Perturbed controls are clamped to bounds before
-    rollout, and the clamped values are what enter both the action cost
-    and the weighted average. Returns the first action of the averaged
-    sequence and the shifted sequence (last step repeated).
+    rollout maps the start x0 (n, d) and candidate control sequences
+    (K, T, u) to their nominal states (K, T + 1, n, d), step 0 being x0.
+    Perturbed controls are clamped to bounds before rollout, and the
+    clamped values are what enter both the action cost and the weighted
+    average. Returns the first action of the averaged sequence and the
+    shifted sequence (last step repeated).
     """
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     nominal = np.asarray(nominal, dtype=float)
@@ -134,14 +150,19 @@ def mppi_step(
         raise ValueError("nominal sequence length must match the horizon")
     k = cfg.samples
 
-    std = np.sqrt(np.asarray(cfg.noise_cov, dtype=float))
-    eps = rng.standard_normal((k, t_hor, u_dim)) * std[None, None, :]
-    cand = np.clip(nominal[None] + eps, cfg.u_min, cfg.u_max)
+    std, u_min, u_max = (np.broadcast_to(np.asarray(a, dtype=float), u_dim)
+                         for a in (np.sqrt(cfg.noise_cov), cfg.u_min,
+                                   cfg.u_max))
+    # nominal + noise, clipped, one control column at a time (scalar
+    # bounds are the cheap np.clip)
+    cand = rng.standard_normal((k, t_hor, u_dim))
+    for j in range(u_dim):
+        col = cand[..., j]
+        col *= std[j]
+        np.add(nominal[:, j], col, out=col)
+        np.clip(col, u_min[j], u_max[j], out=col)
 
-    states = np.empty((k, t_hor + 1) + x0.shape)
-    states[:, 0] = x0[None]
-    for t in range(t_hor):
-        states[:, t + 1] = dynamics(states[:, t], cand[:, t])
+    states = rollout(x0, cand)
 
     costs = _goal_costs(states, goals, weights)
     costs += weights.action * _action_costs(cand)

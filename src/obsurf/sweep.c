@@ -1,15 +1,85 @@
-/* Cable relaxation kernel behind envs.CableEnv._sweep.
+/* Dynamics kernels behind envs: the point slide (envs.slide_move,
+ * PegEnv.rollout, the cable grippers) and the cable relaxation
+ * (CableEnv._sweep).
  *
- * Chains are independent, so each is relaxed alone, start to finish.
  * Every floating-point operation is the one the numpy formulation does,
  * in the same order, so results are bit-identical to it: build without
  * -ffast-math and without FMA contraction (-ffp-contract=off).
  *
- * Layout (all C-contiguous float64): pos and ref (b, n, 2), boxes
- * (nb, 4) as x0 y0 x1 y1, invm (n), clip as lo_x lo_y hi_x hi_y.
+ * Layout (all C-contiguous float64): points and controls (m, 2); pos
+ * and ref (b, n, 2); boxes (nb, 4) as x0 y0 x1 y1; invm (n); lim, the
+ * range points are clipped into, as lo_x lo_y hi_x hi_y.
  */
 #include <math.h>
 #include <stdlib.h>
+
+/* numpy's np.clip: NaN passes, a tie keeps v, and an inverted range
+ * gives hi. */
+static double clip(double v, double lo, double hi)
+{
+    v = isnan(v) || v >= lo ? v : lo;
+    return isnan(v) || v <= hi ? v : hi;
+}
+
+/* Advance coordinate a of point p by d, stopping a gap short of the
+ * first box face crossed, then clip it into [lo, hi]. A point already
+ * resting on a face stays put when pushed toward it and moves freely
+ * otherwise. */
+static double slide_axis(const double *p, int a, double d,
+                         const double *boxes, long nb, double gap,
+                         double lo, double hi)
+{
+    int o = 1 - a;
+    double start = p[a], next = start + d;
+    for (long j = 0; j < nb; j++) {
+        const double *bx = boxes + 4 * j;
+        if (!(p[o] > bx[o] - gap && p[o] < bx[o + 2] + gap))
+            continue;
+        double face = bx[a] - gap;
+        if (d > 0 && start <= face + 1e-12 && next > face)
+            next = face;
+        face = bx[a + 2] + gap;
+        if (d < 0 && start >= face - 1e-12 && next < face)
+            next = face;
+    }
+    return clip(next, lo, hi);
+}
+
+/* Axis-separable slide of point p by u: the x then the y component,
+ * each first clipped to +-u_max. */
+static void slide_point(double *p, const double *u, const double *boxes,
+                        long nb, const double *lim, double gap, double u_max)
+{
+    p[0] = slide_axis(p, 0, clip(u[0], -u_max, u_max), boxes, nb, gap,
+                      lim[0], lim[2]);
+    p[1] = slide_axis(p, 1, clip(u[1], -u_max, u_max), boxes, nb, gap,
+                      lim[1], lim[3]);
+}
+
+/* Slide m points p in place, each by its row of u. */
+void obsurf_slide(double *p, long m, const double *u, const double *boxes,
+                  long nb, const double *lim, double gap, double u_max)
+{
+    for (long i = 0; i < m; i++)
+        slide_point(p + 2 * i, u + 2 * i, boxes, nb, lim, gap, u_max);
+}
+
+/* Roll k points through t slides: x (k, t + 1, 2) holds each start at
+ * step 0 and receives the rest; u is (k, t, 2). */
+void obsurf_rollout(double *x, long k, long t, const double *u,
+                    const double *boxes, long nb, const double *lim,
+                    double gap, double u_max)
+{
+    for (long c = 0; c < k; c++) {
+        double *p = x + 2 * (t + 1) * c;
+        for (long s = 0; s < t; s++, p += 2) {
+            p[2] = p[0];
+            p[3] = p[1];
+            slide_point(p + 2, u + 2 * (t * c + s), boxes, nb, lim, gap,
+                        u_max);
+        }
+    }
+}
 
 /* Move (x, y) out of every gap-expanded box it lies strictly inside, in
  * box order, onto the face on the side of its reference (rx, ry), or
@@ -77,7 +147,7 @@ static double share(double w, double w_pair)
 long obsurf_sweep(double *pos, const double *ref, long b, long n,
                   const double *boxes, long nb, const double *invm,
                   long iters, double tol, double rest, double gap,
-                  const double *clip)
+                  const double *lim)
 {
     /* per chain: pushed free points, then midpoint corrections */
     double *work = malloc(sizeof(double) * 2 * (size_t)n);
@@ -150,8 +220,7 @@ long obsurf_sweep(double *pos, const double *ref, long b, long n,
             for (long i = 0; i < 2 * n; i++) {
                 if (!(invm[i / 2] > 0.0))
                     continue;
-                double v = p[i], lo = clip[i % 2], hi = clip[2 + i % 2];
-                p[i] += (v < lo ? lo : v > hi ? hi : v) - v;
+                p[i] += clip(p[i], lim[i % 2], lim[2 + i % 2]) - p[i];
             }
             live = off_rest(p, n, rest, tol);
         }

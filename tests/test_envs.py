@@ -192,6 +192,125 @@ def _numpy_sweep(self, pos: np.ndarray, boxes: np.ndarray, invm: np.ndarray,
     return pos, idx.size
 
 
+# The point slide and the env moves as they stood before the C kernel,
+# kept verbatim as the exactness oracle for slide_move, PegEnv._move,
+# PegEnv.rollout and the cable grippers of CableEnv._move.
+def _axis_slide(pos: np.ndarray, delta: np.ndarray, axis: int,
+                boxes: np.ndarray, lo, hi, gap: float) -> np.ndarray:
+    """Advance one coordinate of each point, stopping a gap short of the
+    first box face crossed. Points already resting on a face stay put
+    when pushed toward it and move freely otherwise."""
+    pos = np.atleast_2d(pos)
+    delta = np.asarray(delta, dtype=float)
+    other = 1 - axis
+    start = pos[:, axis]
+    new = start + delta
+    for box in boxes:
+        lo_a, hi_a = box[axis], box[axis + 2]
+        lo_o, hi_o = box[other], box[other + 2]
+        blocking = (pos[:, other] > lo_o - gap) & (pos[:, other] < hi_o + gap)
+        fwd = (blocking & (delta > 0)
+               & (start <= lo_a - gap + 1e-12) & (new > lo_a - gap))
+        new = np.where(fwd, lo_a - gap, new)
+        bwd = (blocking & (delta < 0)
+               & (start >= hi_a + gap - 1e-12) & (new < hi_a + gap))
+        new = np.where(bwd, hi_a + gap, new)
+    new = np.clip(new, lo[axis] + gap, hi[axis] - gap)
+    out = pos.copy()
+    out[:, axis] = new
+    return out
+
+
+def _numpy_slide_move(pos: np.ndarray, u: np.ndarray, boxes: np.ndarray,
+                      lo, hi, gap: float = CONTACT_GAP) -> np.ndarray:
+    """Axis-separable sliding: apply the x then the y component, each
+    clipped at first contact. A diagonal push into a wall keeps its
+    lateral component."""
+    u = np.atleast_2d(u)
+    p = _axis_slide(np.atleast_2d(pos), u[:, 0], 0, boxes, lo, hi, gap)
+    return _axis_slide(p, u[:, 1], 1, boxes, lo, hi, gap)
+
+
+def _numpy_peg_move(self, states: np.ndarray, u: np.ndarray, boxes: np.ndarray) -> np.ndarray:
+    pos = states[:, 0, :]
+    u = np.clip(np.atleast_2d(u), -self.u_max, self.u_max)
+    new = _numpy_slide_move(pos, u, boxes, self.world.bounds_lo, self.world.bounds_hi)
+    return new[:, None, :]
+
+
+def _numpy_cable_move(self, states: np.ndarray, u: np.ndarray, boxes: np.ndarray) -> np.ndarray:
+    states = np.ascontiguousarray(states, dtype=float)
+    u = np.clip(np.atleast_2d(u), -self.u_max, self.u_max)
+    chain = states.copy()
+    targets = []
+    for j, g in enumerate(self.gripped):
+        t = _numpy_slide_move(states[:, g, :], u[:, 2 * j:2 * j + 2], boxes,
+                              self.world.bounds_lo, self.world.bounds_hi)
+        targets.append(t)
+    if len(targets) == 2:
+        span = np.linalg.norm(targets[0] - targets[1], axis=1)
+        over = span > self._span_max
+        if over.any():
+            mid = 0.5 * (targets[0] + targets[1])
+            scale = np.where(over, self._span_max / np.maximum(span, 1e-12), 1.0)
+            targets = [push_out(mid + (t - mid) * scale[:, None], boxes,
+                                CONTACT_GAP) for t in targets]
+    for j, g in enumerate(self.gripped):
+        chain[:, g, :] = targets[j]
+    return self._relax(chain, boxes, ref=states)
+
+
+_SPECIAL = [0.0, -0.0, np.nan, np.inf, -np.inf]
+
+
+@st.composite
+def _slide_case(draw, gaps=(CONTACT_GAP, 0.0, 0.004)):
+    """Points, controls and 0-4 boxes (some sheet-thin) in the bounds
+    (0, 0)-(0.4, 0.4). Coordinates sit on gap-expanded box faces to
+    within 1e-12, inside boxes, on and past the bounds, or anywhere,
+    and a few are +-0, NaN or +-inf; controls are zero, positive,
+    negative, reach a face to within rounding, or are NaN or +-inf.
+    With `one_row`, u is a single row for every point."""
+    gap = draw(st.sampled_from(gaps))
+    lo, hi = (0.0, 0.0), (0.4, 0.4)
+    boxes = []
+    for _ in range(draw(st.integers(0, 4))):
+        x0, y0 = draw(st.floats(0.02, 0.3)), draw(st.floats(0.02, 0.3))
+        size = st.sampled_from([1e-9, 1e-4, 0.012]) | st.floats(1e-3, 0.15)
+        boxes.append([x0, y0, x0 + draw(size), y0 + draw(size)])
+    boxes = np.array(boxes, dtype=float).reshape(-1, 4)
+    specials = [lo[0], hi[0], lo[0] + gap, hi[0] - gap, -0.01, 0.41]
+    for face in boxes.ravel():
+        for side in (-gap, gap):
+            specials += [face + side + e for e in (-2e-12, -1e-12, 0.0,
+                                                   1e-12, 2e-12)]
+    for b in boxes:
+        specials += [b[0] + f * (b[2] - b[0]) for f in (0.25, 0.5)]
+        specials += [b[1] + f * (b[3] - b[1]) for f in (0.25, 0.5)]
+    coord = (st.sampled_from(specials) | st.floats(-0.05, 0.45)
+             | st.sampled_from(_SPECIAL))
+    m = draw(st.integers(1, 12))
+    pos = np.array([[draw(coord), draw(coord)] for _ in range(m)])
+    rows = 1 if draw(st.booleans()) else m
+
+    def control(start):
+        kind = draw(st.sampled_from(["free", "face", "special"]))
+        if kind == "free":
+            return draw(st.floats(-0.1, 0.1))
+        if kind == "face":
+            return draw(st.sampled_from(specials)) - start
+        return draw(st.sampled_from(_SPECIAL + [1e-12, -1e-12]))
+
+    u = np.array([[control(pos[i, 0]), control(pos[i, 1])]
+                  for i in range(rows)])
+    return pos, u, boxes, lo, hi, gap
+
+
+def _same_bytes(a, b) -> bool:
+    return (np.shape(a) == np.shape(b) and np.asarray(a).dtype == np.asarray(b).dtype
+            and np.asarray(a).tobytes() == np.asarray(b).tobytes())
+
+
 # The stock scenes as code, before they became text, kept verbatim as
 # the exactness oracle for make_scene.
 def _zigzag_chain(x0: float, x1: float, y: float, k: int, rest: float) -> np.ndarray:
@@ -406,20 +525,41 @@ class TestSweepKernel:
         env, pos, boxes, invm, ref = self._case()
         monkeypatch.setattr(envs, "_compiler", lambda: None)
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        envs._sweep_kernel.cache_clear()
+        envs._kernels.cache_clear()
         try:
             with pytest.raises(RuntimeError, match="C compiler.*cc, gcc"):
                 env._sweep(pos, boxes, invm, 5, 0.0, ref)
         finally:
-            envs._sweep_kernel.cache_clear()
+            envs._kernels.cache_clear()
         assert not any(tmp_path.rglob("*.so*"))
 
-    def test_peg_episode_never_builds(self, monkeypatch, tmp_path):
+    def test_peg_step_without_compiler_named(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(envs, "_compiler", lambda: None)
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        envs._sweep_kernel.cache_clear()
-        run_episode(EpisodeConfig.for_scene("peg_u", seed=0, max_steps=5))
-        assert envs._sweep_kernel.cache_info().misses == 0
-        assert not any(tmp_path.iterdir())
+        envs._kernels.cache_clear()
+        env = make_scene("peg_u").env
+        try:
+            with pytest.raises(RuntimeError, match="C compiler.*cc, gcc"):
+                env.step_truth(np.array([0.01, 0.0]))
+        finally:
+            envs._kernels.cache_clear()
+        assert not any(tmp_path.rglob("*.so*"))
+
+    def test_peg_episode_builds_one_library(self, monkeypatch, tmp_path):
+        # Peg scenes slide through the kernels too. The library loads at
+        # the first slide, not when the scene is built, and one build
+        # serves the slide, the rollout and the relaxation.
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        envs._kernels.cache_clear()
+        try:
+            make_scene("peg_u")
+            assert envs._kernels.cache_info().misses == 0
+            run_episode(EpisodeConfig.for_scene("peg_u", seed=0, max_steps=5))
+            assert envs._kernels.cache_info().misses == 1
+        finally:
+            envs._kernels.cache_clear()
+        built = [p.name for p in (tmp_path / "obsurf").iterdir()]
+        assert len(built) == 1 and built[0].endswith(".so"), built
 
     def test_concurrent_first_builds(self, tmp_path):
         # Two fresh processes find the same empty cache; both build and
@@ -440,6 +580,93 @@ class TestSweepKernel:
         assert outs[0][0] == outs[1][0] == here.getvalue()
         built = [p.name for p in (tmp_path / "obsurf").iterdir()]
         assert len(built) == 1 and built[0].endswith(".so"), built
+
+
+class TestSlideOracle:
+    @settings(max_examples=800, deadline=None, derandomize=True)
+    @given(case=_slide_case())
+    # -0.0 on the clip bound 0.0: np.clip keeps the -0.0
+    @example(case=(np.array([[-0.0, -0.0]]), np.array([[-0.0, -0.0]]),
+                   np.zeros((0, 4)), (0.0, 0.0), (0.4, 0.4), 0.0))
+    def test_slide_move_matches_numpy(self, case):
+        pos, u, boxes, lo, hi, gap = case
+        with np.errstate(invalid="ignore"):
+            want = _numpy_slide_move(pos, u, boxes, lo, hi, gap)
+        assert _same_bytes(slide_move(pos, u, boxes, lo, hi, gap), want)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=_slide_case(gaps=(CONTACT_GAP,)),
+           observable=st.lists(st.booleans(), min_size=4, max_size=4),
+           u_max=st.sampled_from([0.02, 0.05]), data=st.data())
+    def test_peg_moves_match_numpy(self, case, observable, u_max, data):
+        pos, u, boxes, lo, hi, _ = case
+        world = WorldGeometry(tuple(
+            Box(tuple(b[:2]), tuple(b[2:]), observable=o)
+            for b, o in zip(boxes, observable)), lo, hi)
+        env = PegEnv(world, [(0.1, 0.1)], u_max=u_max)
+        for rows in (env._all, env._obs):
+            with np.errstate(invalid="ignore"):
+                want = _numpy_peg_move(env, pos[:, None], u, rows)
+            assert _same_bytes(env._move(pos[:, None], u, rows), want)
+        # a rollout is nominal step by step, from each drawn start
+        k, t_hor = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 8))
+        ctrl = st.floats(-0.1, 0.1) | st.sampled_from(_SPECIAL)
+        cand = np.array(data.draw(st.lists(ctrl, min_size=2 * k * t_hor,
+                                           max_size=2 * k * t_hor)))
+        cand = cand.reshape(k, t_hor, 2)
+        for x0 in pos:
+            want = np.empty((k, t_hor + 1, 1, 2))
+            want[:, 0] = x0
+            with np.errstate(invalid="ignore"):
+                for t in range(t_hor):
+                    want[:, t + 1] = _numpy_peg_move(env, want[:, t],
+                                                     cand[:, t], env._obs)
+            assert _same_bytes(env.rollout(x0[None], cand), want)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 6),
+           links=st.integers(3, 8), n_boxes=st.integers(0, 3),
+           one_row=st.booleans(), special=st.booleans())
+    def test_cable_grippers_match_numpy(self, seed, batch, links, n_boxes,
+                                        one_row, special):
+        env, pos, boxes, _, _ = _sweep_case(seed, batch, links, n_boxes,
+                                            pinned=True)
+        rng = np.random.default_rng(seed)
+        u = rng.uniform(-0.05, 0.05, (1 if one_row else batch, 4))
+        if special:
+            u[rng.integers(len(u)), rng.integers(4)] = rng.choice(_SPECIAL)
+        with np.errstate(invalid="ignore"):
+            want = _numpy_cable_move(env, pos, u, boxes)
+            got = env._move(pos, u, boxes)
+        assert _same_bytes(got, want)
+
+    def test_cable_span_limit_matches_numpy(self):
+        # Grippers pulled apart past the span limit are drawn back toward
+        # their midpoint, and one lands inside a box and is pushed out.
+        links, rest = 6, 0.03
+        chain = np.stack([0.2 + rest * np.arange(links),
+                          np.full(links, 0.2)], axis=1)
+        world = WorldGeometry((Box((0.355, 0.195), (0.4, 0.205)),),
+                              (0.0, 0.0), (0.6, 0.5))
+        env = CableEnv(world, chain, rest=rest, gripped=(0, links - 1),
+                       u_max=0.02)
+        states = np.stack([chain, chain + [0.0, 0.05]])
+        u = np.array([[-0.02, 0.0, 0.02, 0.0], [-0.02, 0.01, 0.02, -0.01]])
+        assert 0.15 + 0.04 > env._span_max
+        for rows in (env._all, np.zeros((0, 4))):
+            assert _same_bytes(env._move(states, u, rows),
+                               _numpy_cable_move(env, states, u, rows))
+
+    def test_bad_shapes_rejected(self):
+        with pytest.raises(ValueError, match="slide_move"):
+            slide_move(np.zeros((2, 3)), np.zeros(2), np.zeros((0, 4)),
+                       (0.0, 0.0), (1.0, 1.0))
+        with pytest.raises(ValueError):
+            slide_move(np.zeros((2, 2)), np.zeros(2), np.zeros((1, 5)),
+                       (0.0, 0.0), (1.0, 1.0))
+        with pytest.raises(ValueError, match="rollout"):
+            make_scene("peg_u").env.rollout(np.zeros((1, 2)),
+                                            np.zeros((3, 4, 4)))
 
 
 class TestPushOutProperty:

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from obsurf import envs, mppi
 from obsurf.gp import KernelParams
 from obsurf.gpis import Gpis
+from obsurf.envs import Box, PegEnv, WorldGeometry, make_scene
 from obsurf.mppi import (CostWeights, GoalSet, MppiConfig, _action_costs,
                          _goal_costs, _surface_costs, mppi_step,
                          select_component)
@@ -22,10 +23,15 @@ def straight_traj(start, step, horizon, n=1):
 
 
 class FreeIntegrator:
-    """Batched obstacle-free dynamics for a single point."""
+    """Obstacle-free rollout of a single point."""
 
-    def __call__(self, states, controls):
-        return states + controls[:, None, :]
+    def __call__(self, x0, cand):
+        k, t_hor = cand.shape[:2]
+        states = np.empty((k, t_hor + 1) + x0.shape)
+        states[:, 0] = x0
+        for t in range(t_hor):
+            states[:, t + 1] = states[:, t] + cand[:, t, None, :]
+        return states
 
 
 class TestGoalCost:
@@ -158,6 +164,190 @@ class TestSurfaceCostsOracle:
         want = two_query_surface_costs(states, surface, component)
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
+
+
+# The cost terms and the step as they stood before the one-call rollout
+# and the column-wise costs, kept verbatim as their exactness oracle.
+def _reference_goal_costs(states, goals, w):
+    """Distance-to-goal plus success-basin bonus, summed over t=1..T."""
+    k = states.shape[0]
+    if goals.empty:
+        return np.zeros(k)
+    pos = states[:, 1:, goals.components, :]  # (K, T, g, d)
+    dist = np.linalg.norm(pos - goals.points[None, None, :, :], axis=-1)
+    in_basin = np.all(dist < w.r_g, axis=-1)  # (K, T)
+    return dist.sum(axis=(1, 2)) - w.basin * in_basin.sum(axis=1)
+
+
+def _reference_action_costs(controls):
+    return np.linalg.norm(controls, axis=-1).sum(axis=-1)
+
+
+def _reference_mppi_step(x0, nominal, dynamics, surface, goals, weights, cfg,
+                         component, rng):
+    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
+    nominal = np.asarray(nominal, dtype=float)
+    t_hor, u_dim = nominal.shape
+    if t_hor != cfg.horizon:
+        raise ValueError("nominal sequence length must match the horizon")
+    k = cfg.samples
+
+    std = np.sqrt(np.asarray(cfg.noise_cov, dtype=float))
+    eps = rng.standard_normal((k, t_hor, u_dim)) * std[None, None, :]
+    cand = np.clip(nominal[None] + eps, cfg.u_min, cfg.u_max)
+
+    states = np.empty((k, t_hor + 1) + x0.shape)
+    states[:, 0] = x0[None]
+    for t in range(t_hor):
+        states[:, t + 1] = dynamics(states[:, t], cand[:, t])
+
+    costs = _reference_goal_costs(states, goals, weights)
+    costs += weights.action * _reference_action_costs(cand)
+    if surface is not None:
+        coll, expl = _surface_costs(states, surface, component)
+        costs += weights.collision * coll + weights.exploration * expl
+    bad = ~np.isfinite(states.reshape(k, -1)).all(axis=1)
+    costs = np.where(bad, np.inf, costs)
+
+    finite = np.isfinite(costs)
+    if not finite.any():
+        sample_w = np.full(k, 1.0 / k)
+    else:
+        shifted = (costs - costs[finite].min()) / cfg.temperature
+        sample_w = np.where(finite, np.exp(-np.where(finite, shifted, 0.0)), 0.0)
+        sample_w /= sample_w.sum()
+
+    averaged = np.einsum("k,ktu->tu", sample_w, cand)
+    shifted_seq = np.vstack([averaged[1:], averaged[-1:]])
+    return averaged[0], shifted_seq
+
+
+def _same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# Coordinates: mostly ordinary, a few +-0, NaN or +-inf.
+_coord = (st.floats(-1.0, 1.0) | st.sampled_from([0.0, -0.0, np.nan, np.inf,
+                                                  -np.inf]))
+
+
+class TestCostOracle:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 40),
+           t_hor=st.integers(1, 16), n=st.integers(1, 8),
+           special=st.booleans(), r_g=st.floats(1e-3, 2.0),
+           data=st.data())
+    def test_goal_costs(self, seed, k, t_hor, n, special, r_g, data):
+        # g >= 2 components too: their distances are summed in the
+        # memory order of the reference's goal-major layout.
+        rng = np.random.default_rng(seed)
+        comps = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                   max_size=4))
+        goals = GoalSet(np.array(comps), rng.uniform(-0.5, 0.5,
+                                                     (len(comps), 2)))
+        states = rng.uniform(-1.0, 1.0, (k, t_hor + 1, n, 2))
+        if special:
+            for _ in range(data.draw(st.integers(1, 4))):
+                states[tuple(rng.integers(states.shape))] = data.draw(_coord)
+        w = CostWeights(action=0.5, exploration=1.0, collision=10.0,
+                        basin=5.0, r_g=r_g)
+        with np.errstate(invalid="ignore"):
+            want = _reference_goal_costs(states, goals, w)
+        assert _same_bytes(_goal_costs(states, goals, w), want)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 40),
+           t_hor=st.integers(1, 16), u_dim=st.sampled_from([1, 2, 3, 4, 6]),
+           special=st.booleans(), data=st.data())
+    def test_action_costs(self, seed, k, t_hor, u_dim, special, data):
+        rng = np.random.default_rng(seed)
+        controls = rng.normal(0.0, 0.05, (k, t_hor, u_dim))
+        if special:
+            for _ in range(data.draw(st.integers(1, 4))):
+                controls[tuple(rng.integers(controls.shape))] = data.draw(_coord)
+        with np.errstate(invalid="ignore"):
+            want = _reference_action_costs(controls)
+        assert _same_bytes(_action_costs(controls), want)
+
+
+def _oracle_step(env, surface, goals, x0, nominal, cfg, seed):
+    """Both steps from the same generator state, compared byte for byte."""
+    got = mppi_step(x0, nominal, env.rollout, surface, goals, W, cfg, 0,
+                    np.random.default_rng(seed))
+    want = _reference_mppi_step(x0, nominal, env.nominal, surface, goals, W,
+                                cfg, 0, np.random.default_rng(seed))
+    for a, b in zip(got, want):
+        assert _same_bytes(a, b)
+    return got
+
+
+class TestMppiStepOracle:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), samples=st.integers(1, 64),
+           horizon=st.integers(1, 8), noise=st.sampled_from([0.0, 1e-4, 0.01]),
+           surface=st.sampled_from(["none", "prior", "data", "observed"]),
+           observable=st.booleans())
+    def test_peg(self, seed, samples, horizon, noise, surface, observable):
+        # The stock peg scenes have no observable box, so the rollout
+        # meets one only here.
+        rng = np.random.default_rng(seed)
+        boxes = tuple(Box(tuple(lo), tuple(lo + rng.uniform(0.005, 0.1, 2)),
+                          observable=observable)
+                      for lo in rng.uniform(0.05, 0.3, (3, 2)))
+        world = WorldGeometry(boxes, (0.0, 0.0), (0.4, 0.4))
+        env = PegEnv(world, rng.uniform(0.0, 0.4, (1, 2)), u_max=0.02)
+        # bounds and noise differ by column
+        cfg = MppiConfig(temperature=0.1, samples=samples, horizon=horizon,
+                         noise_cov=np.array([noise, 2.0 * noise]),
+                         u_min=np.array([-0.02, -0.01]),
+                         u_max=np.array([0.015, 0.02]))
+        surf = {"none": None, "observed": envs.ObservedSurface(world),
+                "prior": Gpis(params=KernelParams(0.08, 1.3, 1e-4)),
+                "data": tight_surface(rng.uniform(0.0, 0.4, (6, 2)),
+                                      rng.uniform(-1.0, 1.0, 6))}[surface]
+        goals = GoalSet.single(0, rng.uniform(0.0, 0.4, 2))
+        nominal = rng.uniform(-0.03, 0.03, (horizon, 2))
+        _oracle_step(env, surf, goals, env.state, nominal, cfg, seed)
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), samples=st.integers(1, 12),
+           horizon=st.integers(1, 3),
+           comps=st.lists(st.integers(0, 7), min_size=1, max_size=3))
+    def test_cable(self, seed, samples, horizon, comps):
+        # u_dim = 4, and goal sets of up to three components
+        rng = np.random.default_rng(seed)
+        env = make_scene("cable_hook").env
+        cfg = MppiConfig(temperature=0.1, samples=samples, horizon=horizon,
+                         noise_cov=np.array([1e-4, 4e-4, 1e-4, 2e-4]),
+                         u_min=np.array([-0.02, -0.01, -0.015, -0.02]),
+                         u_max=np.array([0.02, 0.01, 0.02, 0.005]))
+        goals = GoalSet(np.array(comps), rng.uniform(0.0, 0.5, (len(comps), 2)))
+        nominal = rng.uniform(-0.03, 0.03, (horizon, 4))
+        surf = Gpis(params=KernelParams(0.08, 1.3, 1e-4))
+        _oracle_step(env, surf, goals, env.state, nominal, cfg, seed)
+
+    def test_every_rollout_non_finite(self):
+        # No finite cost: every sample weighs 1/K, so the step returns
+        # the mean candidate, as before.
+        cfg = small_cfg(samples=16, horizon=4, noise=0.02)
+        goals = GoalSet.single(0, (0.1, 0.1))
+
+        class Nan:
+            def nominal(self, states, controls):
+                return np.full_like(states, np.nan)
+
+            def rollout(self, x0, cand):
+                states = FreeIntegrator()(x0, cand)
+                states[:, 1:] = np.nan
+                return states
+
+        u0, seq = _oracle_step(Nan(), None, goals, np.zeros((1, 2)),
+                               np.zeros((4, 2)), cfg, 3)
+        cand = np.clip(np.random.default_rng(3).standard_normal((16, 4, 2))
+                       * np.sqrt(cfg.noise_cov), cfg.u_min, cfg.u_max)
+        np.testing.assert_allclose(u0, cand.mean(axis=0)[0], atol=1e-15)
+        assert np.isfinite(seq).all()
 
 
 class TestSelectComponent:
