@@ -10,22 +10,13 @@ sliding, and chains relax with projected distance constraints.
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import hashlib
 import math
-import os
-import platform
-import shutil
-import subprocess
-import tempfile
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import sensor
+from . import clib, sensor
 from .gpis import GridSpec
 from .mppi import GoalSet
 from .constraints import NoPenetration, PathExists
@@ -37,88 +28,6 @@ CONTACT_GAP = 1e-3
 # them released (see CableEnv).
 PINNED_ITERATIONS = 20
 POLISH_ITERATIONS = 120
-# Build of the dynamics kernels in sweep.c. Their results must equal the
-# numpy formulation's bit for bit: no -ffast-math, no FMA contraction.
-_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno")
-_COMPILERS = ("cc", "gcc")
-_ptr, _long, _dbl = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
-# Result and argument types of each kernel.
-_KERNELS = {
-    "obsurf_sweep": (_long, [_ptr, _ptr, _long, _long, _ptr, _long, _ptr,
-                             _long, _dbl, _dbl, _dbl, _ptr]),
-    "obsurf_slide": (None, [_ptr, _long, _ptr, _ptr, _long, _ptr, _dbl,
-                            _dbl]),
-    "obsurf_rollout": (None, [_ptr, _long, _long, _ptr, _ptr, _long, _ptr,
-                              _dbl, _dbl]),
-}
-
-
-def _compiler() -> Optional[str]:
-    """Path of the first C compiler on PATH, or None."""
-    return next(filter(None, map(shutil.which, _COMPILERS)), None)
-
-
-@functools.cache
-def _kernels() -> ctypes.CDLL:
-    """The C dynamics kernels of sweep.c: the point slide, the peg
-    rollout and the cable relaxation. The first call in a process
-    compiles them, unless a per-user cache ($XDG_CACHE_HOME/obsurf, else
-    ~/.cache/obsurf) holds a build of the same source, flags and
-    machine."""
-    src = Path(__file__).with_name("sweep.c")
-    key = hashlib.sha256(src.read_bytes() + repr(
-        (_CFLAGS, platform.machine())).encode()).hexdigest()[:16]
-    xdg = os.environ.get("XDG_CACHE_HOME", "")
-    cache = (Path(xdg) if os.path.isabs(xdg)
-             else Path.home() / ".cache") / "obsurf"
-    lib = cache / f"sweep-{key}.so"
-    if not lib.exists():
-        cc = _compiler()
-        if cc is None:
-            raise RuntimeError("the dynamics kernels need a C compiler to "
-                               f"build {src.name}; found none of "
-                               f"{', '.join(_COMPILERS)} on PATH")
-        cache.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(suffix=".so.tmp", dir=cache)
-        os.close(fd)
-        try:
-            subprocess.run([cc, *_CFLAGS, "-o", tmp, str(src)],
-                           check=True, capture_output=True, text=True)
-            # whole or absent, so concurrent builders never load half a file
-            os.replace(tmp, lib)
-        except subprocess.CalledProcessError as exc:
-            raise RuntimeError(f"{cc} failed to build {src.name}:\n"
-                               f"{exc.stderr}") from None
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-    kernels = ctypes.CDLL(str(lib))
-    for name, (restype, argtypes) in _KERNELS.items():
-        fn = getattr(kernels, name)
-        fn.restype, fn.argtypes = restype, argtypes
-    return kernels
-
-
-def _kernel_arg(name: str, a, shape: tuple, fixed: tuple = ()) -> int:
-    """Address of a C-contiguous float64 array of the given shape. An
-    array of `fixed`, (array, address) pairs from `_fixed`, skips the
-    checks and the address lookup, which costs ~3 us a call."""
-    for own, addr in fixed:
-        if a is own and a.shape == shape:
-            return addr
-    if not (isinstance(a, np.ndarray) and a.dtype == np.float64
-            and a.flags.c_contiguous and a.shape == shape):
-        raise ValueError(f"{name} must be a C-contiguous float64 "
-                         f"array of shape {shape}, not "
-                         f"{getattr(a, 'dtype', type(a).__name__)} "
-                         f"{np.shape(a)}")
-    return a.ctypes.data
-
-
-def _fixed(*arrays: np.ndarray) -> tuple:
-    """An env's kernel arguments that never change, as `_kernel_arg`
-    takes them."""
-    return tuple((a, _kernel_arg("fixed", a, a.shape)) for a in arrays)
 
 
 @dataclass(frozen=True)
@@ -165,11 +74,11 @@ def _slide(pts: np.ndarray, u, boxes: np.ndarray, lim: np.ndarray,
     if u.shape != pts.shape:
         u = np.broadcast_to(u, pts.shape)
     u = np.ascontiguousarray(u)
-    _kernels().obsurf_slide(
-        _kernel_arg("slide: points", pts, (len(pts), 2)), len(pts),
-        u.ctypes.data, _kernel_arg("slide: boxes", boxes, (len(boxes), 4),
-                                   fixed),
-        len(boxes), _kernel_arg("slide: lim", lim, (4,), fixed), gap, u_max)
+    clib.kernels().obsurf_slide(
+        clib.arg("slide: points", pts, (len(pts), 2)), len(pts),
+        u.ctypes.data, clib.arg("slide: boxes", boxes, (len(boxes), 4),
+                                fixed),
+        len(boxes), clib.arg("slide: lim", lim, (4,), fixed), gap, u_max)
     return pts
 
 
@@ -234,7 +143,7 @@ class PegEnv:
         self._all = world.rows(observable_only=False)
         self._obs = world.rows(observable_only=True)
         self._lim = _limits(world.bounds_lo, world.bounds_hi, CONTACT_GAP)
-        self._fixed = _fixed(self._all, self._obs, self._lim)
+        self._fixed = clib.fixed(self._all, self._obs, self._lim)
 
     def _move(self, states: np.ndarray, u: np.ndarray, boxes: np.ndarray) -> np.ndarray:
         new = np.array(states, dtype=float, order="C")
@@ -260,11 +169,11 @@ class PegEnv:
         k, t_hor = cand.shape[:2]
         states = np.empty((k, t_hor + 1, 1, 2))
         states[:, 0] = x0
-        _kernels().obsurf_rollout(
+        clib.kernels().obsurf_rollout(
             states.ctypes.data, k, t_hor, cand.ctypes.data,
-            _kernel_arg("rollout: boxes", self._obs, self._obs.shape,
-                        self._fixed), len(self._obs),
-            _kernel_arg("rollout: lim", self._lim, (4,), self._fixed),
+            clib.arg("rollout: boxes", self._obs, self._obs.shape,
+                     self._fixed), len(self._obs),
+            clib.arg("rollout: lim", self._lim, (4,), self._fixed),
             CONTACT_GAP, self.u_max)
         return states
 
@@ -303,8 +212,8 @@ class CableEnv:
         self._invm = self._free.copy()
         self._invm[list(self.gripped)] = 0.0
         self._lim = _limits(world.bounds_lo, world.bounds_hi, CONTACT_GAP)
-        self._fixed = _fixed(self._all, self._obs, self._invm, self._free,
-                             self._lim)
+        self._fixed = clib.fixed(self._all, self._obs, self._invm,
+                                 self._free, self._lim)
         # Chains each relaxation phase left off tolerance at its cap.
         self.pinned_capped = self.polish_capped = 0
 
@@ -330,16 +239,16 @@ class CableEnv:
             raise ValueError(f"_sweep: pos must have shape (chains, n >= 2, 2), "
                              f"not {shape}")
         pos_p, ref_p, boxes_p, invm_p, lim_p = (
-            _kernel_arg(f"_sweep: {name}", a, want, self._fixed)
+            clib.arg(f"_sweep: {name}", a, want, self._fixed)
             for name, a, want in (
                 ("pos", pos, shape), ("ref", ref, shape),
                 ("boxes", boxes, (len(boxes), 4)), ("invm", invm, shape[1:2]),
                 ("lim", self._lim, (4,))))
         if not pos.flags.writeable or np.may_share_memory(pos, ref):
             raise ValueError("_sweep: pos must be writeable and apart from ref")
-        capped = _kernels().obsurf_sweep(pos_p, ref_p, shape[0], shape[1],
-                                         boxes_p, len(boxes), invm_p, iters,
-                                         tol, self.rest, CONTACT_GAP, lim_p)
+        capped = clib.kernels().obsurf_sweep(
+            pos_p, ref_p, shape[0], shape[1], boxes_p, len(boxes), invm_p,
+            iters, tol, self.rest, CONTACT_GAP, lim_p)
         if capped < 0:
             raise MemoryError("_sweep: no memory for the kernel's scratch")
         return pos, capped

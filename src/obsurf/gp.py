@@ -2,16 +2,24 @@
 
 Zero-mean GP, dense Cholesky inference, and marginal-likelihood
 hyperparameter fitting in log space. Dataset sizes in this project are
-O(10^2), so everything is exact; no sparse approximations.
+O(10^2), so everything is exact; no sparse approximations. Every
+Cholesky factorization, with its jitter ladder, is one call of the C
+kernel in cholesky.c (`factor_subsets`), for one training set or for a
+stack of subsets of one.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 from scipy.spatial.distance import cdist
+
+from . import clib
 
 SQRT3 = np.sqrt(3.0)
 
@@ -99,44 +107,97 @@ def noisy_gram(points: np.ndarray, params: KernelParams) -> np.ndarray:
     return ky
 
 
-# LAPACK's double-precision Cholesky and Cholesky solve, called without
-# scipy's wrappers: those re-check finiteness on every call, which the
-# factorization below does once, and their results are the same bits.
-_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.empty(0),))
+# LAPACK's double-precision Cholesky solve, called without scipy's
+# wrapper: it re-checks finiteness on every call, which factor_subsets
+# does once, and its results are the same bits.
+(_POTRS,) = get_lapack_funcs(("potrs",), (np.empty(0),))
+_JITTER_LADDER = np.array(_JITTERS)
+_JITTER_ADDR = _JITTER_LADDER.ctypes.data
+# What the kernel returns for a failing candidate, and what it raises.
+_FAILURES = {
+    -2: (SolverError, "non-finite entries in Gram matrix"),
+    -3: (SolverError, f"Gram matrix not positive definite after jitter {max(_JITTERS)}"),
+    -4: (ValueError, "array must not contain infs or NaNs"),
+}
 
 
-def _cholesky(ky: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a noisy Gram matrix (upper triangle
-    left as garbage, as scipy's cho_factor leaves it).
+@functools.cache
+def _lapack() -> tuple:
+    """Addresses of scipy's dpotrf and dpotrs, the routines its f2py
+    wrappers call, for the kernel in cholesky.c."""
+    from scipy.linalg import cython_lapack
 
-    On failure the smallest jitter from _JITTERS that works is added to
-    the diagonal. Raises SolverError on non-finite entries or when even
-    the largest jitter fails.
+    get_name = ctypes.pythonapi.PyCapsule_GetName
+    get_name.restype, get_name.argtypes = ctypes.c_char_p, [ctypes.py_object]
+    get_ptr = ctypes.pythonapi.PyCapsule_GetPointer
+    get_ptr.restype = ctypes.c_void_p
+    get_ptr.argtypes = [ctypes.py_object, ctypes.c_char_p]
+    capsules = (cython_lapack.__pyx_capi__[name] for name in ("dpotrf", "dpotrs"))
+    return tuple(get_ptr(c, get_name(c)) for c in capsules)
+
+
+def factor_subsets(ky: np.ndarray, y: np.ndarray,
+                   keeps: Optional[np.ndarray], factors: bool):
+    """Jittered Cholesky factor and alpha = Ky^-1 y of each subset of a
+    (U, n) stack of keep vectors, or of the whole set when keeps is
+    None (U = 1), from the noisy Gram ky (n, n) of the full set and its
+    labels y (n), in one kernel call.
+
+    Each subset's Gram is the slice of ky; on failure the smallest
+    jitter from _JITTERS that works is added to its diagonal. Returns
+    alphas (U, n), each row the subset's alpha in its kept columns and
+    0 elsewhere; the U lower factors, (s, s) Fortran-ordered with the
+    jittered Gram above the diagonal as scipy's cho_factor leaves it,
+    or None unless asked for; and how many subsets needed jitter.
+    Raises, for the first subset that fails, what a subset raises
+    alone: SolverError on non-finite kept Gram entries or when even the
+    largest jitter fails, else ValueError on non-finite kept labels.
     """
-    if not np.isfinite(ky).all():
-        raise SolverError("non-finite entries in Gram matrix")
-    for jit in _JITTERS:
-        a = ky + jit * np.eye(len(ky)) if jit else ky
-        c, info = _POTRF(a, lower=True, clean=False)
-        if info == 0:
-            return c
-    raise SolverError(f"Gram matrix not positive definite after jitter {max(_JITTERS)}")
+    ky = np.ascontiguousarray(ky, dtype=float)
+    y = np.ascontiguousarray(y, dtype=float)
+    n = len(y)
+    if keeps is None:
+        u, keep_addr = 1, None
+    else:
+        keeps = np.ascontiguousarray(keeps, dtype=bool)
+        u, keep_addr = len(keeps), clib.addr(keeps)
+    if ky.shape != (n, n) or y.shape != (n,) or keeps is not None \
+            and keeps.shape != (u, n):
+        raise ValueError(f"factor_subsets: ky {ky.shape}, y {y.shape} and "
+                         f"keeps {np.shape(keeps)} do not match")
+    alphas = np.empty((u, n))
+    slabs = np.empty((u, n, n)) if factors else None
+    jittered = clib.kernels().obsurf_cholesky(
+        clib.addr(ky), n, clib.addr(y), keep_addr, u, _JITTER_ADDR,
+        len(_JITTERS), *_lapack(), clib.addr(alphas),
+        None if slabs is None else clib.addr(slabs))
+    if jittered < 0:
+        if jittered not in _FAILURES:
+            raise MemoryError("factor_subsets: no memory for the kernel's "
+                              "scratch")
+        error, message = _FAILURES[jittered]
+        raise error(message)
+    if slabs is None:
+        return alphas, None, jittered
+    if keeps is None:
+        return alphas, [slabs[0].T], jittered
+    # slab u holds its factor column-major in its first s * s entries
+    return alphas, [slab.reshape(-1)[:s * s].reshape(s, s).T for slab, s
+                    in zip(slabs, np.count_nonzero(keeps, axis=1))], jittered
 
 
 def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve (c c^T) x = b for the lower factor c of _cholesky."""
+    """Solve (c c^T) x = b for a lower factor c of factor_subsets."""
     if b.size == 0:
         return np.empty_like(b)
     return _POTRS(c, b, lower=True)[0]
 
 
 def _factor(ky: np.ndarray, y: np.ndarray):
-    """Lower Cholesky factor of ky (see _cholesky) and alpha = ky^-1 y.
-    Non-finite labels raise ValueError."""
-    c = _cholesky(ky)
-    if not np.isfinite(y).all():
-        raise ValueError("array must not contain infs or NaNs")
-    return c, _cho_solve(c, y)
+    """Lower Cholesky factor of ky and alpha = ky^-1 y: factor_subsets
+    on the whole set."""
+    alphas, factors, _ = factor_subsets(ky, y, None, True)
+    return factors[0], alphas[0]
 
 
 class GpSolve:
@@ -161,6 +222,18 @@ class GpSolve:
         self.params = params
         self._cho, self.alpha = _factor(ky, self.labels)
         self._kinv = None
+
+    @classmethod
+    def factored(cls, points: np.ndarray, labels: np.ndarray,
+                 params: KernelParams, cho: np.ndarray,
+                 alpha: np.ndarray) -> "GpSolve":
+        """The solve whose noisy Gram factor_subsets has factored
+        already: cho the lower factor and alpha the weights, with points
+        and labels as the constructor takes them."""
+        solve = cls.__new__(cls)
+        solve.points, solve.labels, solve.params = points, labels, params
+        solve._cho, solve.alpha, solve._kinv = cho, alpha, None
+        return solve
 
     @property
     def kinv(self) -> np.ndarray:

@@ -11,8 +11,8 @@ from obsurf import constraints as cons
 from obsurf.constraints import (NoPenetration, PathExists, SubsetEvaluator,
                                 all_satisfied, connected_components,
                                 no_penetration, path_exists)
-from obsurf.gp import (GpSolve, KernelParams, SolverError, kernel_matrix,
-                       noisy_gram)
+from obsurf.gp import (GpSolve, KernelParams, SolverError, factor_subsets,
+                       kernel_matrix, noisy_gram)
 from obsurf.gpis import FREE_LABEL, Gpis, GridSpec, OccupancyGrid
 
 
@@ -509,9 +509,9 @@ class TestSubsetEvaluatorOracle:
     spec_sets = {
         "path": [PathExists(grid=ENCLOSURE_GRID, component=0)],
         "penetration": [NoPenetration(zeta=0.4)],
-        # PathExists listed first: the evaluator judges it last
-        "both": [PathExists(grid=ENCLOSURE_GRID, component=0),
-                 NoPenetration(zeta=0.4)],
+        # NoPenetration listed first: the evaluator judges it last
+        "both": [NoPenetration(zeta=0.4),
+                 PathExists(grid=ENCLOSURE_GRID, component=0)],
     }
 
     def test_near_duplicate_pair_needs_jitter(self):
@@ -545,28 +545,208 @@ class TestSubsetEvaluatorOracle:
         oracle = visible_near_state if free else None
         args = (specs, pts, labels, params, oracle, ENCLOSURE_STATE,
                 ENCLOSURE_GOAL)
-        built = []
+        solved = []
 
-        class Recorded(GpSolve):
-            def __init__(self, *solve_args):
-                super().__init__(*solve_args)
-                built.append(self)
+        def recorded(*solve_args):
+            out = factor_subsets(*solve_args)
+            solved.append(out)
+            return out
 
-        with mock.patch.object(cons, "GpSolve", Recorded):
+        with mock.patch.object(cons, "factor_subsets", recorded):
             got = SubsetEvaluator(*args)(keep)
         assert got == RefSubsetEvaluator(*args)(keep)
 
-        # the evaluator's solve, from its sliced Gram, is the solve built
-        # from the points, bit for bit
+        # the kernel's solve of the evaluator's sliced Gram is the solve
+        # built from the points, bit for bit
         idx = np.where(keep)[0]
-        (sliced,) = built
+        ((alphas, factors, _),) = solved
         ref = RefGpSolve(pts[idx], labels[idx], params)
-        assert np.array_equal(sliced.alpha, ref.alpha)
+        assert np.array_equal(alphas[0, idx], ref.alpha)
+        assert not alphas[0, ~keep].any()
+        if factors is None:  # PathExists alone reads only the alphas
+            return
+        assert np.array_equal(factors[0], ref._cho[0])
+        sliced = GpSolve.factored(pts[idx], labels[idx], params, factors[0],
+                                  alphas[0, idx])
         queries = np.vstack([ENCLOSURE_GRID.centers()[::7], ENCLOSURE_STATE])
         ks = kernel_matrix(queries, pts[idx], params)
         for got, want in zip(sliced.posterior(ks, slice(None)),
                              ref.posterior(ks, slice(None))):
             assert np.array_equal(got, want)
+
+
+def _ref_rung(ky: np.ndarray) -> int:
+    """Index of the jitter with which _ref_cholesky factors ky."""
+    for rung, jit in enumerate(_JITTERS):
+        try:
+            cho_factor(ky + jit * np.eye(len(ky)) if jit else ky, lower=True)
+            return rung
+        except np.linalg.LinAlgError:
+            continue
+    raise SolverError("no jitter works")
+
+
+class TestFactorSubsets:
+    """The subset kernel alone: every alpha, factor and jitter rung of a
+    random stack of subsets is LAPACK's, called on each subset alone."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30),
+           u=st.integers(1, 10), dups=st.integers(0, 3),
+           noise=st.sampled_from([0.0, 1e-6, 1e-4]),
+           lengthscale=st.floats(0.02, 0.3), density=st.floats(0.0, 1.0))
+    @example(seed=0, n=2, u=3, dups=1, noise=0.0, lengthscale=0.07,
+             density=1.0)
+    def test_each_subset_matches_lapack(self, seed, n, u, dups, noise,
+                                        lengthscale, density):
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(0.0, 0.4, (n, 2))
+        # near-duplicate pairs, which need jitter when noise is 0
+        for k in range(min(dups, n // 2)):
+            pts[n - 1 - k] = pts[k] + 1e-12
+        labels = rng.uniform(-1.0, 1.0, n)
+        params = KernelParams(lengthscale, 1.0, noise)
+        keeps = rng.random((u, n)) < density
+        keeps[0] = True  # the whole set, as GpSolve factors it
+
+        alphas, factors, jittered = factor_subsets(noisy_gram(pts, params),
+                                                   labels, keeps, True)
+        assert alphas.shape == (u, n) and len(factors) == u
+        rungs = []
+        for keep, alpha, factor in zip(keeps, alphas, factors):
+            idx = np.flatnonzero(keep)
+            ref = RefGpSolve(pts[idx], labels[idx], params)
+            # equal factors also mean the same jitter was added
+            assert np.array_equal(alpha[idx], ref.alpha)
+            assert not alpha[~keep].any()
+            assert factor.shape == (len(idx),) * 2
+            assert np.array_equal(factor, ref._cho[0])
+            rungs.append(_ref_rung(noisy_gram(pts[idx], params)) if len(idx)
+                         else 0)
+        assert jittered == sum(r > 0 for r in rungs)
+
+    def test_reads_the_lower_triangle(self):
+        # LAPACK reads the lower triangle of the layout scipy hands it,
+        # so whatever the upper triangle holds, the bits are scipy's
+        pts, labels = penetrating_enclosure(0.2, 0.4)
+        ky = noisy_gram(pts, ORACLE_PARAMS)
+        ky[np.triu_indices(len(ky), 1)] = np.random.default_rng(3).uniform(
+            -2.0, 2.0, len(ky) * (len(ky) - 1) // 2)
+        keeps = np.random.default_rng(5).random((6, len(pts))) < 0.7
+        alphas, factors, _ = factor_subsets(ky, labels, keeps, True)
+        for keep, alpha, factor in zip(keeps, alphas, factors):
+            idx = np.flatnonzero(keep)
+            want = cho_factor(ky[np.ix_(idx, idx)], lower=True)
+            assert np.array_equal(factor, want[0])
+            assert np.array_equal(alpha[idx], cho_solve(want, labels[idx]))
+
+    def test_empty_subset_skips_lapack(self):
+        # dpotrf rejects lda = 0, so an empty subset never reaches it:
+        # alphas 0 and empty factors, as a solve of no points gives
+        pts, labels = penetrating_enclosure(0.0, 0.0)
+        keeps = np.zeros((2, len(pts)), dtype=bool)
+        alphas, factors, jittered = factor_subsets(
+            noisy_gram(pts, ORACLE_PARAMS), labels, keeps, True)
+        assert not alphas.any() and jittered == 0
+        ref = RefGpSolve(pts[:0], labels[:0], ORACLE_PARAMS)
+        assert [f.shape for f in factors] == [ref._cho[0].shape] * 2
+
+    def test_alphas_alone_match(self):
+        pts, labels = penetrating_enclosure(0.3, 1.0)
+        keeps = np.random.default_rng(4).random((9, len(pts))) < 0.6
+        ky = noisy_gram(pts, ORACLE_PARAMS)
+        with_factors = factor_subsets(ky, labels, keeps, True)
+        alphas, factors, jittered = factor_subsets(ky, labels, keeps, False)
+        assert factors is None
+        assert np.array_equal(alphas, with_factors[0])
+        assert jittered == with_factors[2]
+
+
+class TestSubsetEvaluatorErrors:
+    """A failing subset raises what solving it alone raises, in the same
+    order of checks; what an unkept point holds is never looked at."""
+
+    specs = [NoPenetration(zeta=0.4)]
+
+    def _raises_as_reference(self, pts, labels, params, keep, error, match):
+        args = (self.specs, pts, labels, params, None, ENCLOSURE_STATE,
+                ENCLOSURE_GOAL)
+        # a passing row first: the first failing row raises
+        stack = np.array([np.zeros_like(keep), keep, keep])
+        with pytest.raises(error, match=match) as got:
+            SubsetEvaluator(*args).batch(stack)
+        with pytest.raises(error) as want:
+            RefSubsetEvaluator(*args)(keep)
+        assert str(got.value) == str(want.value)
+
+    def test_non_finite_kept_gram_entry(self):
+        pts, labels = penetrating_enclosure(0.0, 0.0)
+        pts[4] = np.nan
+        labels[7] = np.nan  # the Gram is checked first
+        self._raises_as_reference(pts, labels, ORACLE_PARAMS,
+                                  np.ones(len(pts), dtype=bool), SolverError,
+                                  "non-finite entries in Gram matrix")
+
+    def test_no_jitter_works(self):
+        # two copies of one point at outputscale 1e20: the Gram is
+        # 1e20 * ones((2, 2)), which no jitter up to 1e-4 changes
+        pts = np.array([[0.05, 0.05], [0.05, 0.05], [0.3, 0.3]])
+        labels = np.array([-1.0, -1.0, 1.0])
+        params = KernelParams(0.07, 1e20, 0.0)
+        self._raises_as_reference(pts, labels, params,
+                                  np.array([True, True, False]), SolverError,
+                                  "not positive definite after jitter 0.0001")
+        ev = SubsetEvaluator(self.specs, pts, labels, params, None,
+                             ENCLOSURE_STATE, ENCLOSURE_GOAL)
+        ev.batch(np.array([[True, False, True], [False, True, True]]))
+
+    def test_non_finite_kept_label(self):
+        pts, labels = penetrating_enclosure(0.0, 0.0)
+        labels[7] = np.inf
+        self._raises_as_reference(pts, labels, ORACLE_PARAMS,
+                                  np.ones(len(pts), dtype=bool), ValueError,
+                                  "must not contain infs or NaNs")
+
+    def test_unkept_non_finite_point_and_label(self):
+        pts, labels = penetrating_enclosure(0.0, 0.0)
+        bad_pts, bad_labels = pts.copy(), labels.copy()
+        bad_pts[4] = np.nan
+        bad_labels[7] = np.nan
+        keeps = np.random.default_rng(2).random((12, len(pts))) < 0.7
+        keeps[:, [4, 7]] = False
+        keeps[0] = True
+        keeps[0, [4, 7]] = False
+        args = (ORACLE_PARAMS, None, ENCLOSURE_STATE, ENCLOSURE_GOAL)
+        got = SubsetEvaluator(self.specs, bad_pts, bad_labels, *args).batch(keeps)
+        want = SubsetEvaluator(self.specs, pts, labels, *args).batch(keeps)
+        assert np.array_equal(got, want)
+
+
+class TestJitterCount:
+    def test_counts_candidates_that_needed_jitter(self):
+        pts, labels = near_duplicate_enclosure(0.0, 0.0)
+        rng = np.random.default_rng(6)
+        keeps = rng.random((20, len(pts))) < 0.8
+        keeps[:2] = True  # both copies of the ring point kept
+        keeps[2:4, -1] = False  # the copy dropped
+        ev = SubsetEvaluator(TestSubsetEvaluatorOracle.spec_sets["both"],
+                             pts, labels, ORACLE_NOISELESS, None,
+                             ENCLOSURE_STATE, ENCLOSURE_GOAL)
+        assert ev.jittered == 0
+        ev.batch(keeps)
+        want = sum(_ref_rung(noisy_gram(pts[k], ORACLE_NOISELESS)) > 0
+                   for k in keeps)
+        assert ev.jittered == want >= 2
+        ev(keeps[0])
+        assert ev.jittered == want + 1
+
+    def test_well_conditioned_needs_none(self):
+        pts, labels = penetrating_enclosure(0.0, 0.0)
+        ev = SubsetEvaluator([NoPenetration(zeta=0.4)], pts, labels,
+                             ORACLE_PARAMS, None, ENCLOSURE_STATE,
+                             ENCLOSURE_GOAL)
+        ev.batch(np.random.default_rng(1).random((30, len(pts))) < 0.7)
+        assert ev.jittered == 0
 
 
 # -- a stack of candidates against the reference, one by one ------------

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from obsurf import envs, sensor
+from obsurf import clib, envs, sensor
 from obsurf.constraints import NoPenetration, PathExists, connected_components
 from obsurf.envs import (Box, CableEnv, CONTACT_GAP, ObservedSurface, PegEnv,
                          Scene, WorldGeometry, make_scene, parse_scene,
@@ -523,41 +523,41 @@ class TestSweepKernel:
 
     def test_missing_compiler_named(self, monkeypatch, tmp_path):
         env, pos, boxes, invm, ref = self._case()
-        monkeypatch.setattr(envs, "_compiler", lambda: None)
+        monkeypatch.setattr(clib, "_compiler", lambda: None)
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        envs._kernels.cache_clear()
+        clib.kernels.cache_clear()
         try:
             with pytest.raises(RuntimeError, match="C compiler.*cc, gcc"):
                 env._sweep(pos, boxes, invm, 5, 0.0, ref)
         finally:
-            envs._kernels.cache_clear()
+            clib.kernels.cache_clear()
         assert not any(tmp_path.rglob("*.so*"))
 
     def test_peg_step_without_compiler_named(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(envs, "_compiler", lambda: None)
+        monkeypatch.setattr(clib, "_compiler", lambda: None)
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        envs._kernels.cache_clear()
+        clib.kernels.cache_clear()
         env = make_scene("peg_u").env
         try:
             with pytest.raises(RuntimeError, match="C compiler.*cc, gcc"):
                 env.step_truth(np.array([0.01, 0.0]))
         finally:
-            envs._kernels.cache_clear()
+            clib.kernels.cache_clear()
         assert not any(tmp_path.rglob("*.so*"))
 
     def test_peg_episode_builds_one_library(self, monkeypatch, tmp_path):
         # Peg scenes slide through the kernels too. The library loads at
-        # the first slide, not when the scene is built, and one build
-        # serves the slide, the rollout and the relaxation.
+        # first use, not when the scene is built, and one build serves
+        # the slide, the rollout, the relaxation and the GP solves.
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        envs._kernels.cache_clear()
+        clib.kernels.cache_clear()
         try:
             make_scene("peg_u")
-            assert envs._kernels.cache_info().misses == 0
+            assert clib.kernels.cache_info().misses == 0
             run_episode(EpisodeConfig.for_scene("peg_u", seed=0, max_steps=5))
-            assert envs._kernels.cache_info().misses == 1
+            assert clib.kernels.cache_info().misses == 1
         finally:
-            envs._kernels.cache_clear()
+            clib.kernels.cache_clear()
         built = [p.name for p in (tmp_path / "obsurf").iterdir()]
         assert len(built) == 1 and built[0].endswith(".so"), built
 
