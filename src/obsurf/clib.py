@@ -36,6 +36,7 @@ _KERNELS = {
                             _dbl]),
     "obsurf_rollout": (None, [_ptr, _long, _long, _ptr, _ptr, _long, _ptr,
                               _dbl, _dbl]),
+    "obsurf_push_out": (None, [_ptr, _long, _ptr, _long, _dbl]),
     "obsurf_cholesky": (_long, [_ptr, _long, _ptr, _ptr, _long, _ptr, _long,
                                 _ptr, _ptr, _ptr, _ptr]),
 }

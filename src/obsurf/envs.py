@@ -67,9 +67,11 @@ def _slide(pts: np.ndarray, u, boxes: np.ndarray, lim: np.ndarray,
            gap: float, u_max: float = math.inf,
            fixed: tuple = ()) -> np.ndarray:
     """Slide pts, a C-contiguous float64 (m, 2) array, in place by u
-    broadcast to its shape (see slide_move), each control first clipped
-    to +-u_max. boxes is C-contiguous float64 (nb, 4) and lim is
-    `_limits`'s."""
+    broadcast to its shape: the x then the y component, each clipped to
+    +-u_max, stopped a gap short of the first box face it crosses, then
+    clipped into lim (`_limits`'s). A point resting on a face stays put
+    when pushed toward it and moves freely otherwise, so a diagonal push
+    into a wall keeps its lateral component. boxes is (nb, 4) likewise."""
     u = np.asarray(u, dtype=float)
     if u.shape != pts.shape:
         u = np.broadcast_to(u, pts.shape)
@@ -79,55 +81,6 @@ def _slide(pts: np.ndarray, u, boxes: np.ndarray, lim: np.ndarray,
         u.ctypes.data, clib.arg("slide: boxes", boxes, (len(boxes), 4),
                                 fixed),
         len(boxes), clib.arg("slide: lim", lim, (4,), fixed), gap, u_max)
-    return pts
-
-
-def slide_move(pos: np.ndarray, u: np.ndarray, boxes: np.ndarray,
-               lo, hi, gap: float = CONTACT_GAP) -> np.ndarray:
-    """Axis-separable sliding of points (m, 2) by controls (m, 2), or
-    one control for all: apply the x then the y component, each stopped
-    a gap short of the first box face it crosses, then clipped a gap
-    inside the bounds. A point already resting on a face stays put when
-    pushed toward it and moves freely otherwise, so a diagonal push into
-    a wall keeps its lateral component. Returns the new points."""
-    pts = np.array(np.atleast_2d(pos), dtype=float, order="C")
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError(f"slide_move: pos must be (m, 2), not {np.shape(pos)}")
-    boxes = np.ascontiguousarray(boxes, dtype=float).reshape(len(boxes), 4)
-    return _slide(pts, u, boxes, _limits(lo, hi, gap), gap)
-
-
-def push_out(pts: np.ndarray, boxes: np.ndarray, gap: float,
-             ref: Optional[np.ndarray] = None) -> np.ndarray:
-    """Move points strictly inside a (gap-expanded) box onto a face, a
-    gap away. Input (..., 2); when no point is inside any box the input
-    array itself is returned, otherwise a moved copy.
-
-    With a reference position per point (where it came from), points
-    exit through the face on the reference's side, which prevents
-    tunneling out the far side of a thin box. Without one, or when the
-    reference itself is inside, the nearest face wins.
-    """
-    pts = given = np.atleast_2d(pts)
-    for lo, hi in zip(boxes[:, :2] - gap, boxes[:, 2:4] + gap):
-        inside = ((pts > lo) & (pts < hi)).all(axis=-1)
-        if not inside.any():
-            continue
-        if pts is given:
-            pts = pts.copy()
-        p = pts[inside]
-        # one column per face: -x, +x, -y, +y
-        depths = np.stack([p - lo, hi - p], axis=2).reshape(-1, 4)
-        if ref is None:
-            face = depths.argmin(axis=1)
-        else:
-            r = np.atleast_2d(ref)[inside]
-            # clearance[:, f] > 0 when the reference is outside face f
-            clearance = np.stack([lo - r, r - hi], axis=2).reshape(-1, 4)
-            face = np.where(clearance.max(axis=1) > 0.0,
-                            clearance.argmax(axis=1), depths.argmin(axis=1))
-        p[np.arange(len(p)), face >> 1] = np.stack([lo, hi], axis=1).flat[face]
-        pts[inside] = p
     return pts
 
 
@@ -282,11 +235,12 @@ class CableEnv:
             span = np.linalg.norm(a - b, axis=1)
             over = span > self._span_max
             if over.any():
-                mid = 0.5 * (a + b)
+                mid = 0.5 * (a + b)[:, None]
                 scale = np.where(over, self._span_max / np.maximum(span, 1e-12), 1.0)
-                for t in (a, b):
-                    t[:] = push_out(mid + (t - mid) * scale[:, None], boxes,
-                                    CONTACT_GAP)
+                targets = mid + (targets - mid) * scale[:, None, None]
+                boxes_p = clib.arg("push_out: boxes", boxes, boxes.shape, self._fixed)
+                clib.kernels().obsurf_push_out(clib.addr(targets), 2 * k, boxes_p,
+                                               len(boxes), CONTACT_GAP)
         chain = states.copy()
         chain[:, grip] = targets
         return self._relax(chain, boxes, ref=states)
@@ -322,9 +276,6 @@ class ObservedSurface:
     def predict_mean(self, pts: np.ndarray) -> np.ndarray:
         inside = self.world.inside_any(pts, observable_only=True)
         return np.where(inside, -1.0, 1.0)
-
-    def predict_many(self, pts: np.ndarray):
-        return self.predict_split(pts, slice(None))
 
     def predict_split(self, pts: np.ndarray, var_rows):
         """Mean at every row and zero variance at the rows var_rows
@@ -452,7 +403,7 @@ def parse_scene(text: str, name: str = "custom") -> Scene:
                 rest = vals[0]
             else:
                 cam = sensor.Camera.from_fov((vals[0], vals[1]), vals[2],
-                                             vals[3], int(vals[4]))
+                                             vals[3], vals[4])
         except ValueError as exc:
             raise ValueError(f"scene line {no} '{line}': {exc}") from None
     if start is None or goal_pt is None:

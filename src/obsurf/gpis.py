@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .gp import GpSolve, KernelParams, PosteriorStats, noisy_gram
+from .gp import GpSolve, KernelParams, noisy_gram
 
 FREE_LABEL = 1.0
 
@@ -102,26 +102,15 @@ class OccupancyGrid:
     cells: np.ndarray  # boolean, True = occupied
 
     def to_text(self) -> str:
-        d = self.cells.ndim
+        """Header (dimension, resolution, origin, shape), then 0/1 rows."""
         header = " ".join(
-            [str(d), repr(float(self.resolution))]
+            [str(self.cells.ndim), repr(float(self.resolution))]
             + [repr(float(o)) for o in self.origin]
             + [str(n) for n in self.cells.shape]
         )
-        lines = [header]
-        if d == 2:
-            for row in self.cells:
-                lines.append("".join("1" if c else "0" for c in row))
-        elif d == 3:
-            for slab in self.cells:
-                for row in slab:
-                    lines.append("".join("1" if c else "0" for c in row))
-                lines.append("")
-            if lines[-1] == "":
-                lines.pop()
-        else:
-            raise ValueError(f"unsupported grid dimension {d}")
-        return "\n".join(lines) + "\n"
+        rows = self.cells.reshape(-1, self.cells.shape[-1])
+        return "\n".join([header] + ["".join("1" if c else "0" for c in row)
+                                     for row in rows]) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "OccupancyGrid":
@@ -214,10 +203,6 @@ class Gpis:
         """Post-processed posterior mean only (cheaper than predict_many
         for large query batches)."""
         return self.predict_split(queries, None)[0]
-
-    def predict(self, x: np.ndarray) -> PosteriorStats:
-        mean, var = self.predict_many(np.asarray(x, dtype=float)[None, :])
-        return PosteriorStats(float(mean[0]), float(var[0]))
 
     def occupancy_grid(self, spec: GridSpec) -> OccupancyGrid:
         """Boolean occupancy over the grid (see GridSpec.occupancy),

@@ -75,6 +75,11 @@ class EpisodeConfig:
     adaptive: bool = True
     obs_noise_std: float = 0.0
 
+    def __post_init__(self):
+        for name, least in (("t_m", 1), ("t_fit", 1), ("t_e", 0)):
+            if not getattr(self, name) >= least:
+                raise ValueError(f"{name} must be at least {least}")
+
     @classmethod
     def for_scene(cls, scene: str, seed: int = 0, **overrides) -> "EpisodeConfig":
         """Defaults for the scene, CABLE_DEFAULTS when it is a cable, with
@@ -142,8 +147,8 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeReport:
     scene = _scene(cfg.scene, cfg.scene_file)
     env = scene.env
     n = env.n
-    goal_pts = scene.goals.points
-    goals = mppi.GoalSet(scene.goals.components, goal_pts)
+    goals = scene.goals
+    goal_pts = goals.points
     weights = mppi.CostWeights(action=cfg.alpha, exploration=cfg.beta,
                                collision=cfg.collision_c, basin=cfg.eta,
                                r_g=scene.r_g)

@@ -32,7 +32,12 @@ class Camera:
     width: int
 
     @classmethod
-    def from_fov(cls, position, yaw: float, fov: float, width: int) -> "Camera":
+    def from_fov(cls, position, yaw: float, fov: float, width: float) -> "Camera":
+        """Camera of field of view fov over width pixels; raises ValueError
+        unless 0 < fov < pi and width is a positive whole number."""
+        if not (0.0 < fov < math.pi and width >= 1 and float(width).is_integer()):
+            raise ValueError(f"camera needs 0 < fov < pi and a positive whole "
+                             f"width, not fov {fov} and width {width}")
         focal = (width / 2.0) / math.tan(fov / 2.0)
         return cls(tuple(float(v) for v in position), float(yaw),
                    focal, (width - 1) / 2.0, int(width))

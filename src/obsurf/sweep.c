@@ -1,6 +1,6 @@
-/* Dynamics kernels behind envs: the point slide (envs.slide_move,
- * PegEnv.rollout, the cable grippers) and the cable relaxation
- * (CableEnv._sweep).
+/* Dynamics kernels behind envs: the point slide (PegEnv, its rollout
+ * and the cable grippers), the cable relaxation (CableEnv._sweep) and
+ * the push-out of the grippers' span clamp (CableEnv._move).
  *
  * Every floating-point operation is the one the numpy formulation does,
  * in the same order, so results are bit-identical to it: build without
@@ -83,8 +83,8 @@ void obsurf_rollout(double *x, long k, long t, const double *u,
 
 /* Move (x, y) out of every gap-expanded box it lies strictly inside, in
  * box order, onto the face on the side of its reference (rx, ry), or
- * the nearest face when no reference coordinate is outside one (as
- * envs.push_out). Returns whether it moved. */
+ * the nearest face when no reference coordinate is outside one. Returns
+ * whether it moved. */
 static int push_point(double *x, double *y, double rx, double ry,
                       const double *boxes, long nb, double gap)
 {
@@ -118,6 +118,14 @@ static int push_point(double *x, double *y, double rx, double ry,
         moved = 1;
     }
     return moved;
+}
+
+/* Push m points p out of the boxes in place, each onto the nearest
+ * face: a NaN reference is outside no face. */
+void obsurf_push_out(double *p, long m, const double *boxes, long nb, double gap)
+{
+    for (long i = 0; i < m; i++)
+        push_point(p + 2 * i, p + 2 * i + 1, NAN, NAN, boxes, nb, gap);
 }
 
 /* Whether some segment is off rest by more than tol; a NaN length

@@ -62,6 +62,17 @@ def test_scene_file_kind_picks_defaults(tmp_path, name, stock, want):
             cfg["vision"]) == want
 
 
+@pytest.mark.parametrize("pair, field", [
+    ("t_fit=0", "t_fit"), ("T_m=0", "t_m"), ("t_e=-1", "t_e")])
+def test_bad_cadence_exit_two(scene_file, capsys, pair, field):
+    # The cadences are step moduli: rejected when the config is built,
+    # not by a modulo by zero mid-run.
+    code = main(["run", "--scene", "free", "--scene-file", scene_file,
+                 "--set", pair])
+    assert code == 2
+    assert f"{field} must be at least" in capsys.readouterr().err
+
+
 def test_unknown_scene_exit_two():
     assert main(["run", "--scene", "peg_zzz"]) == 2
 

@@ -13,8 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from obsurf import clib, envs, sensor
 from obsurf.constraints import NoPenetration, PathExists, connected_components
 from obsurf.envs import (Box, CableEnv, CONTACT_GAP, ObservedSurface, PegEnv,
-                         Scene, WorldGeometry, make_scene, parse_scene,
-                         push_out, slide_move)
+                         Scene, WorldGeometry, make_scene, parse_scene)
 from obsurf.gpis import GridSpec, OccupancyGrid
 from obsurf.harness import EpisodeConfig, run_episode
 from obsurf.mppi import GoalSet
@@ -119,8 +118,18 @@ def _reference_sweep(self, pos, boxes, invm, iters, tol, ref):
     return pos
 
 
-# The relaxation as it stood before the C kernel, kept verbatim as the
-# exactness oracle for CableEnv._sweep.
+def _numpy_push_out(pts, boxes, gap, ref):
+    """_reference_push_out over (..., 2) points, returning pts itself
+    when no point is inside any box, as the numpy push-out beneath
+    _numpy_sweep did."""
+    out = _reference_push_out(pts.reshape(-1, 2), boxes, gap,
+                              ref.reshape(-1, 2)).reshape(pts.shape)
+    return pts if np.array_equal(out, pts, equal_nan=True) else out
+
+
+# The relaxation as it stood before the C kernel, kept verbatim but for
+# its push-out (`_numpy_push_out`) as the exactness oracle for
+# CableEnv._sweep.
 def _numpy_sweep(self, pos: np.ndarray, boxes: np.ndarray, invm: np.ndarray,
                  iters: int, tol: float, ref: np.ndarray) -> tuple[np.ndarray, int]:
     """Gauss-Seidel distance projection followed by obstacle
@@ -143,7 +152,7 @@ def _numpy_sweep(self, pos: np.ndarray, boxes: np.ndarray, invm: np.ndarray,
     segs = [(s, invm[s], invm[s + 1], w_pair[s])
             for s in range(n - 1) if w_pair[s] != 0.0]
     # Work on a (link, xy, chain) copy so each per-link update is one
-    # contiguous row; push_out sees (link, chain, xy) views of it.
+    # contiguous row; the push-out sees (link, chain, xy) views of it.
     p = pos.transpose(1, 2, 0).copy()
     rf = ref[:, free].transpose(1, 0, 2)
     rm = (0.5 * (ref[:, :-1] + ref[:, 1:])).transpose(1, 0, 2)
@@ -164,13 +173,13 @@ def _numpy_sweep(self, pos: np.ndarray, boxes: np.ndarray, invm: np.ndarray,
             if w1:
                 p[s + 1] -= shift if w1 == 1.0 else w1 * shift
         pf = p[free].transpose(0, 2, 1)
-        out = push_out(pf, boxes, CONTACT_GAP, rf)
+        out = _numpy_push_out(pf, boxes, CONTACT_GAP, rf)
         if out is not pf:
             p[free] += (out - pf).transpose(0, 2, 1)
         # segment midpoints collide too, else a segment can pass
         # clean through a thin box while its endpoints stay out
         mid = (0.5 * (p[:-1] + p[1:])).transpose(0, 2, 1)
-        out = push_out(mid, boxes, CONTACT_GAP, rm)
+        out = _numpy_push_out(mid, boxes, CONTACT_GAP, rm)
         if out is not mid:
             delta = (out - mid).transpose(0, 2, 1)
             p[:-1] += delta * share0
@@ -188,12 +197,13 @@ def _numpy_sweep(self, pos: np.ndarray, boxes: np.ndarray, invm: np.ndarray,
             if not idx.size:
                 break
     pos[idx] = p.transpose(2, 0, 1)
-    pos[:, free] = push_out(pos[:, free], boxes, CONTACT_GAP, ref[:, free])
+    pos[:, free] = _numpy_push_out(pos[:, free], boxes, CONTACT_GAP,
+                                   ref[:, free])
     return pos, idx.size
 
 
 # The point slide and the env moves as they stood before the C kernel,
-# kept verbatim as the exactness oracle for slide_move, PegEnv._move,
+# kept verbatim as the exactness oracle for envs._slide, PegEnv._move,
 # PegEnv.rollout and the cable grippers of CableEnv._move.
 def _axis_slide(pos: np.ndarray, delta: np.ndarray, axis: int,
                 boxes: np.ndarray, lo, hi, gap: float) -> np.ndarray:
@@ -238,7 +248,10 @@ def _numpy_peg_move(self, states: np.ndarray, u: np.ndarray, boxes: np.ndarray) 
     return new[:, None, :]
 
 
-def _numpy_cable_move(self, states: np.ndarray, u: np.ndarray, boxes: np.ndarray) -> np.ndarray:
+def _numpy_cable_move(self, states: np.ndarray, u: np.ndarray, boxes: np.ndarray,
+                      pushed=None) -> np.ndarray:
+    """With a list `pushed`, appends whether the span clamp's push-out
+    moved a point."""
     states = np.ascontiguousarray(states, dtype=float)
     u = np.clip(np.atleast_2d(u), -self.u_max, self.u_max)
     chain = states.copy()
@@ -253,8 +266,11 @@ def _numpy_cable_move(self, states: np.ndarray, u: np.ndarray, boxes: np.ndarray
         if over.any():
             mid = 0.5 * (targets[0] + targets[1])
             scale = np.where(over, self._span_max / np.maximum(span, 1e-12), 1.0)
-            targets = [push_out(mid + (t - mid) * scale[:, None], boxes,
-                                CONTACT_GAP) for t in targets]
+            drawn = [mid + (t - mid) * scale[:, None] for t in targets]
+            targets = [_reference_push_out(t, boxes, CONTACT_GAP) for t in drawn]
+            if pushed is not None:
+                pushed.append(not all(np.array_equal(t, d, equal_nan=True)
+                                      for t, d in zip(targets, drawn)))
     for j, g in enumerate(self.gripped):
         chain[:, g, :] = targets[j]
     return self._relax(chain, boxes, ref=states)
@@ -304,6 +320,22 @@ def _slide_case(draw, gaps=(CONTACT_GAP, 0.0, 0.004)):
     u = np.array([[control(pos[i, 0]), control(pos[i, 1])]
                   for i in range(rows)])
     return pos, u, boxes, lo, hi, gap
+
+
+def _slide_move(pos, u, boxes, lo, hi, gap=CONTACT_GAP) -> np.ndarray:
+    """envs._slide of a copy of the points pos (m, 2) within lo-hi."""
+    pts = np.array(np.atleast_2d(pos), dtype=float, order="C")
+    boxes = np.ascontiguousarray(boxes, dtype=float).reshape(len(boxes), 4)
+    return envs._slide(pts, u, boxes, envs._limits(lo, hi, gap), gap)
+
+
+def _kernel_push_out(pts, boxes, gap) -> np.ndarray:
+    """obsurf_push_out of a copy of the points pts (m, 2)."""
+    out = np.array(pts, dtype=float, order="C")
+    clib.kernels().obsurf_push_out(
+        clib.addr(out), len(out), clib.arg("boxes", boxes, (len(boxes), 4)),
+        len(boxes), gap)
+    return out
 
 
 def _same_bytes(a, b) -> bool:
@@ -592,7 +624,7 @@ class TestSlideOracle:
         pos, u, boxes, lo, hi, gap = case
         with np.errstate(invalid="ignore"):
             want = _numpy_slide_move(pos, u, boxes, lo, hi, gap)
-        assert _same_bytes(slide_move(pos, u, boxes, lo, hi, gap), want)
+        assert _same_bytes(_slide_move(pos, u, boxes, lo, hi, gap), want)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(case=_slide_case(gaps=(CONTACT_GAP,)),
@@ -623,22 +655,36 @@ class TestSlideOracle:
                                                      cand[:, t], env._obs)
             assert _same_bytes(env.rollout(x0[None], cand), want)
 
-    @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 6),
-           links=st.integers(3, 8), n_boxes=st.integers(0, 3),
-           one_row=st.booleans(), special=st.booleans())
-    def test_cable_grippers_match_numpy(self, seed, batch, links, n_boxes,
-                                        one_row, special):
-        env, pos, boxes, _, _ = _sweep_case(seed, batch, links, n_boxes,
-                                            pinned=True)
-        rng = np.random.default_rng(seed)
-        u = rng.uniform(-0.05, 0.05, (1 if one_row else batch, 4))
-        if special:
-            u[rng.integers(len(u)), rng.integers(4)] = rng.choice(_SPECIAL)
-        with np.errstate(invalid="ignore"):
-            want = _numpy_cable_move(env, pos, u, boxes)
-            got = env._move(pos, u, boxes)
-        assert _same_bytes(got, want)
+    def test_cable_grippers_match_numpy(self):
+        pushed = []
+
+        @settings(max_examples=150, deadline=None, derandomize=True)
+        @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 6),
+               links=st.integers(3, 8), n_boxes=st.integers(0, 3),
+               one_row=st.booleans(), special=st.booleans(),
+               pull=st.booleans())
+        def check(seed, batch, links, n_boxes, one_row, special, pull):
+            env, pos, boxes, _, _ = _sweep_case(seed, batch, links, n_boxes,
+                                                pinned=True)
+            rng = np.random.default_rng(seed)
+            u = rng.uniform(-0.05, 0.05, (1 if one_row else batch, 4))
+            if pull:
+                # straight chains at rest length, near a box, their
+                # grippers pulled apart past the span limit
+                way = pos[:, -1] - pos[:, 0]
+                way /= np.linalg.norm(way, axis=1, keepdims=True)
+                pos = pos[:, :1] + env.rest * np.arange(links)[:, None] * way[:, None]
+                u = 0.05 * np.hstack([-way, way])
+            if special:
+                u[rng.integers(len(u)), rng.integers(4)] = rng.choice(_SPECIAL)
+            with np.errstate(invalid="ignore"):
+                want = _numpy_cable_move(env, pos, u, boxes, pushed)
+                got = env._move(pos, u, boxes)
+            assert _same_bytes(got, want)
+
+        check()
+        # some drawn-back grippers landed in a box and were pushed out
+        assert any(pushed)
 
     def test_cable_span_limit_matches_numpy(self):
         # Grippers pulled apart past the span limit are drawn back toward
@@ -658,12 +704,13 @@ class TestSlideOracle:
                                _numpy_cable_move(env, states, u, rows))
 
     def test_bad_shapes_rejected(self):
-        with pytest.raises(ValueError, match="slide_move"):
-            slide_move(np.zeros((2, 3)), np.zeros(2), np.zeros((0, 4)),
-                       (0.0, 0.0), (1.0, 1.0))
-        with pytest.raises(ValueError):
-            slide_move(np.zeros((2, 2)), np.zeros(2), np.zeros((1, 5)),
-                       (0.0, 0.0), (1.0, 1.0))
+        lim = envs._limits((0.0, 0.0), (1.0, 1.0), CONTACT_GAP)
+        with pytest.raises(ValueError, match="slide: points"):
+            envs._slide(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((0, 4)),
+                        lim, CONTACT_GAP)
+        with pytest.raises(ValueError, match="slide: boxes"):
+            envs._slide(np.zeros((2, 2)), np.zeros(2), np.zeros((1, 5)), lim,
+                        CONTACT_GAP)
         with pytest.raises(ValueError, match="rollout"):
             make_scene("peg_u").env.rollout(np.zeros((1, 2)),
                                             np.zeros((3, 4, 4)))
@@ -694,13 +741,26 @@ class TestPushOutProperty:
             k %= len(boxes)
             return lo[k] + np.array([s, t]) * (hi[k] - lo[k])
 
+        # The exit on the reference's side is the relaxation's, checked
+        # by TestSweepOracle; here the nearest face wins.
         p = np.array([place(a) for a, _ in pts])
-        ref = np.array([place(b) for _, b in pts])
-        for r in (None, ref):
-            out = push_out(p, boxes, gap, r)
-            inside = np.all((out[:, None] > lo) & (out[:, None] < hi), axis=2)
-            assert not inside.any()
-            assert np.array_equal(out, _reference_push_out(p, boxes, gap, r))
+        out = _kernel_push_out(p, boxes, gap)
+        inside = np.all((out[:, None] > lo) & (out[:, None] < hi), axis=2)
+        assert not inside.any()
+        assert _same_bytes(out, _reference_push_out(p, boxes, gap))
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(case=_slide_case())
+    # equally deep behind an x and a y face: the first face in -x, +x,
+    # -y, +y order wins
+    @example(case=(np.array([[0.12, 0.12], [0.15, 0.15], [0.18, 0.12]]),
+                   None, np.array([[0.1, 0.1, 0.2, 0.2]]), None, None, 1e-3))
+    def test_matches_reference(self, case):
+        # NaN, +-inf and +-0 coordinates, points on faces, gap 0, and
+        # sheet-thin or overlapping boxes
+        pos, _, boxes, _, _, gap = case
+        assert _same_bytes(_kernel_push_out(pos, boxes, gap),
+                           _reference_push_out(pos, boxes, gap))
 
 
 class TestSlideMove:
@@ -710,36 +770,36 @@ class TestSlideMove:
         return self.world.rows(observable_only=False)
 
     def test_free_translation(self):
-        p = slide_move(np.array([[0.1, 0.2]]), np.array([[0.05, 0.0]]),
-                       self.rows(), (0.0, 0.0), (0.4, 0.4))
+        p = _slide_move(np.array([[0.1, 0.2]]), np.array([[0.05, 0.0]]),
+                        self.rows(), (0.0, 0.0), (0.4, 0.4))
         np.testing.assert_allclose(p, [[0.15, 0.2]])
 
     def test_stops_at_wall(self):
-        p = slide_move(np.array([[0.1, 0.2]]), np.array([[0.3, 0.0]]),
-                       self.rows(), (0.0, 0.0), (0.4, 0.4))
+        p = _slide_move(np.array([[0.1, 0.2]]), np.array([[0.3, 0.0]]),
+                        self.rows(), (0.0, 0.0), (0.4, 0.4))
         assert p[0, 0] == pytest.approx(0.2 - CONTACT_GAP)
 
     def test_diagonal_keeps_lateral(self):
-        p = slide_move(np.array([[0.15, 0.2]]), np.array([[0.2, 0.05]]),
-                       self.rows(), (0.0, 0.0), (0.4, 0.4))
+        p = _slide_move(np.array([[0.15, 0.2]]), np.array([[0.2, 0.05]]),
+                        self.rows(), (0.0, 0.0), (0.4, 0.4))
         assert p[0, 0] == pytest.approx(0.2 - CONTACT_GAP)
         assert p[0, 1] == pytest.approx(0.25)
 
     def test_workspace_containment(self):
-        p = slide_move(np.array([[0.39, 0.39]]), np.array([[0.1, 0.1]]),
-                       self.rows(), (0.0, 0.0), (0.4, 0.4))
+        p = _slide_move(np.array([[0.39, 0.39]]), np.array([[0.1, 0.1]]),
+                        self.rows(), (0.0, 0.0), (0.4, 0.4))
         assert np.all(p <= 0.4 - CONTACT_GAP)
 
     def test_no_tunneling_through_thin_box(self):
         thin = simple_world([Box((0.2, 0.0), (0.205, 0.4))])
-        p = slide_move(np.array([[0.1, 0.2]]), np.array([[0.3, 0.0]]),
-                       thin.rows(False), (0.0, 0.0), (0.4, 0.4))
+        p = _slide_move(np.array([[0.1, 0.2]]), np.array([[0.3, 0.0]]),
+                        thin.rows(False), (0.0, 0.0), (0.4, 0.4))
         assert p[0, 0] == pytest.approx(0.2 - CONTACT_GAP)
 
     def test_resting_contact_slides_along_face(self):
         x = 0.2 - CONTACT_GAP
-        p = slide_move(np.array([[x, 0.2]]), np.array([[0.05, 0.05]]),
-                       self.rows(), (0.0, 0.0), (0.4, 0.4))
+        p = _slide_move(np.array([[x, 0.2]]), np.array([[0.05, 0.05]]),
+                        self.rows(), (0.0, 0.0), (0.4, 0.4))
         assert p[0, 0] == pytest.approx(x)
         assert p[0, 1] == pytest.approx(0.25)
 
@@ -911,7 +971,7 @@ class TestObservedSurface:
         pts = np.array([[0.15, 0.15], [0.32, 0.32], [0.05, 0.05]])
         mean = surf.predict_mean(pts)
         np.testing.assert_array_equal(mean, [-1.0, 1.0, 1.0])
-        _, var = surf.predict_many(pts)
+        _, var = surf.predict_split(pts, slice(None))
         assert (var == 0).all() and var.shape == (3,)
         _, var = surf.predict_split(pts, slice(1, None, 2))
         assert (var == 0).all() and var.shape == (1,)
@@ -1031,10 +1091,15 @@ start 0.1 0.1
         (CABLE + "rest -0.1", r"line 3 .*must be positive"),
         (CABLE, r"rest exactly when start has 2\+ points"),
         (PEG + "rest 0.03", r"rest exactly when start has 2\+ points"),
+        (PEG + "camera 0 0 0 0 300", r"line 3 'camera 0 0 0 0 300': .*fov 0"),
+        (PEG + "camera 0 0 0 4.0 300", r"line 3 .*0 < fov < pi.*fov 4"),
+        (PEG + "camera 0 0 0 1 0", r"line 3 .*positive whole width.*width 0"),
+        (PEG + "camera 0 0 0 1 1.5", r"line 3 .*whole width.*width 1.5"),
     ], ids=["box-count", "goal-count", "camera-count", "start-odd",
             "box-inverted", "box-flat", "bounds-inverted", "box-not-number",
             "goal-radius-zero", "rest-zero", "rest-negative", "cable-no-rest",
-            "peg-with-rest"])
+            "peg-with-rest", "camera-fov-zero", "camera-fov-past-pi",
+            "camera-width-zero", "camera-width-fraction"])
     def test_malformed_rejected(self, text, match):
         with pytest.raises(ValueError, match=match):
             parse_scene(text)

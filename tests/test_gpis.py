@@ -7,12 +7,18 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from obsurf.contact import DatasetPair, LabelBatch
-from obsurf.gp import KernelParams
+from obsurf.gp import KernelParams, PosteriorStats
 from obsurf.gpis import Gpis, GridSpec, OccupancyGrid, inv_norm_cdf, lcb, \
     norm_cdf
 
 
 TIGHT = KernelParams(lengthscale=0.05, outputscale=1.0, noise=1e-8)
+
+
+def _at(g: Gpis, x) -> PosteriorStats:
+    """The surface's mean and variance at the one point x."""
+    mean, var = g.predict_many(np.atleast_2d(x))
+    return PosteriorStats(float(mean[0]), float(var[0]))
 
 
 class TestInvNormCdf:
@@ -52,13 +58,13 @@ class TestSeeding:
 
     def test_goal_predicts_exterior(self):
         g = self.seeded(np.array([[0.1, 0.2]]))
-        assert g.predict(np.array([0.1, 0.2])).mean > 0.9
+        assert _at(g, np.array([0.1, 0.2])).mean > 0.9
 
 
 class TestPredict:
     def test_prior_without_data(self):
         g = Gpis(params=KernelParams(0.1, 1.3, 1e-4))
-        st = g.predict(np.array([0.2, 0.2]))
+        st = _at(g, np.array([0.2, 0.2]))
         assert st.mean == 0.0
         assert st.variance == pytest.approx(1.3)
 
@@ -69,21 +75,21 @@ class TestPredict:
                     free_space=lambda q: np.ones(len(q), dtype=bool))
         raw = Gpis(pts, labels, TIGHT)
         q = np.array([0.1, 0.1])
-        assert raw.predict(q).mean < 0
-        st = seen.predict(q)
+        assert _at(raw, q).mean < 0
+        st = _at(seen, q)
         assert st.mean == 1.0
-        assert st.variance == pytest.approx(raw.predict(q).variance)
+        assert st.variance == pytest.approx(_at(raw, q).variance)
 
     def test_no_override_when_not_visible(self):
         pts = np.array([[0.1, 0.1]])
         g = Gpis(pts, np.array([-1.0]), TIGHT,
                  free_space=lambda q: np.zeros(len(q), dtype=bool))
-        assert g.predict(np.array([0.1, 0.1])).mean < 0
+        assert _at(g, np.array([0.1, 0.1])).mean < 0
 
     def test_sign_semantics(self):
         g = Gpis(np.array([[0.0, 0.0], [0.5, 0.5]]), np.array([-1.0, 1.0]), TIGHT)
-        assert g.predict(np.array([0.0, 0.0])).mean < 0
-        assert g.predict(np.array([0.5, 0.5])).mean > 0
+        assert _at(g, np.array([0.0, 0.0])).mean < 0
+        assert _at(g, np.array([0.5, 0.5])).mean > 0
 
     def test_override_never_alters_variance(self):
         rng = np.random.default_rng(0)
@@ -112,26 +118,26 @@ class TestPredict:
 class TestLcb:
     def test_half_quantile_is_mean(self):
         g = Gpis(np.array([[0.2, 0.2]]), np.array([0.4]), TIGHT)
-        st = g.predict(np.array([0.3, 0.3]))
+        st = _at(g, np.array([0.3, 0.3]))
         assert lcb(st.mean, st.variance, 0.5) == pytest.approx(st.mean)
 
     def test_derived_quantile_value(self):
         # without data the posterior is the prior: mean 0, variance 1
         g = Gpis(params=KernelParams(1.0, 1.0, 1e-8))
-        st = g.predict(np.array([0.0, 0.0]))
+        st = _at(g, np.array([0.0, 0.0]))
         want = 0.0 + scipy.stats.norm.ppf(0.4) * 1.0
         assert lcb(st.mean, st.variance, 0.4) == pytest.approx(want, abs=1e-9)
 
     def test_zero_variance_returns_mean(self):
         g = Gpis(np.array([[0.0, 0.0]]), np.array([0.7]),
                  KernelParams(1.0, 1.0, 0.0))
-        st = g.predict(np.array([0.0, 0.0]))
+        st = _at(g, np.array([0.0, 0.0]))
         for z in (0.1, 0.4, 0.9):
             assert lcb(st.mean, st.variance, z) == pytest.approx(0.7, abs=1e-5)
 
     def test_monotone_in_zeta(self):
         g = Gpis(params=KernelParams())
-        st = g.predict(np.array([0.5, 0.5]))
+        st = _at(g, np.array([0.5, 0.5]))
         vals = [lcb(st.mean, st.variance, z) for z in (0.1, 0.3, 0.5, 0.7, 0.9)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
@@ -266,14 +272,14 @@ class TestSurfaceReuse:
         dp = DatasetPair.seeded(np.array([[0.3, 0.3]]))
         dp = dp.update(_observed(0.2), x, x, False)
         g = Gpis(dp.bar_points, dp.bar_labels, TIGHT)
-        before = g.predict(x[0]).mean
+        before = _at(g, x[0]).mean
         relabeled = dp.update(_observed(1.0), x, x, False)
         assert relabeled.bar_size == dp.bar_size
         h = g.with_active(relabeled.bar_points, relabeled.bar_labels)
         assert h is not g
         assert np.array_equal(h.labels, relabeled.bar_labels)
         assert before == pytest.approx(0.2, abs=1e-4)
-        assert h.predict(x[0]).mean == pytest.approx(1.0, abs=1e-4)
+        assert _at(h, x[0]).mean == pytest.approx(1.0, abs=1e-4)
 
     def test_cached_grid_equals_fresh(self):
         pts, labels = self._pair()
@@ -323,6 +329,7 @@ class TestGridText:
 
     def test_header_fields(self):
         grid = OccupancyGrid((0.0, 0.5), 0.25, np.zeros((2, 2), dtype=bool))
+        assert grid.to_text() == "2 0.25 0.0 0.5 2 2\n00\n00\n"
         head = grid.to_text().splitlines()[0].split()
         assert head[0] == "2"
         assert float(head[1]) == 0.25

@@ -131,7 +131,7 @@ def two_query_surface_costs(states, surface, component):
     mean = surface.predict_mean(pts)
     collision = (mean <= 0.0).reshape(k, -1).sum(axis=1).astype(float)
     sel = states[:, 1:, component, :].reshape(-1, d)
-    _, var = surface.predict_many(sel)
+    _, var = surface.predict_split(sel, slice(None))
     exploration = -var.reshape(k, -1).sum(axis=1)
     return collision, exploration
 
