@@ -42,7 +42,7 @@ def _apply_sets(cfg: EpisodeConfig, pairs) -> EpisodeConfig:
         name = _ALIASES.get(key, key)
         if name not in fields:
             raise ValueError(f"unknown parameter '{key}'")
-        updates[name] = _parse_value(fields[name].type, val)
+        updates[name] = _parse_value(name, fields[name].type, val)
     return dataclasses.replace(cfg, **updates)
 
 

@@ -1,11 +1,11 @@
 """The package's C kernels, built on first use and loaded with ctypes.
 
 Every `*.c` file beside this module is compiled into one shared
-library: the dynamics kernels of sweep.c (`envs`) and the subset
-Cholesky of cholesky.c (`gp`). The first call of `kernels()` in a
-process builds it, unless a per-user cache ($XDG_CACHE_HOME/obsurf,
-else ~/.cache/obsurf) holds a build of the same sources, flags and
-machine.
+library: the dynamics kernels of sweep.c (`envs`), and the Matern
+kernel block of matern.c and the subset Cholesky of cholesky.c (`gp`).
+The first call of `kernels()` in a process builds it, unless a per-user
+cache ($XDG_CACHE_HOME/obsurf, else ~/.cache/obsurf) holds a build of
+the same sources, flags and machine.
 """
 
 from __future__ import annotations
@@ -39,6 +39,9 @@ _KERNELS = {
     "obsurf_push_out": (None, [_ptr, _long, _ptr, _long, _dbl]),
     "obsurf_cholesky": (_long, [_ptr, _long, _ptr, _ptr, _long, _ptr, _long,
                                 _ptr, _ptr, _ptr, _ptr]),
+    "obsurf_matern_s": (None, [_ptr, _long, _ptr, _long, _long, _dbl, _ptr,
+                               _ptr]),
+    "obsurf_matern_k": (None, [_ptr, _ptr, _long, _dbl, _ptr]),
 }
 
 

@@ -365,7 +365,7 @@ def make_scene(name: str) -> Scene:
 def parse_scene(text: str, name: str = "custom") -> Scene:
     """Build a task from text: one directive per line, `#` comments.
     Directives: `bounds x0 y0 x1 y1` (default 0 0 1 1), `box x0 y0 x1 y1
-    observable`, `goal x y radius`, `start x y [x y ...]`, `rest length`
+    observable` (0 or 1), `goal x y radius`, `start x y [x y ...]`, `rest length`
     and `camera x y yaw fov width`. A one-point start builds a peg task; a
     longer one a cable gripped at both ends, which needs `rest`.
     Malformed input raises ValueError naming the line."""
@@ -391,8 +391,10 @@ def parse_scene(text: str, name: str = "custom") -> Scene:
             if kind in ("goal", "rest") and not vals[-1] > 0.0:
                 raise ValueError("goal radius and rest must be positive")
             if kind == "box":
+                if vals[4] not in (0.0, 1.0):
+                    raise ValueError(f"observable must be 0 or 1, not {tok[4]}")
                 boxes.append(Box((vals[0], vals[1]), (vals[2], vals[3]),
-                                 observable=bool(int(vals[4]))))
+                                 observable=vals[4] == 1.0))
             elif kind == "bounds":
                 bounds = ((vals[0], vals[1]), (vals[2], vals[3]))
             elif kind == "goal":

@@ -3,9 +3,12 @@
 Zero-mean GP, dense Cholesky inference, and marginal-likelihood
 hyperparameter fitting in log space. Dataset sizes in this project are
 O(10^2), so everything is exact; no sparse approximations. Every
-Cholesky factorization, with its jitter ladder, is one call of the C
-kernel in cholesky.c (`factor_subsets`), for one training set or for a
-stack of subsets of one.
+Matern block, for a cross-covariance, a Gram or the kernel fit, comes
+from the two C passes of matern.c around numpy's exp (`kernel_matrix`);
+`matern32` is the same formula on given distances. Every Cholesky
+factorization, with its jitter ladder, is one call of the C kernel in
+cholesky.c (`factor_subsets`), for one training set or for a stack of
+subsets of one.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
-from scipy.spatial.distance import cdist
 
 from . import clib
 
@@ -88,11 +90,33 @@ def matern32(r, params: KernelParams):
     return s if s.ndim else float(s)
 
 
+def _matern(a, b, params: KernelParams, parts: bool):
+    """The Matern-3/2 block between the rows of a and b, from the two
+    passes of matern.c around numpy's exp: s = sqrt(3) |a_i - b_j| / l,
+    e = exp(-s) and k = outputscale * (1 + s) * e, bit for bit as
+    matern32 gives them from scipy's pairwise Euclidean distances.
+    Returns k alone, written over s, unless parts asks for (s, e, k)."""
+    a = np.atleast_2d(np.ascontiguousarray(a, dtype=float))
+    b = np.atleast_2d(np.ascontiguousarray(b, dtype=float))
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise ValueError(f"kernel_matrix needs two 2-D arrays with the same "
+                         f"number of columns, not {a.shape} and {b.shape}")
+    q, m = len(a), len(b)
+    s, e = np.empty((q, m)), np.empty((q, m))
+    lib = clib.kernels()
+    lib.obsurf_matern_s(clib.addr(a), q, clib.addr(b), m, a.shape[1],
+                        params.lengthscale, clib.addr(s), clib.addr(e))
+    np.exp(e, out=e)
+    k = np.empty((q, m)) if parts else s
+    lib.obsurf_matern_k(clib.addr(s), clib.addr(e), q * m, params.outputscale,
+                        clib.addr(k))
+    return (s, e, k) if parts else k
+
+
 def kernel_matrix(a: np.ndarray, b: np.ndarray, params: KernelParams) -> np.ndarray:
-    """Cross-covariance matrix k(a_i, b_j) without any noise term."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    return matern32(cdist(a, b), params)
+    """Cross-covariance matrix k(a_i, b_j) without any noise term.
+    Raises ValueError unless a and b have the same number of columns."""
+    return _matern(a, b, params, False)
 
 
 def noisy_gram(points: np.ndarray, params: KernelParams) -> np.ndarray:
@@ -304,9 +328,7 @@ def log_marginal_likelihood(
     m = x.shape[0]
     if m == 0:
         raise ValueError("log_marginal_likelihood requires non-empty training data")
-    s = SQRT3 * cdist(x, x) / params.lengthscale
-    e = np.exp(-s)
-    k = params.outputscale * (1.0 + s) * e
+    s, e, k = _matern(x, x, params, True)
     cho, alpha = _factor(k + params.noise * np.eye(m), y)
     logdet = 2.0 * np.sum(np.log(np.diag(cho)))
     value = -0.5 * (y @ alpha) - 0.5 * logdet - 0.5 * m * LOG_2PI

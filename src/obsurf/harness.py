@@ -90,8 +90,12 @@ class EpisodeConfig:
         return cls(scene=scene, seed=seed, **{**base, **overrides})
 
 
-def _parse_value(typename: str, val: str):
+def _parse_value(name: str, typename: str, val: str):
+    """The value of --set name=val for a field of type typename. An
+    empty value is None, which only an Optional field takes."""
     if val == "":
+        if "Optional" not in typename:
+            raise ValueError(f"parameter '{name}' needs a value")
         return None
     if "bool" in typename:
         return val.lower() in ("1", "true", "yes", "on")

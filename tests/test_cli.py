@@ -3,7 +3,8 @@ import json
 import pytest
 
 from obsurf import envs
-from obsurf.cli import main
+from obsurf.cli import _apply_sets, main
+from obsurf.harness import EpisodeConfig
 
 
 FREE_SCENE = """bounds 0.0 0.0 0.4 0.4
@@ -43,6 +44,19 @@ def test_bad_parameter_exit_two(scene_file, capsys):
                      "--set", pair])
         assert code == 2
         assert "unknown parameter" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pair, field", [
+    ("t_m=", "t_m"), ("samples=", "samples"), ("T=", "horizon"),
+    ("vision=", "vision")])
+def test_empty_value_exit_two(scene_file, capsys, pair, field):
+    # Only an Optional field takes an empty value, as None.
+    code = main(["run", "--scene", "free", "--scene-file", scene_file,
+                 "--set", pair])
+    assert code == 2
+    assert f"parameter '{field}' needs a value" in capsys.readouterr().err
+    cfg = EpisodeConfig(scene_file=scene_file)
+    assert _apply_sets(cfg, ["scene_file="]).scene_file is None
 
 
 @pytest.mark.parametrize("name, stock, want", [

@@ -686,22 +686,38 @@ class TestSlideOracle:
         # some drawn-back grippers landed in a box and were pushed out
         assert any(pushed)
 
-    def test_cable_span_limit_matches_numpy(self):
+    def test_cable_span_limit_matches_numpy(self, monkeypatch):
         # Grippers pulled apart past the span limit are drawn back toward
-        # their midpoint, and one lands inside a box and is pushed out.
+        # their midpoint. In the second chain the right one is drawn back
+        # from (0.37, 0.24) to (0.348, 0.242), inside the second box,
+        # which its slide passed by, and is pushed out.
         links, rest = 6, 0.03
         chain = np.stack([0.2 + rest * np.arange(links),
                           np.full(links, 0.2)], axis=1)
-        world = WorldGeometry((Box((0.355, 0.195), (0.4, 0.205)),),
+        world = WorldGeometry((Box((0.355, 0.195), (0.4, 0.205)),
+                               Box((0.34, 0.236), (0.352, 0.246))),
                               (0.0, 0.0), (0.6, 0.5))
         env = CableEnv(world, chain, rest=rest, gripped=(0, links - 1),
                        u_max=0.02)
+        # The relaxation would push a gripper out of the box anyway, so
+        # the clamp's own targets are compared as the relaxation gets them.
+        relaxed = []
+        relax = env._relax
+
+        def recorded(chain, boxes, ref):
+            relaxed.append(chain.copy())
+            return relax(chain, boxes, ref=ref)
+
+        monkeypatch.setattr(env, "_relax", recorded)
         states = np.stack([chain, chain + [0.0, 0.05]])
         u = np.array([[-0.02, 0.0, 0.02, 0.0], [-0.02, 0.01, 0.02, -0.01]])
         assert 0.15 + 0.04 > env._span_max
+        pushed = []
         for rows in (env._all, np.zeros((0, 4))):
             assert _same_bytes(env._move(states, u, rows),
-                               _numpy_cable_move(env, states, u, rows))
+                               _numpy_cable_move(env, states, u, rows, pushed))
+            assert _same_bytes(*relaxed[-2:])
+        assert pushed == [True, False]
 
     def test_bad_shapes_rejected(self):
         lim = envs._limits((0.0, 0.0), (1.0, 1.0), CONTACT_GAP)
@@ -1095,11 +1111,16 @@ start 0.1 0.1
         (PEG + "camera 0 0 0 4.0 300", r"line 3 .*0 < fov < pi.*fov 4"),
         (PEG + "camera 0 0 0 1 0", r"line 3 .*positive whole width.*width 0"),
         (PEG + "camera 0 0 0 1 1.5", r"line 3 .*whole width.*width 1.5"),
+        (PEG + "box 0.2 0.2 0.3 0.3 inf",
+         r"line 3 'box 0.2 0.2 0.3 0.3 inf': observable must be 0 or 1"),
+        (PEG + "box 0.2 0.2 0.3 0.3 0.5", r"line 3 .*must be 0 or 1, not 0.5"),
+        (PEG + "box 0.2 0.2 0.3 0.3 2", r"line 3 .*must be 0 or 1, not 2"),
     ], ids=["box-count", "goal-count", "camera-count", "start-odd",
             "box-inverted", "box-flat", "bounds-inverted", "box-not-number",
             "goal-radius-zero", "rest-zero", "rest-negative", "cable-no-rest",
             "peg-with-rest", "camera-fov-zero", "camera-fov-past-pi",
-            "camera-width-zero", "camera-width-fraction"])
+            "camera-width-zero", "camera-width-fraction",
+            "box-observable-inf", "box-observable-half", "box-observable-two"])
     def test_malformed_rejected(self, text, match):
         with pytest.raises(ValueError, match=match):
             parse_scene(text)

@@ -1,10 +1,16 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial.distance import cdist
 
+import obsurf
 from obsurf import gp
 from obsurf.gp import KernelParams, fit_hyperparams, gp_posterior, \
     log_marginal_likelihood, matern32
@@ -119,6 +125,114 @@ class TestMatern:
         with pytest.raises(ValueError):
             KernelParams(noise=-1e-9)
         assert KernelParams.nu == 1.5
+
+
+def _parent_noisy_gram(points, params):
+    """noisy_gram as it was built from scipy's cdist, the exactness
+    oracle for the compiled kernel block."""
+    ky = matern32(cdist(points, points), params)
+    diag = np.arange(ky.shape[0])
+    ky[diag, diag] += params.noise
+    return ky
+
+
+def _parent_lml(points, labels, params):
+    """log_marginal_likelihood with its own cdist and Matern formula, as
+    it was before it shared the kernel block: the exactness oracle."""
+    x = np.atleast_2d(np.asarray(points, dtype=float))
+    y = np.asarray(labels, dtype=float).ravel()
+    m = x.shape[0]
+    s = gp.SQRT3 * cdist(x, x) / params.lengthscale
+    e = np.exp(-s)
+    k = params.outputscale * (1.0 + s) * e
+    cho, alpha = gp._factor(k + params.noise * np.eye(m), y)
+    logdet = 2.0 * np.sum(np.log(np.diag(cho)))
+    value = -0.5 * (y @ alpha) - 0.5 * logdet - 0.5 * m * gp.LOG_2PI
+    w = np.outer(alpha, alpha) - gp._cho_solve(cho, np.eye(m))
+    dk_dlog_l = params.outputscale * s * s * e
+    return float(value), np.array([0.5 * np.sum(w * dk_dlog_l),
+                                   0.5 * np.sum(w * k),
+                                   0.5 * params.noise * np.trace(w)])
+
+
+class TestKernelBlock:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4),
+           q=st.integers(0, 300), m=st.integers(0, 300),
+           scale=st.floats(1e-3, 10.0), lengthscale=st.floats(1e-3, 10.0),
+           outputscale=st.floats(0.1, 10.0),
+           special=st.sampled_from([None, None, np.nan, np.inf, -np.inf]))
+    def test_equals_matern_of_cdist(self, seed, d, q, m, scale, lengthscale,
+                                    outputscale, special):
+        rng = np.random.default_rng(seed)
+        p = KernelParams(lengthscale, outputscale, 1e-4)
+        a = rng.uniform(-scale, scale, (q, d))
+        b = rng.uniform(-scale, scale, (m, d))
+        if q and m:  # coincident rows: zero distances
+            a[rng.random(q) < 0.2] = b[rng.integers(m)]
+        if special is not None and q:
+            a.flat[rng.integers(a.size, size=3)] = special
+        before = a.copy(), b.copy()
+        got = gp.kernel_matrix(a, b, p)
+        assert got.shape == (q, m) and got.flags.c_contiguous
+        with np.errstate(invalid="ignore"):  # inf * 0 where a is infinite
+            want = matern32(cdist(a, b), p)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(a, before[0], equal_nan=True)
+        assert np.array_equal(b, before[1])
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4),
+           m=st.integers(1, 40), scale=st.floats(1e-3, 10.0),
+           lengthscale=st.floats(1e-3, 10.0), outputscale=st.floats(0.1, 10.0),
+           noise=st.sampled_from([0.0, 1e-6, 1e-4, 1e-2]))
+    def test_gram_and_fit_equal_parent_formula(self, seed, d, m, scale,
+                                               lengthscale, outputscale, noise):
+        rng = np.random.default_rng(seed)
+        p = KernelParams(lengthscale, outputscale, noise)
+        x = rng.uniform(-scale, scale, (m, d))
+        x[rng.random(m) < 0.2] = x[0]  # coincident rows
+        y = rng.uniform(-1.0, 1.0, m)
+        assert np.array_equal(gp.noisy_gram(x, p), _parent_noisy_gram(x, p))
+        try:
+            want = _parent_lml(x, y, p)
+        except gp.SolverError:
+            with pytest.raises(gp.SolverError):
+                log_marginal_likelihood(x, y, p)
+            return
+        value, grad = log_marginal_likelihood(x, y, p)
+        assert value == want[0] or np.isnan(value) and np.isnan(want[0])
+        assert np.array_equal(grad, want[1], equal_nan=True)
+
+    def test_inputs_converted_and_checked(self):
+        rng = np.random.default_rng(3)
+        p = KernelParams(0.2, 1.5, 0.0)
+        a = rng.uniform(0, 1, (9, 3))
+        b = rng.uniform(0, 1, (4, 3))
+        want = matern32(cdist(a, b), p)
+        # Fortran order, a strided view, a 1-D row and integers
+        assert np.array_equal(gp.kernel_matrix(np.asfortranarray(a), b, p), want)
+        wide = np.repeat(b, 2, axis=1)[:, ::2]
+        assert np.array_equal(gp.kernel_matrix(a, wide, p), want)
+        assert np.array_equal(gp.kernel_matrix(a[0], b, p), want[:1])
+        ints = np.arange(6).reshape(3, 2)
+        assert np.array_equal(gp.kernel_matrix(ints, ints, p),
+                              matern32(cdist(ints, ints), p))
+        for bad in (np.zeros((4, 2)), np.zeros((4, 4)), np.zeros((2, 4, 3))):
+            with pytest.raises(ValueError):
+                gp.kernel_matrix(a, bad, p)
+        with pytest.raises(ValueError):
+            log_marginal_likelihood(np.zeros((2, 2, 2)), np.zeros(2), p)
+
+    def test_cli_import_leaves_out_scipy_spatial(self):
+        src = str(Path(obsurf.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = ("import sys, obsurf.cli; sys.exit(sorted(m for m in "
+                "sys.modules if m.startswith('scipy.spatial')) or None)")
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
 
 
 class TestPosterior:
