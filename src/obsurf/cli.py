@@ -47,11 +47,17 @@ def _apply_sets(cfg: EpisodeConfig, pairs) -> EpisodeConfig:
 
 
 def _parse_seeds(spec: str) -> list:
-    if ".." in spec:
-        a, b = spec.split("..")
-        seeds = list(range(int(a), int(b) + 1))
-    else:
-        seeds = [int(s) for s in spec.split(",") if s != ""]
+    """The seeds of A..B (both ends kept) or A,B,C. Raises ValueError,
+    quoting the spec, unless that gives at least one integer seed."""
+    try:
+        if ".." in spec:
+            a, b = spec.split("..")
+            seeds = list(range(int(a), int(b) + 1))
+        else:
+            seeds = [int(s) for s in spec.split(",") if s != ""]
+    except ValueError:
+        raise ValueError(f"bad seed list '{spec}': want A..B or A,B,C "
+                         f"of integers") from None
     if not seeds:
         raise ValueError(f"empty seed list '{spec}'")
     return seeds

@@ -1,8 +1,9 @@
 """The package's C kernels, built on first use and loaded with ctypes.
 
 Every `*.c` file beside this module is compiled into one shared
-library: the dynamics kernels of sweep.c (`envs`), and the Matern
-kernel block of matern.c and the subset Cholesky of cholesky.c (`gp`).
+library: the dynamics kernels of sweep.c (`envs`), the Matern kernel
+block of matern.c and the subset Cholesky of cholesky.c (`gp`), and the
+free-space flood fill of reach.c (`constraints`).
 The first call of `kernels()` in a process builds it, unless a per-user
 cache ($XDG_CACHE_HOME/obsurf, else ~/.cache/obsurf) holds a build of
 the same sources, flags and machine.
@@ -42,6 +43,8 @@ _KERNELS = {
     "obsurf_matern_s": (None, [_ptr, _long, _ptr, _long, _long, _dbl, _ptr,
                                _ptr]),
     "obsurf_matern_k": (None, [_ptr, _ptr, _long, _dbl, _ptr]),
+    "obsurf_reach": (_long, [_ptr, _long, _long, _long, _long, _long, _ptr,
+                             _long, _ptr]),
 }
 
 

@@ -10,9 +10,10 @@ set is satisfied only when every member is.
 fixed active set for the refiner, a whole stack of them at once. Both
 read the same alphas and variances (`gp.factor_subsets`,
 `gp.GpSolve.posterior`), the same `gpis.lcb`, the same occupancy step
-(`GridSpec.occupied`) and the same labelling, so they give the same
-verdicts; grid means may differ in the last bits, because the
-refiner's come from one matrix product for the whole stack.
+(`GridSpec.occupied`) and the same compiled flood fill from the start
+cell (`obsurf_reach` in reach.c), so they give the same verdicts; grid
+means may differ in the last bits, because the refiner's come from one
+matrix product for the whole stack.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy import ndimage
 
+from . import clib
 from .gp import (GpSolve, KernelParams, factor_subsets, kernel_matrix,
                  noisy_gram)
 from .gpis import Gpis, GridSpec, OccupancyGrid, FREE_LABEL, lcb
@@ -75,26 +76,47 @@ class NoPenetration:
 ConstraintSpec = Union[PathExists, NoPenetration]
 
 
-def _label_free(occupied: np.ndarray) -> np.ndarray:
-    """Component ids of the free cells of a (U, *grid) stack of
-    occupancy grids (occupied cells get 0). The structure is zero
-    across the stack axis, so no component joins two grids."""
-    structure = np.ones((3,) * occupied.ndim, dtype=bool)
-    structure[0] = structure[2] = False
-    labels, _ = ndimage.label(~occupied, structure=structure)
-    return labels
-
-
 def connected_components(grid: OccupancyGrid) -> np.ndarray:
     """Label free cells by component id (occupied cells get 0).
 
     Free-space connectivity is 8-neighbor in 2-D and 26-neighbor in
-    3-D.
+    3-D, the rule `path_exists` judges by.
     """
+    from scipy import ndimage  # here only: `import obsurf` skips its ~45 ms
+
     cells = grid.cells
     if cells.size == 0:
         raise ValueError("empty grid")
-    return _label_free(cells[None])[0]
+    labels, _ = ndimage.label(~cells, structure=np.ones((3,) * cells.ndim))
+    return labels
+
+
+def _path_cells(spec: GridSpec, state_point: np.ndarray,
+                goals: np.ndarray) -> tuple:
+    """The flat C-order indices of the state point's cell and of every
+    goal's cell, as `_reach` takes them."""
+    goals = np.atleast_2d(np.asarray(goals, dtype=float))
+    flat = [np.ravel_multi_index(spec.cell_index(p), spec.shape)
+            for p in (state_point, *goals)]
+    return flat[0], np.array(flat[1:], dtype=np.int64)
+
+
+def _reach(occupied: np.ndarray, start: int, goals: np.ndarray) -> np.ndarray:
+    """Per grid of a (U, *grid) stack of occupied cells, each judged
+    alone: True when the start cell is free and every goal cell lies in
+    its free component (see `connected_components`). One call of
+    `obsurf_reach` judges the stack."""
+    shape = occupied.shape[1:]
+    if not 1 <= len(shape) <= 3:
+        raise ValueError(f"PathExists needs a 1-, 2- or 3-D grid, "
+                         f"not {len(shape)}-D")
+    occ = np.ascontiguousarray(occupied, dtype=bool)
+    ok = np.empty(len(occ), dtype=bool)
+    if clib.kernels().obsurf_reach(
+            clib.addr(occ), len(occ), *((1, 1) + shape)[-3:], start,
+            clib.addr(goals), len(goals), clib.addr(ok)) < 0:
+        raise MemoryError("obsurf_reach could not allocate its rows")
+    return ok
 
 
 def path_exists(gpis: Gpis, state_point: np.ndarray, goals: np.ndarray,
@@ -102,23 +124,11 @@ def path_exists(gpis: Gpis, state_point: np.ndarray, goals: np.ndarray,
     """True when the cells holding the state point and every goal share
     one free component. An occupied endpoint cell counts as violated,
     not as an error: the state sitting on the predicted surface is
-    exactly the situation refinement should fix. The components are
-    labelled once per surface and grid (`Gpis.grid_components`).
+    exactly the situation refinement should fix. The surface computes
+    its occupancy grid once per spec (`Gpis.occupancy_grid`).
     """
-    labels = gpis.grid_components(spec, connected_components)
-    goals = np.atleast_2d(np.asarray(goals, dtype=float))
-    return bool(_cells_connected(labels[None], spec.cell_index(state_point),
-                                 [spec.cell_index(g) for g in goals])[0])
-
-
-def _cells_connected(labels: np.ndarray, start: tuple, goals: list) -> np.ndarray:
-    """Per grid of a (U, *grid) stack of component ids: True when the
-    start cell is free and every goal cell lies in its component."""
-    first = labels[(slice(None),) + start]
-    ok = first != 0
-    for g in goals:
-        ok &= labels[(slice(None),) + g] == first
-    return ok
+    cells = gpis.occupancy_grid(spec).cells
+    return bool(_reach(cells[None], *_path_cells(spec, state_point, goals))[0])
 
 
 def no_penetration(gpis: Gpis, state: np.ndarray, zeta: float) -> bool:
@@ -172,9 +182,9 @@ class SubsetEvaluator:
     goals. A stack of candidates is judged at once (`batch`): one
     kernel call factors every candidate's slice of the Gram
     (`gp.factor_subsets`, bit for bit a `GpSolve` of the subset), one
-    matrix product gives every candidate's grid mean and one labelling
-    every candidate's components; the posterior core, `lcb` and
-    occupancy step are those `Gpis` uses. The verdicts are those of a
+    matrix product gives every candidate's grid mean and one call of the
+    compiled flood fill every candidate's path verdict; the posterior
+    core, `lcb` and occupancy step are those `Gpis` uses. The verdicts are those of a
     fresh surface conditioned on the subset; grid means may differ from
     it in the last bits, because the product sums in another order.
     `jittered` counts the candidate solves that needed jitter on the
@@ -208,15 +218,15 @@ class SubsetEvaluator:
             cells = None
             if isinstance(spec, PathExists):
                 q = spec.grid.centers()
-                cells = (spec.grid.cell_index(self.state[spec.component]),
-                         [spec.grid.cell_index(g) for g in self.goals])
+                cells = _path_cells(spec.grid, self.state[spec.component],
+                                    self.goals)
             else:
                 q = self.state
             vis = (None if free_space is None
                    else np.asarray(free_space(q), dtype=bool))
             self._jobs.append((spec, vis, kernel_matrix(q, self.points, params),
                                cells))
-        # PathExists first: one product and one labelling judge every
+        # PathExists first: one product and one flood fill judge every
         # live candidate at once, while NoPenetration pays a posterior
         # per candidate, so it should see only the survivors. On the 25
         # penetrating refine_enclosure problems (both specs) of seeds 0
@@ -261,6 +271,5 @@ class SubsetEvaluator:
                 means = alphas[live] @ kq.T
                 if vis is not None:
                     means[:, vis] = FREE_LABEL
-                labels = _label_free(spec.grid.occupied(means))
-                ok[live] = _cells_connected(labels, *cells)
+                ok[live] = _reach(spec.grid.occupied(means), *cells)
         return ok

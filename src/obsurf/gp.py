@@ -102,15 +102,15 @@ def _matern(a, b, params: KernelParams, parts: bool):
         raise ValueError(f"kernel_matrix needs two 2-D arrays with the same "
                          f"number of columns, not {a.shape} and {b.shape}")
     q, m = len(a), len(b)
-    s, e = np.empty((q, m)), np.empty((q, m))
+    buf = np.empty((3 if parts else 2, q, m))  # s, e and, for parts, k
+    at, size = clib.addr(buf), buf.itemsize * q * m
     lib = clib.kernels()
     lib.obsurf_matern_s(clib.addr(a), q, clib.addr(b), m, a.shape[1],
-                        params.lengthscale, clib.addr(s), clib.addr(e))
-    np.exp(e, out=e)
-    k = np.empty((q, m)) if parts else s
-    lib.obsurf_matern_k(clib.addr(s), clib.addr(e), q * m, params.outputscale,
-                        clib.addr(k))
-    return (s, e, k) if parts else k
+                        params.lengthscale, at, at + size)
+    np.exp(buf[1], out=buf[1])
+    lib.obsurf_matern_k(at, at + size, q * m, params.outputscale,
+                        at + 2 * size if parts else at)
+    return tuple(buf) if parts else buf[0]
 
 
 def kernel_matrix(a: np.ndarray, b: np.ndarray, params: KernelParams) -> np.ndarray:

@@ -130,8 +130,7 @@ class Gpis:
 
     Instances are immutable after construction; every update returns a
     new value, so concurrent readers are safe, and the factorization and
-    each occupancy grid and its components are computed at most once per
-    instance. The optional free-space oracle maps a (q, d) array of
+    each occupancy grid are computed at most once per instance. The optional free-space oracle maps a (q, d) array of
     points to a boolean visibility mask; where it reports True the
     predicted mean is overridden to the exterior label value (variance
     is never touched).
@@ -158,7 +157,6 @@ class Gpis:
         self.free_space = free_space
         self._solve: Optional[GpSolve] = None
         self._grids: dict = {}  # GridSpec -> OccupancyGrid
-        self._components: dict = {}  # GridSpec -> component ids of its grid
 
     def with_active(self, points: np.ndarray, labels: np.ndarray) -> "Gpis":
         """Surface conditioned on a replacement active set: this instance
@@ -213,14 +211,3 @@ class Gpis:
             grid.cells.flags.writeable = False
             self._grids[spec] = grid
         return grid
-
-    def grid_components(self, spec: GridSpec,
-                        label: Callable[[OccupancyGrid], np.ndarray]) -> np.ndarray:
-        """label(self.occupancy_grid(spec)), the free-space component ids
-        of the grid, computed once per spec; read-only like the cells."""
-        labels = self._components.get(spec)
-        if labels is None:
-            labels = label(self.occupancy_grid(spec))
-            labels.flags.writeable = False
-            self._components[spec] = labels
-        return labels

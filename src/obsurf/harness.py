@@ -90,15 +90,23 @@ class EpisodeConfig:
         return cls(scene=scene, seed=seed, **{**base, **overrides})
 
 
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
 def _parse_value(name: str, typename: str, val: str):
     """The value of --set name=val for a field of type typename. An
-    empty value is None, which only an Optional field takes."""
+    empty value is None, which only an Optional field takes; a boolean
+    is one of _BOOLS, in any case."""
     if val == "":
         if "Optional" not in typename:
             raise ValueError(f"parameter '{name}' needs a value")
         return None
     if "bool" in typename:
-        return val.lower() in ("1", "true", "yes", "on")
+        if val.lower() not in _BOOLS:
+            raise ValueError(f"parameter '{name}' takes 1/0, true/false, "
+                             f"yes/no or on/off, not '{val}'")
+        return _BOOLS[val.lower()]
     if "int" in typename:
         return int(val)
     if "float" in typename:

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from obsurf import envs
-from obsurf.cli import _apply_sets, main
+from obsurf.cli import _apply_sets, _parse_seeds, main
 from obsurf.harness import EpisodeConfig
 
 
@@ -57,6 +57,27 @@ def test_empty_value_exit_two(scene_file, capsys, pair, field):
     assert f"parameter '{field}' needs a value" in capsys.readouterr().err
     cfg = EpisodeConfig(scene_file=scene_file)
     assert _apply_sets(cfg, ["scene_file="]).scene_file is None
+
+
+@pytest.mark.parametrize("val, want", [
+    ("1", True), ("TRUE", True), ("Yes", True), ("on", True),
+    ("0", False), ("false", False), ("NO", False), ("Off", False)])
+def test_bool_values(val, want):
+    cfg = _apply_sets(EpisodeConfig(), [f"vision={val}", f"adaptive={val}"])
+    assert (cfg.vision, cfg.adaptive) == (want, want)
+
+
+@pytest.mark.parametrize("pair, field", [
+    ("vision=ture", "vision"), ("refinement=2", "refinement"),
+    ("adaptive=enabled", "adaptive"), ("local_min_detection=y",
+                                       "local_min_detection")])
+def test_unknown_bool_value_exit_two(scene_file, capsys, pair, field):
+    code = main(["run", "--scene", "free", "--scene-file", scene_file,
+                 "--set", pair])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"parameter '{field}' takes 1/0, true/false, yes/no or on/off" in err
+    assert f"'{pair.partition('=')[2]}'" in err
 
 
 @pytest.mark.parametrize("name, stock, want", [
@@ -120,3 +141,20 @@ def test_batch_seed_list_and_ablate(tmp_path, scene_file):
                  "--seeds", "0,2", "--ablate", "refinement",
                  "--set", "max_steps=60", "--set", "K=64", "--set", "T=8"])
     assert code == 0
+
+
+@pytest.mark.parametrize("spec", ["0..0..1", "a..3", "1..b", "1.5,2", "0,x",
+                                  "..", "3..", "1,,2..4"])
+def test_batch_malformed_seed_list_exit_two(scene_file, capsys, spec):
+    code = main(["batch", "--scene", "free", "--scene-file", scene_file,
+                 "--seeds", spec])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"bad seed list '{spec}'" in err
+
+
+@pytest.mark.parametrize("spec, want", [
+    ("0..3", [0, 1, 2, 3]), ("4..4", [4]), ("-1..1", [-1, 0, 1]),
+    ("5,2,9", [5, 2, 9]), ("7,", [7])])
+def test_seed_lists(spec, want):
+    assert _parse_seeds(spec) == want

@@ -1,3 +1,8 @@
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -7,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import ndimage
 from scipy.linalg import cho_factor, cho_solve
 
+import obsurf
 from obsurf import constraints as cons
 from obsurf.constraints import (NoPenetration, PathExists, SubsetEvaluator,
                                 all_satisfied, connected_components,
@@ -52,6 +58,128 @@ def partitions_equal(a, b):
         if mapping.setdefault(x, y) != y:
             return False
     return len(set(mapping.values())) == len(mapping)
+
+
+def reach_oracle(cells, start, goals):
+    """The path verdict on one grid by breadth-first search from the
+    start cell over free cells, every cell of the 3^d - 1 around a cell
+    a neighbour; start and goals are flat C-order cell indices."""
+    free = ~np.asarray(cells, dtype=bool)
+    start = np.unravel_index(start, free.shape)
+    if not free[start]:
+        return False
+    seen = {start}
+    frontier = [start]
+    steps = [d for d in itertools.product((-1, 0, 1), repeat=free.ndim)
+             if any(d)]
+    while frontier:
+        cell = frontier.pop()
+        for d in steps:
+            nxt = tuple(c + dc for c, dc in zip(cell, d))
+            if (nxt not in seen and all(0 <= c < n for c, n in
+                                        zip(nxt, free.shape))
+                    and free[nxt]):
+                seen.add(nxt)
+                frontier.append(nxt)
+    return all(np.unravel_index(g, free.shape) in seen for g in goals)
+
+
+def reach(stack, start, goals):
+    return cons._reach(stack, start, np.asarray(goals, dtype=np.int64))
+
+
+def serpentine(h, w, vertical=True, closed=False):
+    """An (h, w) grid whose free corridor winds through it all: walls
+    every other column (or row), each open at alternate ends, so the
+    path from cell 0 to the far corner turns at every wall. `closed`
+    shuts the middle wall's opening."""
+    if not vertical:
+        return serpentine(w, h, True, closed).T.copy()
+    cells = np.zeros((h, w), dtype=bool)
+    for c in range(1, w, 2):
+        cells[:, c] = True
+        if h > 1 and not (closed and c == w // 2 | 1):
+            cells[0 if (c // 2) % 2 else h - 1, c] = False
+    return cells
+
+
+@st.composite
+def reach_case(draw, shape=None, stack=st.integers(1, 4)):
+    """A stack of different grids with one shape, its start cell and
+    goal cells: free-cell shares from 0 to 1 per grid, a start or a goal
+    that may sit on an occupied cell or on the start, 0 to 4 goals."""
+    if shape is None:
+        shape = (draw(st.integers(1, 50)),
+                 draw(st.one_of(st.sampled_from([1, 63, 64, 65, 128, 129, 130]),
+                                st.integers(1, 130))))
+    n = int(np.prod(shape))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    u = draw(stack)
+    shares = [draw(st.sampled_from([0.0, 0.4, 0.5, 0.6, 1.0]) | st.floats(0, 1))
+              for _ in range(u)]
+    cells = np.stack([rng.random(shape) >= p for p in shares])
+    start = draw(st.integers(0, n - 1))
+    goals = draw(st.lists(st.integers(0, n - 1), max_size=4))
+    if draw(st.booleans()):
+        goals.append(start)
+    if goals and draw(st.booleans()):
+        cells.reshape(u, -1)[:, goals[0]] = draw(st.booleans())
+    if draw(st.booleans()):
+        cells.reshape(u, -1)[:, start] = draw(st.booleans())
+    return cells, start, goals
+
+
+class TestReachKernel:
+    """`_reach`, the compiled flood fill, against a breadth-first search."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(case=reach_case())
+    def test_matches_search(self, case):
+        cells, start, goals = case
+        want = [reach_oracle(c, start, goals) for c in cells]
+        assert reach(cells, start, goals).tolist() == want
+
+    @pytest.mark.parametrize("h,w", [(5, 9), (40, 40), (3, 131), (50, 129),
+                                     (20, 64), (9, 65), (7, 128)])
+    @pytest.mark.parametrize("vertical", [True, False], ids=["cols", "rows"])
+    def test_winding_corridor(self, h, w, vertical):
+        # every turn of the corridor needs its own sweep, and the rows
+        # run across word boundaries
+        cells = serpentine(h, w, vertical)
+        far = np.flatnonzero(~cells)[-1]
+        for start, goal in ((0, far), (far, 0)):
+            assert reach(cells[None], start, [goal]).tolist() == [True]
+            assert reach_oracle(cells, start, [goal])
+        closed = serpentine(h, w, vertical, closed=True)
+        assert reach(closed[None], 0, [far]).tolist() == [False]
+        assert not reach_oracle(closed, 0, [far])
+
+    @pytest.mark.parametrize("a,b", [(0, 1), (1, 0), (63, 64), (64, 63),
+                                     (127, 128), (128, 127)])
+    def test_diagonal_step_joins(self, a, b):
+        # one free cell per row, diagonal neighbours, across a word's edge
+        cells = np.ones((3, 130), dtype=bool)
+        cells[0, a] = cells[1, b] = cells[2, a] = False
+        assert reach(cells[None], a, [2 * 130 + a]).tolist() == [True]
+        assert reach(cells[None], 2 * 130 + a, [a, 130 + b]).tolist() == [True]
+        cells[1, b] = True
+        assert reach(cells[None], a, [2 * 130 + a]).tolist() == [False]
+
+    def test_every_goal_must_be_inside(self):
+        cells = np.zeros((4, 70), dtype=bool)
+        cells[:, 66] = True
+        assert reach(cells[None], 0, [65, 3 * 70 + 1]).tolist() == [True]
+        assert reach(cells[None], 0, [65, 69, 3 * 70 + 1]).tolist() == [False]
+        assert reach(cells[None], 0, [69, 65]).tolist() == [False]
+
+    def test_no_goals_asks_a_free_start(self):
+        cells = np.array([[[False, True]], [[True, False]]])
+        assert reach(cells, 0, []).tolist() == [True, False]
+
+    def test_grids_past_three_dimensions_rejected(self):
+        with pytest.raises(ValueError):
+            reach(np.zeros((1, 2, 2, 2, 2), dtype=bool), 0, [])
 
 
 class TestConnectedComponents:
@@ -106,21 +234,24 @@ class TestStackSeparation:
         GridSpec((0.0, 0.0), (0.5, 0.5), 0.1),
         GridSpec((0.0, 0.0, 0.0), (0.5, 0.5, 0.5), 0.1),
     ], ids=["2d", "3d"])
-    def test_no_path_across_stack(self, spec):
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_no_path_across_stack(self, spec, data):
         # grid 0 walls the start off from the goal; grid 1 is all free,
         # so the two free cells of grid 0 meet only through grid 1
-        start = spec.cell_index(np.full(len(spec.lo), 0.05))
-        goal = spec.cell_index(np.full(len(spec.lo), 0.45))
+        start, goal = (np.ravel_multi_index(
+            spec.cell_index(np.full(len(spec.lo), x)), spec.shape)
+            for x in (0.05, 0.45))
         walled = np.zeros(spec.shape, dtype=bool)
         walled[2] = True
         stack = np.stack([walled, np.zeros(spec.shape, dtype=bool)])
-        joined, _ = ndimage.label(~stack, structure=np.ones((3,) * stack.ndim))
-        assert joined[(0,) + start] == joined[(0,) + goal]
-        got = cons._cells_connected(cons._label_free(stack), start, [goal])
-        assert got.tolist() == [False, True]
-        got = cons._cells_connected(cons._label_free(stack[::-1]), start,
-                                    [goal])
-        assert got.tolist() == [True, False]
+        assert reach(stack, start, [goal]).tolist() == [False, True]
+        assert reach(stack[::-1], start, [goal]).tolist() == [True, False]
+        # drawn stacks of different grids: each judged as if alone
+        cells, start, goals = data.draw(reach_case(spec.shape, st.integers(2, 6)))
+        got = reach(cells, start, goals).tolist()
+        assert got == [reach_oracle(c, start, goals) for c in cells]
+        assert got == [reach(c[None], start, goals)[0] for c in cells]
 
 
 def ring_points(center, radius, n):
@@ -180,37 +311,33 @@ class TestPathExists:
                                np.array([[0.3, 0.3]]), self.spec)
 
 
-class TestComponentsCache:
-    spec = GridSpec((0.0, 0.0), (0.4, 0.4), 0.01)
+class TestPathExistsKernel:
     params = KernelParams(0.07, 1.0, 1e-4)
 
-    def test_second_check_does_not_label_again(self):
-        pts, labels, _, goal = ring_dataset(drop=3)
+    @pytest.mark.parametrize("drop", [0, 3])
+    def test_no_labelling_and_agrees_with_oracle(self, drop):
+        pts, labels, _, goal = ring_dataset(drop=drop)
         g = Gpis(pts, labels, self.params)
-        state = np.array([0.05, 0.05])
+        specs = [GridSpec((0.0, 0.0), (0.4, 0.4), r) for r in (0.01, 0.02)]
+        states = [np.array([0.05, 0.05]), goal, np.array([0.2, 0.12])]
         with mock.patch.object(ndimage, "label", wraps=ndimage.label) as label:
-            first = path_exists(g, state, goal[None], self.spec)
-            second = path_exists(g, state, goal[None], self.spec)
-        assert label.call_count == 1
-        assert first and second
-        cached = g.grid_components(self.spec, connected_components)
-        assert not cached.flags.writeable
-        fresh = Gpis(pts, labels, self.params).occupancy_grid(self.spec)
-        want, _ = ndimage.label(~fresh.cells, structure=np.ones((3, 3)))
-        assert np.array_equal(cached, want)
-        assert np.array_equal(cached, connected_components(fresh))
+            got = [path_exists(g, x, goal[None], spec)
+                   for spec in specs for x in states]
+        assert label.call_count == 0
+        want = [_ref_grid_path_exists(g.occupancy_grid(spec), spec, x, goal[None])
+                for spec in specs for x in states]
+        assert got == want
+        assert want[0] == (drop > 0)
 
-    def test_one_labelling_per_spec(self):
-        pts, labels, _, goal = ring_dataset(drop=0)
-        g = Gpis(pts, labels, self.params)
-        coarse = GridSpec((0.0, 0.0), (0.4, 0.4), 0.02)
-        state = np.array([0.05, 0.05])
-        with mock.patch.object(ndimage, "label", wraps=ndimage.label) as label:
-            for spec in (self.spec, coarse, self.spec, coarse):
-                assert not path_exists(g, state, goal[None], spec)
-        assert label.call_count == 2
-        assert (g.grid_components(coarse, connected_components).shape
-                == coarse.shape)
+    def test_cli_import_leaves_out_scipy_ndimage(self):
+        src = str(Path(obsurf.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = ("import sys, obsurf.cli; sys.exit(sorted(m for m in "
+                "sys.modules if m.startswith('scipy.ndimage')) or None)")
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
 
 
 class TestNoPenetration:
