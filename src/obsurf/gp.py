@@ -233,18 +233,14 @@ class GpSolve:
     """
 
     def __init__(self, points: np.ndarray, labels: np.ndarray,
-                 params: KernelParams, ky: np.ndarray):
-        """ky is the noisy Gram of the points, noisy_gram(points, params),
-        or the same subset of a larger set's noisy Gram."""
+                 params: KernelParams):
         self.points = np.atleast_2d(np.asarray(points, dtype=float))
         self.labels = np.asarray(labels, dtype=float).ravel()
-        m = self.points.shape[0]
-        if m != self.labels.shape[0]:
+        if self.points.shape[0] != self.labels.shape[0]:
             raise ValueError("points and labels must have equal length")
-        if ky.shape != (m, m):
-            raise ValueError("ky must be the (m, m) Gram of the m points")
         self.params = params
-        self._cho, self.alpha = _factor(ky, self.labels)
+        self._cho, self.alpha = _factor(noisy_gram(self.points, params),
+                                        self.labels)
         self._kinv = None
 
     @classmethod
@@ -307,7 +303,7 @@ def gp_posterior(
     points = np.asarray(points, dtype=float)
     if points.size == 0:
         return PosteriorStats(0.0, params.outputscale)
-    solve = GpSolve(points, labels, params, noisy_gram(points, params))
+    solve = GpSolve(points, labels, params)
     mean, var = solve.predict(query[None, :], slice(None))
     return PosteriorStats(float(mean[0]), float(var[0]))
 

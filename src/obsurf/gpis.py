@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .gp import GpSolve, KernelParams, noisy_gram
+from .gp import GpSolve, KernelParams
 
 FREE_LABEL = 1.0
 
@@ -172,8 +172,7 @@ class Gpis:
         if self.points.size == 0:
             return None
         if self._solve is None:
-            self._solve = GpSolve(self.points, self.labels, self.params,
-                                  noisy_gram(self.points, self.params))
+            self._solve = GpSolve(self.points, self.labels, self.params)
         return self._solve
 
     def predict_split(self, queries: np.ndarray, var_rows):

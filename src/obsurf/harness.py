@@ -97,7 +97,8 @@ _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
 def _parse_value(name: str, typename: str, val: str):
     """The value of --set name=val for a field of type typename. An
     empty value is None, which only an Optional field takes; a boolean
-    is one of _BOOLS, in any case."""
+    is one of _BOOLS, in any case; a number that does not parse names
+    the field."""
     if val == "":
         if "Optional" not in typename:
             raise ValueError(f"parameter '{name}' needs a value")
@@ -107,11 +108,13 @@ def _parse_value(name: str, typename: str, val: str):
             raise ValueError(f"parameter '{name}' takes 1/0, true/false, "
                              f"yes/no or on/off, not '{val}'")
         return _BOOLS[val.lower()]
-    if "int" in typename:
-        return int(val)
-    if "float" in typename:
-        return float(val)
-    return val
+    cast = int if "int" in typename else float if "float" in typename else str
+    try:
+        return cast(val)
+    except ValueError:
+        kind = "an integer" if cast is int else "a number"
+        raise ValueError(f"parameter '{name}' takes {kind}, "
+                         f"not '{val}'") from None
 
 
 def rng_streams(seed: int):

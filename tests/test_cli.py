@@ -80,6 +80,28 @@ def test_unknown_bool_value_exit_two(scene_file, capsys, pair, field):
     assert f"'{pair.partition('=')[2]}'" in err
 
 
+@pytest.mark.parametrize("pair, want", [
+    ("samples=abc", "parameter 'samples' takes an integer, not 'abc'"),
+    ("horizon=1.5", "parameter 'horizon' takes an integer, not '1.5'"),
+    ("temperature=hot", "parameter 'temperature' takes a number, not 'hot'"),
+    ("obs_noise_std=1e-3x",
+     "parameter 'obs_noise_std' takes a number, not '1e-3x'")])
+def test_bad_number_exit_two(scene_file, capsys, pair, want):
+    code = main(["run", "--scene", "free", "--scene-file", scene_file,
+                 "--set", pair])
+    assert code == 2
+    assert want in capsys.readouterr().err
+    with pytest.raises(ValueError, match=want):
+        _apply_sets(EpisodeConfig(), [pair])
+
+
+def test_number_values():
+    cfg = _apply_sets(EpisodeConfig(), ["samples=12", "T=3",
+                                        "temperature=0.5", "r_c=1e-3"])
+    assert (cfg.samples, cfg.horizon, cfg.temperature, cfg.r_c) == (
+        12, 3, 0.5, 1e-3)
+
+
 @pytest.mark.parametrize("name, stock, want", [
     ("mycable", "cable_hook", (72, 8, 0.004, True)),
     ("cable_peg", "peg_u", (500, 15, 0.2, False)),

@@ -166,6 +166,32 @@ class TestReachKernel:
         cells[1, b] = True
         assert reach(cells[None], a, [2 * 130 + a]).tolist() == [False]
 
+    @pytest.mark.parametrize("shape", [(40, 63), (40, 64), (40, 65),
+                                       (30, 129), (30, 130), (5, 5, 5),
+                                       (12, 12, 12), (3, 9, 70)])
+    @pytest.mark.parametrize("pattern", ["checkerboard", "comb", "stripes"])
+    def test_many_short_runs(self, shape, pattern):
+        # every row holds many short runs, in 2-D at widths around a
+        # 64-bit word's edge and in 3-D, where rows join across planes
+        idx = np.indices(shape)
+        cells = {"checkerboard": idx.sum(0) % 2 == 1,
+                 "comb": (idx[-1] % 2 == 1) & (idx[:-1].sum(0) > 0),
+                 "stripes": idx.sum(0) % 3 == 2}[pattern]
+        first, last = np.flatnonzero(~cells)[[0, -1]]
+        assert reach(cells[None], first, [last]).tolist() == [
+            reach_oracle(cells, first, [last])]
+        # shut the last free cell in: a goal reached first must not stop
+        # the fill before the other goal is judged
+        around = tuple(slice(max(i - 1, 0), i + 2)
+                       for i in np.unravel_index(last, shape))
+        shut = cells.copy()
+        shut[around] = True
+        shut.flat[last] = False
+        free = np.flatnonzero(~shut)
+        goals = [free[len(free) // 2], last]
+        assert reach(shut[None], first, goals).tolist() == [
+            reach_oracle(shut, first, goals)] == [False]
+
     def test_every_goal_must_be_inside(self):
         cells = np.zeros((4, 70), dtype=bool)
         cells[:, 66] = True
