@@ -25,8 +25,10 @@ from typing import Optional
 import numpy as np
 
 # The kernels' results must equal their numpy or LAPACK formulations'
-# bit for bit: no -ffast-math, no FMA contraction.
-_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno")
+# bit for bit: no -ffast-math, no FMA contraction. The cable kernel
+# starts threads (-pthread).
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-pthread", "-ffp-contract=off",
+           "-fno-math-errno")
 _COMPILERS = ("cc", "gcc")
 _ptr, _long, _dbl = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
 # Result and argument types of each kernel.
@@ -37,7 +39,9 @@ _KERNELS = {
                             _dbl]),
     "obsurf_rollout": (None, [_ptr, _long, _long, _ptr, _ptr, _long, _ptr,
                               _dbl, _dbl]),
-    "obsurf_push_out": (None, [_ptr, _long, _ptr, _long, _dbl]),
+    "obsurf_cable": (_long, [_ptr, _long, _long, _long, _ptr, _ptr, _long,
+                             _ptr, _long, _ptr, _ptr, _dbl, _dbl, _dbl, _dbl,
+                             _dbl, _long, _ptr]),
     "obsurf_cholesky": (_long, [_ptr, _long, _ptr, _ptr, _long, _ptr, _long,
                                 _ptr, _ptr, _ptr, _ptr]),
     "obsurf_matern_s": (None, [_ptr, _long, _ptr, _long, _long, _dbl, _ptr,

@@ -10,7 +10,9 @@ sliding, and chains relax with projected distance constraints.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -28,6 +30,18 @@ CONTACT_GAP = 1e-3
 # them released (see CableEnv).
 PINNED_ITERATIONS = 20
 POLISH_ITERATIONS = 120
+# Worker threads of a cable kernel call: at most the CPUs this process
+# may run on (run_batch's pool workers set it to 1), with at least
+# _MIN_CHAINS chains each. On a 2-core VM, 8-step rollouts of the
+# cable_hook chain took 0.8-1.1x the one-thread time at 8 chains on two
+# threads, 0.7x at 16 and 0.6x at 72.
+_cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
+_MIN_CHAINS = 8
+
+
+def _threads(chains: int) -> int:
+    return max(1, min(_cpus, chains // _MIN_CHAINS))
 
 
 @dataclass(frozen=True)
@@ -160,13 +174,12 @@ class CableEnv:
         # Keep a little slack so two grippers can never force the chain
         # beyond its total length.
         self._span_max = 0.98 * self.rest * (self.n - 1)
-        # inverse masses with the grippers pinned, and released
-        self._free = np.ones(self.n)
-        self._invm = self._free.copy()
-        self._invm[list(self.gripped)] = 0.0
         self._lim = _limits(world.bounds_lo, world.bounds_hi, CONTACT_GAP)
-        self._fixed = clib.fixed(self._all, self._obs, self._invm,
-                                 self._free, self._lim)
+        self._fixed = clib.fixed(self._all, self._obs, self._lim)
+        self._grip = (ctypes.c_long * len(self.gripped))(
+            *np.arange(self.n)[list(self.gripped)])
+        self._iters = (ctypes.c_long * 2)(PINNED_ITERATIONS,
+                                          POLISH_ITERATIONS)
         # Chains each relaxation phase left off tolerance at its cap.
         self.pinned_capped = self.polish_capped = 0
 
@@ -206,63 +219,72 @@ class CableEnv:
             raise MemoryError("_sweep: no memory for the kernel's scratch")
         return pos, capped
 
-    def _relax(self, chain: np.ndarray, boxes: np.ndarray,
-               ref: np.ndarray) -> np.ndarray:
-        tol = 0.005 * self.rest
-        pos, capped = self._sweep(chain.copy(), boxes, self._invm,
-                                  PINNED_ITERATIONS, tol, ref)
-        self.pinned_capped += capped
-        # Release the grippers so tautness resolves into compliance
-        # rather than stretch.
-        pos, capped = self._sweep(pos, boxes, self._free,
-                                  POLISH_ITERATIONS, tol, ref)
-        self.polish_capped += capped
-        return pos
+    def _advance(self, x: np.ndarray, u, boxes: np.ndarray) -> np.ndarray:
+        """Fill x (K, T + 1, n, 2), C-contiguous float64 with each start
+        at step 0, with K chains stepped through T controls u (K, T, u)
+        against boxes, and return it. A step slides the grippers from
+        their pre-step positions, clamps two grippers pulled past
+        `_span_max` back toward their midpoint and pushes them out of
+        any box, then relaxes the chain (`_sweep`) with the grippers
+        pinned, then released, against the pre-step positions, adding
+        the chains each phase's cap stopped to pinned_capped and
+        polish_capped. Once any chain of a step is clamped, every
+        chain's grippers take the clamp's arithmetic, so batch-mates can
+        differ in the last bits from a chain stepped alone. One kernel
+        call (sweep.c) does all of it, over `_threads(K)` worker
+        threads; the bytes do not depend on their number."""
+        k, t_hor = x.shape[0], x.shape[1] - 1
+        u = np.ascontiguousarray(u, dtype=float)
+        if u.shape != (k, t_hor, self.control_dim):
+            raise ValueError(f"controls must be (K, T, {self.control_dim}), "
+                             f"not {u.shape}")
+        capped = (ctypes.c_long * 2)()
+        if clib.kernels().obsurf_cable(
+                clib.arg("cable: x", x, (k, t_hor + 1, self.n, 2)), k, t_hor,
+                self.n, clib.addr(u), self._grip, len(self.gripped),
+                clib.arg("cable: boxes", boxes, (len(boxes), 4), self._fixed),
+                len(boxes), clib.arg("cable: lim", self._lim, (4,),
+                                     self._fixed),
+                self._iters, 0.005 * self.rest, self.rest, CONTACT_GAP,
+                self.u_max, self._span_max, _threads(k), capped) < 0:
+            raise MemoryError("cable: no memory for the kernel's scratch")
+        self.pinned_capped += capped[0]
+        self.polish_capped += capped[1]
+        return x
 
-    def _move(self, states: np.ndarray, u: np.ndarray, boxes: np.ndarray) -> np.ndarray:
-        states = np.ascontiguousarray(states, dtype=float)
-        k, grip = len(states), list(self.gripped)
-        # Every gripper of every chain slides in one kernel call, gripper
-        # j by columns 2j and 2j + 1 of u; each point slides alone.
-        targets = states.take(grip, axis=1)
-        u = np.asarray(u, dtype=float)
-        if u.shape != (k, self.control_dim):
-            u = np.broadcast_to(u, (k, self.control_dim))
-        _slide(targets.reshape(-1, 2), u.reshape(-1, 2), boxes, self._lim,
-               CONTACT_GAP, self.u_max, self._fixed)
-        if len(grip) == 2:
-            a, b = targets[:, 0], targets[:, 1]
-            span = np.linalg.norm(a - b, axis=1)
-            over = span > self._span_max
-            if over.any():
-                mid = 0.5 * (a + b)[:, None]
-                scale = np.where(over, self._span_max / np.maximum(span, 1e-12), 1.0)
-                targets = mid + (targets - mid) * scale[:, None, None]
-                boxes_p = clib.arg("push_out: boxes", boxes, boxes.shape, self._fixed)
-                clib.kernels().obsurf_push_out(clib.addr(targets), 2 * k, boxes_p,
-                                               len(boxes), CONTACT_GAP)
-        chain = states.copy()
-        chain[:, grip] = targets
-        return self._relax(chain, boxes, ref=states)
+    def _step(self, states: np.ndarray, u, boxes: np.ndarray) -> np.ndarray:
+        """States (K, n, 2) one step on under controls u, broadcast to
+        (K, u)."""
+        states = np.asarray(states, dtype=float)
+        if states.ndim != 3 or states.shape[1:] != (self.n, 2):
+            raise ValueError(f"states must be (K, {self.n}, 2), not "
+                             f"{states.shape}")
+        k = len(states)
+        x = np.empty((k, 2, self.n, 2))
+        x[:, 0] = states
+        u = np.broadcast_to(np.asarray(u, dtype=float),
+                            (k, self.control_dim))[:, None]
+        return np.ascontiguousarray(self._advance(x, u, boxes)[:, 1])
 
     def rollout(self, x0: np.ndarray, cand: np.ndarray) -> np.ndarray:
         """Nominal states (K, T + 1, n, 2) of K control sequences cand
-        (K, T, u) from x0 (n, 2), step 0 being x0: one `nominal` call
-        per step."""
-        k, t_hor = cand.shape[:2]
-        states = np.empty((k, t_hor + 1) + x0.shape)
-        states[:, 0] = x0[None]
-        for t in range(t_hor):
-            states[:, t + 1] = self.nominal(states[:, t], cand[:, t])
-        return states
+        (K, T, u) from x0 (n, 2), step 0 being x0: `nominal` step by
+        step, bit for bit, in one kernel call."""
+        cand = np.asarray(cand)
+        if cand.ndim != 3:
+            raise ValueError(f"rollout: cand must be (K, T, u), not "
+                             f"{cand.shape}")
+        states = np.empty((len(cand), cand.shape[1] + 1, self.n, 2))
+        states[:, 0] = x0
+        return self._advance(states, cand, self._obs)
 
     def step_truth(self, u: np.ndarray) -> np.ndarray:
-        self.state = self._move(self.state[None], u[None], self._all)[0]
+        self.state = self._step(self.state[None], u, self._all)[0]
         return self.state.copy()
 
     def nominal(self, states: np.ndarray, controls: np.ndarray) -> np.ndarray:
         """Prediction against the observed geometry only."""
-        return self._move(states, controls, self._obs)
+        return self._step(states, controls, self._obs)
 
 
 class ObservedSurface:

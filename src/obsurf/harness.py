@@ -313,6 +313,12 @@ def _episode_for_seed(args) -> EpisodeReport:
     return run_episode(dataclasses.replace(cfg, seed=seed))
 
 
+def _one_thread() -> None:
+    """Pool worker set-up: the workers already share the CPUs out, so
+    the cable kernel runs on one thread in each."""
+    envs._cpus = 1
+
+
 def run_batch(cfg: EpisodeConfig, seeds, workers: int = 1) -> BatchSummary:
     """Run one episode per seed; reports merge in seed order regardless
     of worker count."""
@@ -320,7 +326,7 @@ def run_batch(cfg: EpisodeConfig, seeds, workers: int = 1) -> BatchSummary:
     jobs = [(cfg, s) for s in seeds]
     if workers > 1:
         import multiprocessing as mp
-        with mp.Pool(workers) as pool:
+        with mp.Pool(workers, initializer=_one_thread) as pool:
             reports = pool.map(_episode_for_seed, jobs)
     else:
         reports = [_episode_for_seed(j) for j in jobs]

@@ -1,6 +1,8 @@
 /* Dynamics kernels behind envs: the point slide (PegEnv, its rollout
  * and the cable grippers), the cable relaxation (CableEnv._sweep) and
- * the push-out of the grippers' span clamp (CableEnv._move).
+ * the whole cable step: gripper slide, span clamp with its push-out and
+ * both relaxation phases, for K chains through T steps in one call
+ * (CableEnv._advance), its chains split across worker threads.
  *
  * Every floating-point operation is the one the numpy formulation does,
  * in the same order, so results are bit-identical to it: build without
@@ -11,7 +13,9 @@
  * range points are clipped into, as lo_x lo_y hi_x hi_y.
  */
 #include <math.h>
+#include <pthread.h>
 #include <stdlib.h>
+#include <string.h>
 
 /* numpy's np.clip: NaN passes, a tie keeps v, and an inverted range
  * gives hi. */
@@ -120,14 +124,6 @@ static int push_point(double *x, double *y, double rx, double ry,
     return moved;
 }
 
-/* Push m points p out of the boxes in place, each onto the nearest
- * face: a NaN reference is outside no face. */
-void obsurf_push_out(double *p, long m, const double *boxes, long nb, double gap)
-{
-    for (long i = 0; i < m; i++)
-        push_point(p + 2 * i, p + 2 * i + 1, NAN, NAN, boxes, nb, gap);
-}
-
 /* Whether some segment is off rest by more than tol; a NaN length
  * freezes the chain (the numpy maximum is NaN, and NaN > tol is false). */
 static int off_rest(const double *p, long n, double rest, double tol)
@@ -149,6 +145,88 @@ static double share(double w, double w_pair)
     return w_pair > 0.0 ? 2.0 * w / w_pair : 0.0;
 }
 
+/* Relax chain p of n points in place against its pre-step positions
+ * r; see CableEnv._sweep. work holds 2n doubles. Returns whether the
+ * iteration cap stopped it off tolerance. */
+static int relax_chain(double *p, const double *r, long n,
+                       const double *boxes, long nb, const double *invm,
+                       long iters, double tol, double rest, double gap,
+                       const double *lim, double *work)
+{
+    int live = 1;
+    for (long it = 0; it < iters && live; it++) {
+        for (long s = 0; s + 1 < n; s++) {
+            double w0 = invm[s], w1 = invm[s + 1], wsum = w0 + w1;
+            if (wsum == 0.0)
+                continue;
+            double *a = p + 2 * s, *q = a + 2;
+            double dx = q[0] - a[0], dy = q[1] - a[1];
+            double len = sqrt(dx * dx + dy * dy);
+            double corr = len > 1e-12 ? (len - rest) / (wsum * len) : 0.0;
+            double sx = corr * dx, sy = corr * dy;
+            if (w0 != 0.0) {
+                a[0] += w0 * sx;
+                a[1] += w0 * sy;
+            }
+            if (w1 != 0.0) {
+                q[0] -= w1 * sx;
+                q[1] -= w1 * sy;
+            }
+        }
+        /* push out the free points; p + (out - p) for all of them
+         * once any moved */
+        int moved = 0;
+        for (long i = 0; i < n; i++) {
+            if (!(invm[i] > 0.0))
+                continue;
+            work[2 * i] = p[2 * i];
+            work[2 * i + 1] = p[2 * i + 1];
+            moved |= push_point(work + 2 * i, work + 2 * i + 1, r[2 * i],
+                                r[2 * i + 1], boxes, nb, gap);
+        }
+        if (moved)
+            for (long i = 0; i < 2 * n; i++)
+                if (invm[i / 2] > 0.0)
+                    p[i] += work[i] - p[i];
+        /* segment midpoints collide too, else a segment can pass
+         * clean through a thin box while its endpoints stay out */
+        moved = 0;
+        for (long s = 0; s + 1 < n; s++) {
+            double mx = 0.5 * (p[2 * s] + p[2 * s + 2]);
+            double my = 0.5 * (p[2 * s + 1] + p[2 * s + 3]);
+            double x = mx, y = my;
+            moved |= push_point(&x, &y, 0.5 * (r[2 * s] + r[2 * s + 2]),
+                                0.5 * (r[2 * s + 1] + r[2 * s + 3]),
+                                boxes, nb, gap);
+            work[2 * s] = x - mx;
+            work[2 * s + 1] = y - my;
+        }
+        if (moved) {
+            for (long s = 0; s + 1 < n; s++) {
+                double k = share(invm[s], invm[s] + invm[s + 1]);
+                p[2 * s] += work[2 * s] * k;
+                p[2 * s + 1] += work[2 * s + 1] * k;
+            }
+            for (long s = 0; s + 1 < n; s++) {
+                double k = share(invm[s + 1], invm[s] + invm[s + 1]);
+                p[2 * s + 2] += work[2 * s] * k;
+                p[2 * s + 3] += work[2 * s + 1] * k;
+            }
+        }
+        for (long i = 0; i < 2 * n; i++) {
+            if (!(invm[i / 2] > 0.0))
+                continue;
+            p[i] += clip(p[i], lim[i % 2], lim[2 + i % 2]) - p[i];
+        }
+        live = off_rest(p, n, rest, tol);
+    }
+    for (long i = 0; i < n; i++)
+        if (invm[i] > 0.0)
+            push_point(p + 2 * i, p + 2 * i + 1, r[2 * i], r[2 * i + 1],
+                       boxes, nb, gap);
+    return live;
+}
+
 /* Relax b chains of n points in place; see CableEnv._sweep. Returns how
  * many chains the iteration cap stopped off tolerance, or -1 when the
  * scratch allocation fails. */
@@ -157,87 +235,221 @@ long obsurf_sweep(double *pos, const double *ref, long b, long n,
                   long iters, double tol, double rest, double gap,
                   const double *lim)
 {
-    /* per chain: pushed free points, then midpoint corrections */
     double *work = malloc(sizeof(double) * 2 * (size_t)n);
     if (!work)
         return -1;
     long capped = 0;
-    for (long c = 0; c < b; c++) {
-        double *p = pos + 2 * n * c;
-        const double *r = ref + 2 * n * c;
-        int live = 1;
-        for (long it = 0; it < iters && live; it++) {
-            for (long s = 0; s + 1 < n; s++) {
-                double w0 = invm[s], w1 = invm[s + 1], wsum = w0 + w1;
-                if (wsum == 0.0)
-                    continue;
-                double *a = p + 2 * s, *q = a + 2;
-                double dx = q[0] - a[0], dy = q[1] - a[1];
-                double len = sqrt(dx * dx + dy * dy);
-                double corr = len > 1e-12 ? (len - rest) / (wsum * len) : 0.0;
-                double sx = corr * dx, sy = corr * dy;
-                if (w0 != 0.0) {
-                    a[0] += w0 * sx;
-                    a[1] += w0 * sy;
-                }
-                if (w1 != 0.0) {
-                    q[0] -= w1 * sx;
-                    q[1] -= w1 * sy;
-                }
-            }
-            /* push out the free points; p + (out - p) for all of them
-             * once any moved */
-            int moved = 0;
-            for (long i = 0; i < n; i++) {
-                if (!(invm[i] > 0.0))
-                    continue;
-                work[2 * i] = p[2 * i];
-                work[2 * i + 1] = p[2 * i + 1];
-                moved |= push_point(work + 2 * i, work + 2 * i + 1, r[2 * i],
-                                    r[2 * i + 1], boxes, nb, gap);
-            }
-            if (moved)
-                for (long i = 0; i < 2 * n; i++)
-                    if (invm[i / 2] > 0.0)
-                        p[i] += work[i] - p[i];
-            /* segment midpoints collide too, else a segment can pass
-             * clean through a thin box while its endpoints stay out */
-            moved = 0;
-            for (long s = 0; s + 1 < n; s++) {
-                double mx = 0.5 * (p[2 * s] + p[2 * s + 2]);
-                double my = 0.5 * (p[2 * s + 1] + p[2 * s + 3]);
-                double x = mx, y = my;
-                moved |= push_point(&x, &y, 0.5 * (r[2 * s] + r[2 * s + 2]),
-                                    0.5 * (r[2 * s + 1] + r[2 * s + 3]),
-                                    boxes, nb, gap);
-                work[2 * s] = x - mx;
-                work[2 * s + 1] = y - my;
-            }
-            if (moved) {
-                for (long s = 0; s + 1 < n; s++) {
-                    double k = share(invm[s], invm[s] + invm[s + 1]);
-                    p[2 * s] += work[2 * s] * k;
-                    p[2 * s + 1] += work[2 * s + 1] * k;
-                }
-                for (long s = 0; s + 1 < n; s++) {
-                    double k = share(invm[s + 1], invm[s] + invm[s + 1]);
-                    p[2 * s + 2] += work[2 * s] * k;
-                    p[2 * s + 3] += work[2 * s + 1] * k;
-                }
-            }
-            for (long i = 0; i < 2 * n; i++) {
-                if (!(invm[i / 2] > 0.0))
-                    continue;
-                p[i] += clip(p[i], lim[i % 2], lim[2 + i % 2]) - p[i];
-            }
-            live = off_rest(p, n, rest, tol);
-        }
-        capped += live;
-        for (long i = 0; i < n; i++)
-            if (invm[i] > 0.0)
-                push_point(p + 2 * i, p + 2 * i + 1, r[2 * i], r[2 * i + 1],
-                           boxes, nb, gap);
-    }
+    for (long c = 0; c < b; c++)
+        capped += relax_chain(pos + 2 * n * c, ref + 2 * n * c, n, boxes, nb,
+                              invm, iters, tol, rest, gap, lim, work);
     free(work);
     return capped;
+}
+
+/* Waits until every part of a call has arrived, and returns whether any
+ * arrived with flag set (pthread_barrier_t does not exist on macOS). */
+struct barrier {
+    pthread_mutex_t mu;
+    pthread_cond_t cv;
+    long parts, arrived, round;
+    int acc, any;
+};
+
+static int barrier_any(struct barrier *bar, int flag)
+{
+    pthread_mutex_lock(&bar->mu);
+    long round = bar->round;
+    bar->acc |= flag;
+    if (++bar->arrived == bar->parts) {
+        bar->any = bar->acc;
+        bar->acc = 0;
+        bar->arrived = 0;
+        bar->round++;
+        pthread_cond_broadcast(&bar->cv);
+    } else {
+        while (round == bar->round)
+            pthread_cond_wait(&bar->cv, &bar->mu);
+    }
+    int any = bar->any;
+    pthread_mutex_unlock(&bar->mu);
+    return any;
+}
+
+/* One obsurf_cable call: x (k, t + 1, n, 2), u (k, t, 2 ng), the ng
+ * gripped point indices, the inverse masses of the two relaxation
+ * phases, grippers pinned (zero) and released (all one), the gripper
+ * targets (k, ng, 2) of the current step, and t + 1 counters from which
+ * the threads take the chains of each step. */
+struct cable {
+    double *x, *tg;
+    const double *u, *boxes, *lim, *pinned, *released;
+    const long *grip;
+    long *next;
+    long k, t, n, ng, nb, iters[2];
+    double rest, tol, gap, u_max, span_max;
+    struct barrier bar;
+};
+
+/* One thread of a call: its relaxation scratch (2n doubles) and the
+ * chain steps it counted off tolerance in each phase. */
+struct part {
+    struct cable *cb;
+    double *work;
+    long capped[2];
+    pthread_t id;
+};
+
+/* Chain span between two gripper targets, as np.linalg.norm(a - b). */
+static double span(const double *a, const double *b)
+{
+    double dx = a[0] - b[0], dy = a[1] - b[1];
+    return sqrt(dx * dx + dy * dy);
+}
+
+/* Slide chain c's grippers from their positions at step s to its
+ * targets; returns whether two of them end up over the span limit. */
+static int slide_grippers(const struct cable *cb, long c, long s)
+{
+    const double *prev = cb->x + 2 * cb->n * ((cb->t + 1) * c + s);
+    const double *u = cb->u + 2 * cb->ng * (cb->t * c + s);
+    double *tg = cb->tg + 2 * cb->ng * c;
+    for (long j = 0; j < cb->ng; j++) {
+        tg[2 * j] = prev[2 * cb->grip[j]];
+        tg[2 * j + 1] = prev[2 * cb->grip[j] + 1];
+        slide_point(tg + 2 * j, u + 2 * j, cb->boxes, cb->nb, cb->lim,
+                    cb->gap, cb->u_max);
+    }
+    return cb->ng == 2 && span(tg, tg + 2) > cb->span_max;
+}
+
+/* Once any chain of a step is over the span limit, every chain's two
+ * targets become mid + (t - mid) * scale, scale 1 for those within it,
+ * and are pushed out of the boxes onto the nearest face. */
+static void clamp_span(const struct cable *cb, long c)
+{
+    double *tg = cb->tg + 4 * c;
+    double d = span(tg, tg + 2);
+    double scale = d > cb->span_max
+        ? cb->span_max / (d > 1e-12 ? d : 1e-12) : 1.0;
+    double mx = 0.5 * (tg[0] + tg[2]), my = 0.5 * (tg[1] + tg[3]);
+    for (int j = 0; j < 2; j++) {
+        double *q = tg + 2 * j;
+        q[0] = mx + (q[0] - mx) * scale;
+        q[1] = my + (q[1] - my) * scale;
+        push_point(q, q + 1, NAN, NAN, cb->boxes, cb->nb, cb->gap);
+    }
+}
+
+/* A thread's share of a call: chains are taken one at a time, so the
+ * threads stay busy however uneven the chains' relaxations are. Chain
+ * c's relaxation at step s and its slide into step s + 1 run on one
+ * thread; the barrier between steps sees every slide done. */
+static void *cable_part(void *arg)
+{
+    struct part *pt = arg;
+    struct cable *cb = pt->cb;
+    long n = cb->n, k = cb->k, capped[2] = {0, 0};
+    int over = 0;
+    for (long c; cb->t
+         && (c = __atomic_fetch_add(cb->next, 1, __ATOMIC_RELAXED)) < k;)
+        over |= slide_grippers(cb, c, 0);
+    for (long s = 0; s < cb->t; s++) {
+        int clamp = barrier_any(&cb->bar, over);
+        over = 0;
+        for (long c; (c = __atomic_fetch_add(cb->next + s + 1, 1,
+                                             __ATOMIC_RELAXED)) < k;) {
+            double *prev = cb->x + 2 * n * ((cb->t + 1) * c + s);
+            double *next = prev + 2 * n;
+            const double *tg = cb->tg + 2 * cb->ng * c;
+            if (clamp)
+                clamp_span(cb, c);
+            memcpy(next, prev, sizeof(double) * 2 * (size_t)n);
+            for (long j = 0; j < cb->ng; j++) {
+                next[2 * cb->grip[j]] = tg[2 * j];
+                next[2 * cb->grip[j] + 1] = tg[2 * j + 1];
+            }
+            for (int ph = 0; ph < 2; ph++)
+                capped[ph] += relax_chain(
+                    next, prev, n, cb->boxes, cb->nb,
+                    ph ? cb->released : cb->pinned, cb->iters[ph], cb->tol,
+                    cb->rest, cb->gap, cb->lim, pt->work);
+            if (s + 1 < cb->t)
+                over |= slide_grippers(cb, c, s + 1);
+        }
+    }
+    pt->capped[0] = capped[0];
+    pt->capped[1] = capped[1];
+    return NULL;
+}
+
+/* Advance k chains of n points through t steps; see CableEnv._advance.
+ * x (k, t + 1, n, 2) holds each start at step 0 and receives the rest;
+ * u is (k, t, 2 ng), gripper j taking columns 2j and 2j + 1. Each step
+ * is relaxed for at most iters[0] iterations with the ng grip points
+ * pinned, then iters[1] with them released, and capped[0] and capped[1]
+ * receive how many chain steps each phase left off tolerance. Up to
+ * `threads` threads share the chains and wait for each other once a
+ * step, for the span clamp; the result does not depend on their number.
+ * Returns 0, or -1 when the scratch allocation fails. */
+long obsurf_cable(double *x, long k, long t, long n, const double *u,
+                  const long *grip, long ng, const double *boxes, long nb,
+                  const double *lim, const long *iters, double tol,
+                  double rest, double gap, double u_max, double span_max,
+                  long threads, long *capped)
+{
+    long parts = threads < k ? threads : k;
+    if (parts < 1)
+        parts = 1;
+    /* the two phases' inverse masses, then each thread's scratch, then
+     * the targets; 8 doubles apart, so no two threads write one cache
+     * line */
+    long per = 2 * n + 8;
+    double *mem = malloc(sizeof(double) * (size_t)(per * (1 + parts)
+                                                   + 2 * ng * k));
+    long *next = calloc(t + 1, sizeof(long));
+    struct part *pt = malloc(sizeof(struct part) * parts);
+    if (!mem || !next || !pt) {
+        free(mem);
+        free(next);
+        free(pt);
+        return -1;
+    }
+    struct cable cb = {
+        .x = x, .tg = mem + per * (1 + parts), .u = u, .boxes = boxes,
+        .lim = lim, .pinned = mem, .released = mem + n, .grip = grip,
+        .next = next, .k = k, .t = t, .n = n, .ng = ng, .nb = nb,
+        .iters = {iters[0], iters[1]}, .rest = rest, .tol = tol, .gap = gap,
+        .u_max = u_max, .span_max = span_max, .bar = {.parts = parts}};
+    for (long i = 0; i < n; i++)
+        mem[i] = mem[n + i] = 1.0;
+    for (long j = 0; j < ng; j++)
+        mem[grip[j]] = 0.0;
+    pthread_mutex_init(&cb.bar.mu, NULL);
+    pthread_cond_init(&cb.bar.cv, NULL);
+    for (long i = 0; i < parts; i++)
+        pt[i] = (struct part){.cb = &cb, .work = mem + per * (1 + i)};
+    /* the calling thread is the last part; should a thread fail to
+     * start, the barrier waits only for those that did */
+    long started = 0;
+    while (started < parts - 1
+           && pthread_create(&pt[started].id, NULL, cable_part,
+                             pt + started) == 0)
+        started++;
+    pthread_mutex_lock(&cb.bar.mu);
+    cb.bar.parts = started + 1;
+    pthread_mutex_unlock(&cb.bar.mu);
+    cable_part(pt + parts - 1);
+    capped[0] = pt[parts - 1].capped[0];
+    capped[1] = pt[parts - 1].capped[1];
+    for (long i = 0; i < started; i++) {
+        pthread_join(pt[i].id, NULL);
+        capped[0] += pt[i].capped[0];
+        capped[1] += pt[i].capped[1];
+    }
+    pthread_cond_destroy(&cb.bar.cv);
+    pthread_mutex_destroy(&cb.bar.mu);
+    free(pt);
+    free(next);
+    free(mem);
+    return 0;
 }

@@ -1,4 +1,5 @@
 import contextlib
+import ctypes
 import io
 import math
 import os
@@ -13,7 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 from obsurf import clib, envs, sensor
 from obsurf.constraints import NoPenetration, PathExists, connected_components
 from obsurf.envs import (Box, CableEnv, CONTACT_GAP, ObservedSurface, PegEnv,
-                         Scene, WorldGeometry, make_scene, parse_scene)
+                         PINNED_ITERATIONS, POLISH_ITERATIONS, Scene,
+                         WorldGeometry, make_scene, parse_scene)
 from obsurf.gpis import GridSpec, OccupancyGrid
 from obsurf.harness import EpisodeConfig, run_episode
 from obsurf.mppi import GoalSet
@@ -204,7 +206,7 @@ def _numpy_sweep(self, pos: np.ndarray, boxes: np.ndarray, invm: np.ndarray,
 
 # The point slide and the env moves as they stood before the C kernel,
 # kept verbatim as the exactness oracle for envs._slide, PegEnv._move,
-# PegEnv.rollout and the cable grippers of CableEnv._move.
+# PegEnv.rollout and the cable grippers of CableEnv._advance.
 def _axis_slide(pos: np.ndarray, delta: np.ndarray, axis: int,
                 boxes: np.ndarray, lo, hi, gap: float) -> np.ndarray:
     """Advance one coordinate of each point, stopping a gap short of the
@@ -249,9 +251,13 @@ def _numpy_peg_move(self, states: np.ndarray, u: np.ndarray, boxes: np.ndarray) 
 
 
 def _numpy_cable_move(self, states: np.ndarray, u: np.ndarray, boxes: np.ndarray,
-                      pushed=None) -> np.ndarray:
-    """With a list `pushed`, appends whether the span clamp's push-out
-    moved a point."""
+                      pushed=None, capped=None) -> np.ndarray:
+    """One cable step of states (K, n, 2) as it stood before the whole
+    step became one kernel: the grippers slid and span-clamped in numpy,
+    then `_sweep` with the grippers pinned, then released, against the
+    pre-step states, at the iteration caps of self._iters. With a list
+    `pushed`, appends whether the span clamp's push-out moved a point;
+    with a list `capped` of two counts, adds each phase's capped chains."""
     states = np.ascontiguousarray(states, dtype=float)
     u = np.clip(np.atleast_2d(u), -self.u_max, self.u_max)
     chain = states.copy()
@@ -273,7 +279,12 @@ def _numpy_cable_move(self, states: np.ndarray, u: np.ndarray, boxes: np.ndarray
                                       for t, d in zip(targets, drawn)))
     for j, g in enumerate(self.gripped):
         chain[:, g, :] = targets[j]
-    return self._relax(chain, boxes, ref=states)
+    for phase, invm in enumerate((_pinned(self), np.ones(self.n))):
+        chain, c = self._sweep(chain, boxes, invm, self._iters[phase],
+                               0.005 * self.rest, states)
+        if capped is not None:
+            capped[phase] += c
+    return chain
 
 
 _SPECIAL = [0.0, -0.0, np.nan, np.inf, -np.inf]
@@ -330,12 +341,23 @@ def _slide_move(pos, u, boxes, lo, hi, gap=CONTACT_GAP) -> np.ndarray:
 
 
 def _kernel_push_out(pts, boxes, gap) -> np.ndarray:
-    """obsurf_push_out of a copy of the points pts (m, 2)."""
+    """The push-out of a copy of the points pts (m, 2), each onto the
+    nearest face: how obsurf_sweep ends a relaxation of no iterations
+    against NaN references."""
     out = np.array(pts, dtype=float, order="C")
-    clib.kernels().obsurf_push_out(
-        clib.addr(out), len(out), clib.arg("boxes", boxes, (len(boxes), 4)),
-        len(boxes), gap)
+    ref, invm, lim = np.full_like(out, np.nan), np.ones(len(out)), np.zeros(4)
+    clib.kernels().obsurf_sweep(
+        clib.addr(out), clib.addr(ref), 1, len(out),
+        clib.arg("boxes", boxes, (len(boxes), 4)), len(boxes), clib.addr(invm),
+        0, 0.0, 0.0, gap, clib.addr(lim))
     return out
+
+
+def _pinned(env) -> np.ndarray:
+    """Inverse masses of env's chain with its grippers pinned."""
+    invm = np.ones(env.n)
+    invm[list(env.gripped)] = 0.0
+    return invm
 
 
 def _same_bytes(a, b) -> bool:
@@ -459,7 +481,7 @@ def _sweep_case(seed, batch, links, n_boxes, pinned, nan=False):
     ref = pos + rng.uniform(-0.01, 0.01, pos.shape)
     env = CableEnv(world, pos[0], rest=rest, gripped=(0, links - 1),
                    u_max=0.02)
-    invm = env._invm if pinned else np.ones(links)
+    invm = _pinned(env) if pinned else np.ones(links)
     if nan:
         at = rng.integers(links), rng.integers(2)
         pos[(0, *at)] = ref[(0, *at)] = np.nan
@@ -679,14 +701,14 @@ class TestSlideOracle:
                 u[rng.integers(len(u)), rng.integers(4)] = rng.choice(_SPECIAL)
             with np.errstate(invalid="ignore"):
                 want = _numpy_cable_move(env, pos, u, boxes, pushed)
-                got = env._move(pos, u, boxes)
+                got = env._step(pos, u, boxes)
             assert _same_bytes(got, want)
 
         check()
         # some drawn-back grippers landed in a box and were pushed out
         assert any(pushed)
 
-    def test_cable_span_limit_matches_numpy(self, monkeypatch):
+    def test_cable_span_limit_matches_numpy(self):
         # Grippers pulled apart past the span limit are drawn back toward
         # their midpoint. In the second chain the right one is drawn back
         # from (0.37, 0.24) to (0.348, 0.242), inside the second box,
@@ -699,25 +721,20 @@ class TestSlideOracle:
                               (0.0, 0.0), (0.6, 0.5))
         env = CableEnv(world, chain, rest=rest, gripped=(0, links - 1),
                        u_max=0.02)
-        # The relaxation would push a gripper out of the box anyway, so
-        # the clamp's own targets are compared as the relaxation gets them.
-        relaxed = []
-        relax = env._relax
-
-        def recorded(chain, boxes, ref):
-            relaxed.append(chain.copy())
-            return relax(chain, boxes, ref=ref)
-
-        monkeypatch.setattr(env, "_relax", recorded)
         states = np.stack([chain, chain + [0.0, 0.05]])
         u = np.array([[-0.02, 0.0, 0.02, 0.0], [-0.02, 0.01, 0.02, -0.01]])
         assert 0.15 + 0.04 > env._span_max
         pushed = []
-        for rows in (env._all, np.zeros((0, 4))):
-            assert _same_bytes(env._move(states, u, rows),
-                               _numpy_cable_move(env, states, u, rows, pushed))
-            assert _same_bytes(*relaxed[-2:])
-        assert pushed == [True, False]
+        # The relaxation would push a gripper out of the box anyway, so
+        # the clamp's own targets are compared too, as the relaxation
+        # gets them: with no iterations, only its final push-outs act.
+        for iters in ((PINNED_ITERATIONS, POLISH_ITERATIONS), (0, 0)):
+            env._iters = (ctypes.c_long * 2)(*iters)
+            for rows in (env._all, np.zeros((0, 4))):
+                assert _same_bytes(env._step(states, u, rows),
+                                   _numpy_cable_move(env, states, u, rows,
+                                                     pushed))
+        assert pushed == [True, False] * 2
 
     def test_bad_shapes_rejected(self):
         lim = envs._limits((0.0, 0.0), (1.0, 1.0), CONTACT_GAP)
@@ -730,6 +747,108 @@ class TestSlideOracle:
         with pytest.raises(ValueError, match="rollout"):
             make_scene("peg_u").env.rollout(np.zeros((1, 2)),
                                             np.zeros((3, 4, 4)))
+
+
+class TestCableKernel:
+    def test_matches_oracle_chained(self, monkeypatch):
+        clamped, coupled = [], []
+
+        # One- and two-gripper chains, some straight at rest length with
+        # their grippers pulled apart past the span limit, 0-3 boxes, and
+        # NaN or +-inf controls, stepped T times; with `low`, every chain
+        # is moved to within 0.005 of the lower and the left bound.
+        @settings(max_examples=300, deadline=None, derandomize=True)
+        @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 7),
+               links=st.integers(3, 9), n_boxes=st.integers(0, 3),
+               steps=st.integers(1, 4),
+               gripped=st.sampled_from(["both", "first", "last"]),
+               pulled=st.integers(0, 3), special=st.integers(0, 3),
+               low=st.booleans())
+        def check(seed, batch, links, n_boxes, steps, gripped, pulled,
+                  special, low):
+            env, pos, boxes, _, _ = _sweep_case(seed, batch, links, n_boxes,
+                                                pinned=True)
+            if gripped != "both":
+                env = CableEnv(env.world, pos[0], rest=env.rest,
+                               gripped=(0,) if gripped == "first"
+                               else (links - 1,), u_max=0.02)
+            rng = np.random.default_rng(seed)
+            u = rng.uniform(-0.05, 0.05, (batch, steps, env.control_dim))
+            for i in rng.permutation(batch)[:pulled]:
+                way = pos[i, -1] - pos[i, 0]
+                way /= np.linalg.norm(way)
+                pos[i] = pos[i, 0] + env.rest * np.arange(links)[:, None] * way
+                if gripped == "both":
+                    u[i] = 0.05 * np.hstack([-way, way])
+            if low:
+                pos += 0.005 - pos.min(axis=1, keepdims=True)
+            for _ in range(special):
+                u[rng.integers(batch), rng.integers(steps),
+                  rng.integers(env.control_dim)] = rng.choice(_SPECIAL)
+            want = np.empty((batch, steps + 1, links, 2))
+            want[:, 0] = pos
+            capped = [0, 0]
+            with np.errstate(invalid="ignore"):
+                for t in range(steps):
+                    want[:, t + 1] = _numpy_cable_move(
+                        env, want[:, t], u[:, t], boxes, clamped, capped)
+            for threads in (1, 2, 3):
+                monkeypatch.setattr(envs, "_threads", lambda k: threads)
+                x = np.empty_like(want)
+                x[:, 0] = pos
+                before = env.pinned_capped, env.polish_capped
+                assert _same_bytes(env._advance(x, u, boxes), want)
+                assert [env.pinned_capped - before[0],
+                        env.polish_capped - before[1]] == capped
+            # whether some chain stepped alone ends elsewhere
+            monkeypatch.undo()
+            alone = np.empty_like(want)
+            alone[:, 0] = pos
+            for i in range(batch):
+                env._advance(alone[i:i + 1], u[i:i + 1], boxes)
+            coupled.append(not _same_bytes(alone, want))
+
+        check()
+        # the clamp ran, and its push-out moved a gripper, in some steps;
+        # in some batches it moved the bits of a chain within the limit
+        assert any(clamped) and any(coupled)
+
+    def test_rollout_is_nominal_step_by_step(self):
+        # the stock cable from a state pressed under the bar, 20 samples
+        # (two threads where two CPUs are allowed) of 6 steps each
+        env = make_scene("cable_hook").env
+        for _ in range(25):
+            env.step_truth(np.array([0.0, 0.02, 0.0, 0.02]))
+        rng = np.random.default_rng(7)
+        cand = rng.uniform(-0.03, 0.03, (20, 6, 4))
+        cand[:4, :, ::2] *= 4.0
+        want = np.empty((20, 7, env.n, 2))
+        want[:, 0] = env.state
+        for t in range(6):
+            want[:, t + 1] = env.nominal(want[:, t], cand[:, t])
+        assert _same_bytes(env.rollout(env.state, cand), want)
+
+    def test_threads(self, monkeypatch):
+        monkeypatch.setattr(envs, "_cpus", 2)
+        assert [envs._threads(k) for k in (0, 1, 15, 16, 72)] == [1, 1, 1, 2, 2]
+        monkeypatch.setattr(envs, "_cpus", 1)
+        assert envs._threads(72) == 1
+
+    def test_no_samples_or_no_steps(self):
+        env = make_scene("cable_hook").env
+        assert env.rollout(env.state, np.zeros((0, 3, 4))).shape == (0, 4, env.n, 2)
+        assert _same_bytes(env.rollout(env.state, np.zeros((5, 0, 4))),
+                           np.repeat(env.state[None, None], 5, axis=0))
+        assert env.pinned_capped == env.polish_capped == 0
+
+    def test_bad_controls_rejected(self):
+        env = make_scene("cable_hook").env
+        with pytest.raises(ValueError, match="controls"):
+            env.rollout(env.state, np.zeros((3, 4, 2)))
+        with pytest.raises(ValueError, match="cand"):
+            env.rollout(env.state, np.zeros((3, 4)))
+        with pytest.raises(ValueError, match="states"):
+            env.nominal(env.state, np.zeros(4))
 
 
 class TestPushOutProperty:
@@ -949,9 +1068,9 @@ class TestCableEnv:
         states = np.repeat(np.stack(starts), len(u), axis=0)
         u = np.tile(u, (len(starts), 1))
         for boxes in (env._obs, env._all):
-            batch = env._move(states, u, boxes)
+            batch = env._step(states, u, boxes)
             for i in range(len(states)):
-                single = env._move(states[i:i + 1], u[i:i + 1], boxes)[0]
+                single = env._step(states[i:i + 1], u[i:i + 1], boxes)[0]
                 np.testing.assert_array_equal(batch[i], single)
 
     # Known defect (FOUND in CHANGES.md): the push-out after the polish
@@ -965,19 +1084,57 @@ class TestCableEnv:
     @example(seed=5, batch=3, links=3, n_boxes=3)
     def test_relax_reaches_rest_unless_capped(self, seed, batch, links,
                                               n_boxes):
-        env, pos, boxes, _, ref = _sweep_case(seed, batch, links, n_boxes,
-                                              pinned=True)
+        env, pos, boxes, invm, ref = _sweep_case(seed, batch, links, n_boxes,
+                                                 pinned=True)
         tol = 0.005 * env.rest
-        env._relax(pos, boxes, ref)
-        batch_capped = env.polish_capped
+
+        def relax(pos, ref):
+            # a cable step's two phases: grippers pinned, then released
+            pos, _ = env._sweep(pos.copy(), boxes, invm, PINNED_ITERATIONS,
+                                tol, ref)
+            return env._sweep(pos, boxes, np.ones(links), POLISH_ITERATIONS,
+                              tol, ref)
+
+        _, batch_capped = relax(pos, ref)
+        alone_capped = 0
         for i in range(batch):
-            before = env.polish_capped
-            out = env._relax(pos[i:i + 1], boxes, ref[i:i + 1])[0]
-            if env.polish_capped == before:
-                seg = np.linalg.norm(np.diff(out, axis=0), axis=1)
+            out, capped = relax(pos[i:i + 1], ref[i:i + 1])
+            alone_capped += capped
+            if not capped:
+                seg = np.linalg.norm(np.diff(out[0], axis=0), axis=1)
                 assert np.abs(seg - env.rest).max() <= tol
         # the batch counted exactly the chains that hit the cap alone
-        assert env.polish_capped - batch_capped == batch_capped
+        assert alone_capped == batch_capped
+
+    # Known defect (FOUND in CHANGES.md): once one chain of a step is
+    # over the span limit, every chain's grippers are rewritten as
+    # mid + (t - mid) * 1.0, which is not t when |t| and |mid| are more
+    # than 2x apart. Strict, so the mark must go when that is mended.
+    @pytest.mark.xfail(strict=True, reason="the span clamp rewrites the "
+                       "grippers of batch-mates within the span limit")
+    def test_span_clamp_leaves_batch_mates_alone(self):
+        rng = np.random.default_rng(0)
+        links, rest, m = 8, 0.03, 40
+        world = WorldGeometry((), (0.0, 0.0), (0.6, 0.5))
+        # low, tilted chains: one gripper near the floor and the wall
+        start = np.column_stack([rng.uniform(0.01, 0.05, m),
+                                 rng.uniform(0.002, 0.01, m)])
+        angle = rng.uniform(0.3, 1.2, m)
+        way = np.column_stack([np.cos(angle), np.sin(angle)])
+        low = start[:, None] + 0.9 * rest * np.arange(links)[:, None] * way[:, None]
+        # a straight mate at rest length, its grippers pulled apart
+        mate = np.column_stack([0.3 + rest * np.arange(links),
+                                np.full(links, 0.25)])
+        env = CableEnv(world, mate, rest=rest, gripped=(0, links - 1),
+                       u_max=0.02)
+        states = np.concatenate([mate[None], low])
+        u = np.concatenate([[[-0.02, 0.0, 0.02, 0.0]],
+                            rng.uniform(-0.02, 0.02, (m, 4))])
+        batch = env.nominal(states, u)
+        alone = np.concatenate([env.nominal(states[i:i + 1], u[i:i + 1])
+                                for i in range(m + 1)])
+        assert _same_bytes(batch, alone)
+
 
 class TestObservedSurface:
     def test_sign_convention(self):

@@ -1,10 +1,11 @@
 import dataclasses
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from obsurf import harness
+from obsurf import envs, harness
 from obsurf.gpis import OccupancyGrid
 from obsurf.harness import (EpisodeConfig, export_artifacts, render_svg,
                             rng_streams, run_batch, run_episode, summarize)
@@ -156,6 +157,18 @@ class TestBatch:
         par = run_batch(cfg, [0, 1], workers=2)
         for a, b in zip(seq.reports, par.reports):
             assert a.log_text() == b.log_text()
+
+    def test_pool_workers_run_cable_kernel_on_one_thread(self, monkeypatch):
+        monkeypatch.setattr(envs, "_cpus", 2)
+        monkeypatch.setattr(harness, "_episode_for_seed", _report_cpus)
+        par = run_batch(EpisodeConfig(), [0, 1], workers=2)
+        assert [r.cpus for r in par.reports] == [1, 1]
+        assert envs._cpus == 2
+
+
+def _report_cpus(job):
+    """A batch job that reports its process's cable thread ceiling."""
+    return SimpleNamespace(success=False, steps_used=0, cpus=envs._cpus)
 
 
 class TestConfigText:
