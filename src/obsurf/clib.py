@@ -1,12 +1,13 @@
 """The package's C kernels, built on first use and loaded with ctypes.
 
 Every `*.c` file beside this module is compiled into one shared
-library: the dynamics kernels of sweep.c (`envs`), the Matern kernel
-block of matern.c and the subset Cholesky of cholesky.c (`gp`), and the
-free-space flood fill of reach.c (`constraints`).
-The first call of `kernels()` in a process builds it, unless a per-user
-cache ($XDG_CACHE_HOME/obsurf, else ~/.cache/obsurf) holds a build of
-the same sources, flags and machine.
+library: the dynamics kernels of sweep.c (`envs`: the peg rollout, the
+cable step and the chain relaxation), the Matern kernel block of
+matern.c and the subset Cholesky of cholesky.c (`gp`), and the
+free-space flood fill of reach.c (`constraints`). The first call of
+`kernels()` in a process builds it, unless a per-user cache
+($XDG_CACHE_HOME/obsurf, else ~/.cache/obsurf) holds a build of the
+same sources, flags and machine.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ _ptr, _long, _dbl = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
 _KERNELS = {
     "obsurf_sweep": (_long, [_ptr, _ptr, _long, _long, _ptr, _long, _ptr,
                              _long, _dbl, _dbl, _dbl, _ptr]),
-    "obsurf_slide": (None, [_ptr, _long, _ptr, _ptr, _long, _ptr, _dbl,
-                            _dbl]),
     "obsurf_rollout": (None, [_ptr, _long, _long, _ptr, _ptr, _long, _ptr,
                               _dbl, _dbl]),
     "obsurf_cable": (_long, [_ptr, _long, _long, _long, _ptr, _ptr, _long,

@@ -11,7 +11,6 @@ sliding, and chains relax with projected distance constraints.
 from __future__ import annotations
 
 import ctypes
-import math
 import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -77,31 +76,13 @@ def _limits(lo, hi, gap: float) -> np.ndarray:
                     dtype=float)
 
 
-def _slide(pts: np.ndarray, u, boxes: np.ndarray, lim: np.ndarray,
-           gap: float, u_max: float = math.inf,
-           fixed: tuple = ()) -> np.ndarray:
-    """Slide pts, a C-contiguous float64 (m, 2) array, in place by u
-    broadcast to its shape: the x then the y component, each clipped to
-    +-u_max, stopped a gap short of the first box face it crosses, then
-    clipped into lim (`_limits`'s). A point resting on a face stays put
-    when pushed toward it and moves freely otherwise, so a diagonal push
-    into a wall keeps its lateral component. boxes is (nb, 4) likewise."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != pts.shape:
-        u = np.broadcast_to(u, pts.shape)
-    u = np.ascontiguousarray(u)
-    clib.kernels().obsurf_slide(
-        clib.arg("slide: points", pts, (len(pts), 2)), len(pts),
-        u.ctypes.data, clib.arg("slide: boxes", boxes, (len(boxes), 4),
-                                fixed),
-        len(boxes), clib.arg("slide: lim", lim, (4,), fixed), gap, u_max)
-    return pts
-
-
-class PegEnv:
-    """Single tracked point pushed around box obstacles."""
-
-    n = 1
+class _Env:
+    """What the peg and the cable share: a state of n points, and
+    `rollout`, `nominal` and `step_truth`, each one `_advance` call. A
+    subclass's `_advance(x, u, boxes)` fills x (K, T + 1, n, 2),
+    C-contiguous float64 with each start at step 0, with K starts
+    stepped through T controls u (K, T, control_dim) against boxes, and
+    returns it."""
 
     def __init__(self, world: WorldGeometry, start, u_max: float):
         self.world = world
@@ -112,44 +93,77 @@ class PegEnv:
         self._lim = _limits(world.bounds_lo, world.bounds_hi, CONTACT_GAP)
         self._fixed = clib.fixed(self._all, self._obs, self._lim)
 
-    def _move(self, states: np.ndarray, u: np.ndarray, boxes: np.ndarray) -> np.ndarray:
-        new = np.array(states, dtype=float, order="C")
-        _slide(new.reshape(-1, 2), u, boxes, self._lim, CONTACT_GAP,
-               self.u_max, self._fixed)
-        return new
+    def _controls(self, x: np.ndarray, u) -> np.ndarray:
+        """u as the (K, T, control_dim) C-contiguous float64 controls of
+        x (K, T + 1, ...), else ValueError."""
+        u = np.ascontiguousarray(u, dtype=float)
+        if u.shape != (x.shape[0], x.shape[1] - 1, self.control_dim):
+            raise ValueError(f"controls must be (K, T, {self.control_dim}), "
+                             f"not {u.shape}")
+        return u
+
+    def _step(self, states: np.ndarray, u, boxes: np.ndarray) -> np.ndarray:
+        """States (K, n, 2) one step on under controls u, broadcast to
+        (K, u)."""
+        states = np.asarray(states, dtype=float)
+        if states.ndim != 3 or states.shape[1:] != (self.n, 2):
+            raise ValueError(f"states must be (K, {self.n}, 2), not "
+                             f"{states.shape}")
+        k = len(states)
+        x = np.empty((k, 2, self.n, 2))
+        x[:, 0] = states
+        u = np.broadcast_to(np.asarray(u, dtype=float),
+                            (k, self.control_dim))[:, None]
+        return np.ascontiguousarray(self._advance(x, u, boxes)[:, 1])
+
+    def rollout(self, x0: np.ndarray, cand: np.ndarray) -> np.ndarray:
+        """Nominal states (K, T + 1, n, 2) of K control sequences cand
+        (K, T, u) from x0 (n, 2), step 0 being x0: `nominal` step by
+        step, bit for bit, in one kernel call."""
+        cand = np.asarray(cand)
+        if cand.ndim != 3:
+            raise ValueError(f"rollout: cand must be (K, T, u), not "
+                             f"{cand.shape}")
+        states = np.empty((len(cand), cand.shape[1] + 1, self.n, 2))
+        states[:, 0] = x0
+        return self._advance(states, cand, self._obs)
 
     def step_truth(self, u: np.ndarray) -> np.ndarray:
-        self.state = self._move(self.state[None], u[None], self._all)[0]
+        self.state = self._step(self.state[None], u, self._all)[0]
         return self.state.copy()
 
     def nominal(self, states: np.ndarray, controls: np.ndarray) -> np.ndarray:
-        """Obstacle-free prediction (workspace walls still apply)."""
-        return self._move(states, controls, self._obs)
+        """Prediction against the observed geometry only (workspace
+        walls still apply)."""
+        return self._step(states, controls, self._obs)
 
-    def rollout(self, x0: np.ndarray, cand: np.ndarray) -> np.ndarray:
-        """Nominal states (K, T + 1, 1, 2) of K control sequences cand
-        (K, T, 2) from x0 (1, 2), step 0 being x0: `nominal` step by
-        step, bit for bit, in one kernel call."""
-        cand = np.ascontiguousarray(cand, dtype=float)
-        if cand.ndim != 3 or cand.shape[2] != 2:
-            raise ValueError(f"rollout: cand must be (K, T, 2), not {cand.shape}")
-        k, t_hor = cand.shape[:2]
-        states = np.empty((k, t_hor + 1, 1, 2))
-        states[:, 0] = x0
+
+class PegEnv(_Env):
+    """Single tracked point pushed around box obstacles."""
+
+    n = 1
+    control_dim = 2
+
+    def _advance(self, x: np.ndarray, u, boxes: np.ndarray) -> np.ndarray:
+        """Slide the points of x (K, T + 1, 1, 2) through u (K, T, 2), as
+        `_Env` says: each step moves by the x then the y component, each
+        clipped to +-u_max, stopped a gap short of the first box face it
+        crosses, then clipped a gap inside the bounds. A point resting
+        on a face stays put when pushed toward it and moves freely
+        otherwise, so a diagonal push into a wall keeps its lateral
+        component. One kernel call (sweep.c) does all of it."""
+        u = self._controls(x, u)
+        k, t_hor = u.shape[:2]
         clib.kernels().obsurf_rollout(
-            states.ctypes.data, k, t_hor, cand.ctypes.data,
-            clib.arg("rollout: boxes", self._obs, self._obs.shape,
-                     self._fixed), len(self._obs),
-            clib.arg("rollout: lim", self._lim, (4,), self._fixed),
+            clib.arg("peg: x", x, (k, t_hor + 1, 1, 2)), k, t_hor,
+            clib.addr(u), clib.arg("peg: boxes", boxes, (len(boxes), 4),
+                                   self._fixed),
+            len(boxes), clib.arg("peg: lim", self._lim, (4,), self._fixed),
             CONTACT_GAP, self.u_max)
-        return states
-
-    @property
-    def control_dim(self) -> int:
-        return 2
+        return x
 
 
-class CableEnv:
+class CableEnv(_Env):
     """Particle chain with fixed segment rest lengths, gripped at one or
     both endpoints.
 
@@ -163,19 +177,13 @@ class CableEnv:
 
     def __init__(self, world: WorldGeometry, chain, rest: float,
                  gripped: Sequence[int], u_max: float):
-        self.world = world
-        self.state = np.atleast_2d(np.asarray(chain, dtype=float)).copy()
+        super().__init__(world, chain, u_max)
         self.rest = float(rest)
         self.gripped = tuple(int(i) for i in gripped)
-        self.u_max = float(u_max)
         self.n = self.state.shape[0]
-        self._all = world.rows(observable_only=False)
-        self._obs = world.rows(observable_only=True)
         # Keep a little slack so two grippers can never force the chain
         # beyond its total length.
         self._span_max = 0.98 * self.rest * (self.n - 1)
-        self._lim = _limits(world.bounds_lo, world.bounds_hi, CONTACT_GAP)
-        self._fixed = clib.fixed(self._all, self._obs, self._lim)
         self._grip = (ctypes.c_long * len(self.gripped))(
             *np.arange(self.n)[list(self.gripped)])
         self._iters = (ctypes.c_long * 2)(PINNED_ITERATIONS,
@@ -220,24 +228,19 @@ class CableEnv:
         return pos, capped
 
     def _advance(self, x: np.ndarray, u, boxes: np.ndarray) -> np.ndarray:
-        """Fill x (K, T + 1, n, 2), C-contiguous float64 with each start
-        at step 0, with K chains stepped through T controls u (K, T, u)
-        against boxes, and return it. A step slides the grippers from
-        their pre-step positions, clamps two grippers pulled past
-        `_span_max` back toward their midpoint and pushes them out of
-        any box, then relaxes the chain (`_sweep`) with the grippers
-        pinned, then released, against the pre-step positions, adding
-        the chains each phase's cap stopped to pinned_capped and
-        polish_capped. Once any chain of a step is clamped, every
-        chain's grippers take the clamp's arithmetic, so batch-mates can
-        differ in the last bits from a chain stepped alone. One kernel
-        call (sweep.c) does all of it, over `_threads(K)` worker
-        threads; the bytes do not depend on their number."""
-        k, t_hor = x.shape[0], x.shape[1] - 1
-        u = np.ascontiguousarray(u, dtype=float)
-        if u.shape != (k, t_hor, self.control_dim):
-            raise ValueError(f"controls must be (K, T, {self.control_dim}), "
-                             f"not {u.shape}")
+        """Step the chains of x (K, T + 1, n, 2) through u (K, T, u), as
+        `_Env` says. A step slides the grippers from their pre-step
+        positions, clamps two grippers pulled past `_span_max` back
+        toward their midpoint and pushes them out of any box, then
+        relaxes the chain (`_sweep`) with the grippers pinned, then
+        released, against the pre-step positions, adding the chains each
+        phase's cap stopped to pinned_capped and polish_capped. A chain's
+        steps depend on nothing outside it, so it ends as it would
+        stepped alone. One kernel call (sweep.c) does all of it, over
+        `_threads(K)` worker threads; the bytes do not depend on their
+        number."""
+        u = self._controls(x, u)
+        k, t_hor = u.shape[:2]
         capped = (ctypes.c_long * 2)()
         if clib.kernels().obsurf_cable(
                 clib.arg("cable: x", x, (k, t_hor + 1, self.n, 2)), k, t_hor,
@@ -251,40 +254,6 @@ class CableEnv:
         self.pinned_capped += capped[0]
         self.polish_capped += capped[1]
         return x
-
-    def _step(self, states: np.ndarray, u, boxes: np.ndarray) -> np.ndarray:
-        """States (K, n, 2) one step on under controls u, broadcast to
-        (K, u)."""
-        states = np.asarray(states, dtype=float)
-        if states.ndim != 3 or states.shape[1:] != (self.n, 2):
-            raise ValueError(f"states must be (K, {self.n}, 2), not "
-                             f"{states.shape}")
-        k = len(states)
-        x = np.empty((k, 2, self.n, 2))
-        x[:, 0] = states
-        u = np.broadcast_to(np.asarray(u, dtype=float),
-                            (k, self.control_dim))[:, None]
-        return np.ascontiguousarray(self._advance(x, u, boxes)[:, 1])
-
-    def rollout(self, x0: np.ndarray, cand: np.ndarray) -> np.ndarray:
-        """Nominal states (K, T + 1, n, 2) of K control sequences cand
-        (K, T, u) from x0 (n, 2), step 0 being x0: `nominal` step by
-        step, bit for bit, in one kernel call."""
-        cand = np.asarray(cand)
-        if cand.ndim != 3:
-            raise ValueError(f"rollout: cand must be (K, T, u), not "
-                             f"{cand.shape}")
-        states = np.empty((len(cand), cand.shape[1] + 1, self.n, 2))
-        states[:, 0] = x0
-        return self._advance(states, cand, self._obs)
-
-    def step_truth(self, u: np.ndarray) -> np.ndarray:
-        self.state = self._step(self.state[None], u, self._all)[0]
-        return self.state.copy()
-
-    def nominal(self, states: np.ndarray, controls: np.ndarray) -> np.ndarray:
-        """Prediction against the observed geometry only."""
-        return self._step(states, controls, self._obs)
 
 
 class ObservedSurface:

@@ -1,16 +1,17 @@
-/* Dynamics kernels behind envs: the point slide (PegEnv, its rollout
- * and the cable grippers), the cable relaxation (CableEnv._sweep) and
- * the whole cable step: gripper slide, span clamp with its push-out and
- * both relaxation phases, for K chains through T steps in one call
- * (CableEnv._advance), its chains split across worker threads.
+/* Dynamics kernels behind envs: the point slide, for K pegs through T
+ * steps in one call (PegEnv._advance), the cable relaxation
+ * (CableEnv._sweep) and the whole cable step: gripper slide, span clamp
+ * with its push-out and both relaxation phases, for K chains through T
+ * steps in one call (CableEnv._advance), each chain on one of the
+ * worker threads and independent of the others.
  *
  * Every floating-point operation is the one the numpy formulation does,
  * in the same order, so results are bit-identical to it: build without
  * -ffast-math and without FMA contraction (-ffp-contract=off).
  *
- * Layout (all C-contiguous float64): points and controls (m, 2); pos
- * and ref (b, n, 2); boxes (nb, 4) as x0 y0 x1 y1; invm (n); lim, the
- * range points are clipped into, as lo_x lo_y hi_x hi_y.
+ * Layout (all C-contiguous float64): points and controls as x y
+ * pairs; pos and ref (b, n, 2); boxes (nb, 4) as x0 y0 x1 y1; invm
+ * (n); lim, the range points are clipped into, as lo_x lo_y hi_x hi_y.
  */
 #include <math.h>
 #include <pthread.h>
@@ -58,14 +59,6 @@ static void slide_point(double *p, const double *u, const double *boxes,
                       lim[0], lim[2]);
     p[1] = slide_axis(p, 1, clip(u[1], -u_max, u_max), boxes, nb, gap,
                       lim[1], lim[3]);
-}
-
-/* Slide m points p in place, each by its row of u. */
-void obsurf_slide(double *p, long m, const double *u, const double *boxes,
-                  long nb, const double *lim, double gap, double u_max)
-{
-    for (long i = 0; i < m; i++)
-        slide_point(p + 2 * i, u + 2 * i, boxes, nb, lim, gap, u_max);
 }
 
 /* Roll k points through t slides: x (k, t + 1, 2) holds each start at
@@ -246,52 +239,21 @@ long obsurf_sweep(double *pos, const double *ref, long b, long n,
     return capped;
 }
 
-/* Waits until every part of a call has arrived, and returns whether any
- * arrived with flag set (pthread_barrier_t does not exist on macOS). */
-struct barrier {
-    pthread_mutex_t mu;
-    pthread_cond_t cv;
-    long parts, arrived, round;
-    int acc, any;
-};
-
-static int barrier_any(struct barrier *bar, int flag)
-{
-    pthread_mutex_lock(&bar->mu);
-    long round = bar->round;
-    bar->acc |= flag;
-    if (++bar->arrived == bar->parts) {
-        bar->any = bar->acc;
-        bar->acc = 0;
-        bar->arrived = 0;
-        bar->round++;
-        pthread_cond_broadcast(&bar->cv);
-    } else {
-        while (round == bar->round)
-            pthread_cond_wait(&bar->cv, &bar->mu);
-    }
-    int any = bar->any;
-    pthread_mutex_unlock(&bar->mu);
-    return any;
-}
-
 /* One obsurf_cable call: x (k, t + 1, n, 2), u (k, t, 2 ng), the ng
  * gripped point indices, the inverse masses of the two relaxation
- * phases, grippers pinned (zero) and released (all one), the gripper
- * targets (k, ng, 2) of the current step, and t + 1 counters from which
- * the threads take the chains of each step. */
+ * phases, grippers pinned (zero) and released (all one), and the
+ * counter from which the threads take whole chains. */
 struct cable {
-    double *x, *tg;
+    double *x;
     const double *u, *boxes, *lim, *pinned, *released;
     const long *grip;
-    long *next;
-    long k, t, n, ng, nb, iters[2];
+    long next, k, t, n, ng, nb, iters[2];
     double rest, tol, gap, u_max, span_max;
-    struct barrier bar;
 };
 
-/* One thread of a call: its relaxation scratch (2n doubles) and the
- * chain steps it counted off tolerance in each phase. */
+/* One thread of a call: its scratch, 2n doubles of relaxation work and
+ * then the 2 ng gripper targets, and the chain steps it counted off
+ * tolerance in each phase. */
 struct part {
     struct cable *cb;
     double *work;
@@ -306,31 +268,15 @@ static double span(const double *a, const double *b)
     return sqrt(dx * dx + dy * dy);
 }
 
-/* Slide chain c's grippers from their positions at step s to its
- * targets; returns whether two of them end up over the span limit. */
-static int slide_grippers(const struct cable *cb, long c, long s)
+/* Two gripper targets tg over the span limit are drawn back toward
+ * their midpoint, mid + (t - mid) * scale, and pushed out of the boxes
+ * onto the nearest face; targets within it stay as they are. */
+static void clamp_span(const struct cable *cb, double *tg)
 {
-    const double *prev = cb->x + 2 * cb->n * ((cb->t + 1) * c + s);
-    const double *u = cb->u + 2 * cb->ng * (cb->t * c + s);
-    double *tg = cb->tg + 2 * cb->ng * c;
-    for (long j = 0; j < cb->ng; j++) {
-        tg[2 * j] = prev[2 * cb->grip[j]];
-        tg[2 * j + 1] = prev[2 * cb->grip[j] + 1];
-        slide_point(tg + 2 * j, u + 2 * j, cb->boxes, cb->nb, cb->lim,
-                    cb->gap, cb->u_max);
-    }
-    return cb->ng == 2 && span(tg, tg + 2) > cb->span_max;
-}
-
-/* Once any chain of a step is over the span limit, every chain's two
- * targets become mid + (t - mid) * scale, scale 1 for those within it,
- * and are pushed out of the boxes onto the nearest face. */
-static void clamp_span(const struct cable *cb, long c)
-{
-    double *tg = cb->tg + 4 * c;
     double d = span(tg, tg + 2);
-    double scale = d > cb->span_max
-        ? cb->span_max / (d > 1e-12 ? d : 1e-12) : 1.0;
+    if (!(d > cb->span_max))
+        return;
+    double scale = cb->span_max / (d > 1e-12 ? d : 1e-12);
     double mx = 0.5 * (tg[0] + tg[2]), my = 0.5 * (tg[1] + tg[3]);
     for (int j = 0; j < 2; j++) {
         double *q = tg + 2 * j;
@@ -340,45 +286,42 @@ static void clamp_span(const struct cable *cb, long c)
     }
 }
 
-/* A thread's share of a call: chains are taken one at a time, so the
- * threads stay busy however uneven the chains' relaxations are. Chain
- * c's relaxation at step s and its slide into step s + 1 run on one
- * thread; the barrier between steps sees every slide done. */
+/* A thread's share of a call: whole chains, taken one at a time, so the
+ * threads stay busy however uneven the chains' relaxations are. A
+ * chain's steps depend on nothing outside it, so it runs from step 0 to
+ * t without waiting for the others. */
 static void *cable_part(void *arg)
 {
     struct part *pt = arg;
     struct cable *cb = pt->cb;
-    long n = cb->n, k = cb->k, capped[2] = {0, 0};
-    int over = 0;
-    for (long c; cb->t
-         && (c = __atomic_fetch_add(cb->next, 1, __ATOMIC_RELAXED)) < k;)
-        over |= slide_grippers(cb, c, 0);
-    for (long s = 0; s < cb->t; s++) {
-        int clamp = barrier_any(&cb->bar, over);
-        over = 0;
-        for (long c; (c = __atomic_fetch_add(cb->next + s + 1, 1,
-                                             __ATOMIC_RELAXED)) < k;) {
-            double *prev = cb->x + 2 * n * ((cb->t + 1) * c + s);
+    long n = cb->n, ng = cb->ng;
+    double *tg = pt->work + 2 * n;
+    for (long c; (c = __atomic_fetch_add(&cb->next, 1, __ATOMIC_RELAXED))
+                 < cb->k;) {
+        double *prev = cb->x + 2 * n * (cb->t + 1) * c;
+        const double *u = cb->u + 2 * ng * cb->t * c;
+        for (long s = 0; s < cb->t; s++, prev += 2 * n, u += 2 * ng) {
             double *next = prev + 2 * n;
-            const double *tg = cb->tg + 2 * cb->ng * c;
-            if (clamp)
-                clamp_span(cb, c);
+            for (long j = 0; j < ng; j++) {
+                tg[2 * j] = prev[2 * cb->grip[j]];
+                tg[2 * j + 1] = prev[2 * cb->grip[j] + 1];
+                slide_point(tg + 2 * j, u + 2 * j, cb->boxes, cb->nb, cb->lim,
+                            cb->gap, cb->u_max);
+            }
+            if (ng == 2)
+                clamp_span(cb, tg);
             memcpy(next, prev, sizeof(double) * 2 * (size_t)n);
-            for (long j = 0; j < cb->ng; j++) {
+            for (long j = 0; j < ng; j++) {
                 next[2 * cb->grip[j]] = tg[2 * j];
                 next[2 * cb->grip[j] + 1] = tg[2 * j + 1];
             }
             for (int ph = 0; ph < 2; ph++)
-                capped[ph] += relax_chain(
+                pt->capped[ph] += relax_chain(
                     next, prev, n, cb->boxes, cb->nb,
                     ph ? cb->released : cb->pinned, cb->iters[ph], cb->tol,
                     cb->rest, cb->gap, cb->lim, pt->work);
-            if (s + 1 < cb->t)
-                over |= slide_grippers(cb, c, s + 1);
         }
     }
-    pt->capped[0] = capped[0];
-    pt->capped[1] = capped[1];
     return NULL;
 }
 
@@ -388,9 +331,9 @@ static void *cable_part(void *arg)
  * is relaxed for at most iters[0] iterations with the ng grip points
  * pinned, then iters[1] with them released, and capped[0] and capped[1]
  * receive how many chain steps each phase left off tolerance. Up to
- * `threads` threads share the chains and wait for each other once a
- * step, for the span clamp; the result does not depend on their number.
- * Returns 0, or -1 when the scratch allocation fails. */
+ * `threads` threads share the chains; the result does not depend on
+ * their number, nor a chain's on the others. Returns 0, or -1 when the
+ * scratch allocation fails. */
 long obsurf_cable(double *x, long k, long t, long n, const double *u,
                   const long *grip, long ng, const double *boxes, long nb,
                   const double *lim, const long *iters, double tol,
@@ -400,56 +343,43 @@ long obsurf_cable(double *x, long k, long t, long n, const double *u,
     long parts = threads < k ? threads : k;
     if (parts < 1)
         parts = 1;
-    /* the two phases' inverse masses, then each thread's scratch, then
-     * the targets; 8 doubles apart, so no two threads write one cache
-     * line */
-    long per = 2 * n + 8;
-    double *mem = malloc(sizeof(double) * (size_t)(per * (1 + parts)
-                                                   + 2 * ng * k));
-    long *next = calloc(t + 1, sizeof(long));
+    /* the two phases' inverse masses, then each thread's scratch; 8
+     * doubles apart, so no two threads write one cache line */
+    long per = 2 * (n + ng) + 8;
+    double *mem = malloc(sizeof(double) * (size_t)(per * (1 + parts)));
     struct part *pt = malloc(sizeof(struct part) * parts);
-    if (!mem || !next || !pt) {
+    if (!mem || !pt) {
         free(mem);
-        free(next);
         free(pt);
         return -1;
     }
     struct cable cb = {
-        .x = x, .tg = mem + per * (1 + parts), .u = u, .boxes = boxes,
-        .lim = lim, .pinned = mem, .released = mem + n, .grip = grip,
-        .next = next, .k = k, .t = t, .n = n, .ng = ng, .nb = nb,
-        .iters = {iters[0], iters[1]}, .rest = rest, .tol = tol, .gap = gap,
-        .u_max = u_max, .span_max = span_max, .bar = {.parts = parts}};
+        .x = x, .u = u, .boxes = boxes, .lim = lim, .pinned = mem,
+        .released = mem + n, .grip = grip, .k = k, .t = t, .n = n, .ng = ng,
+        .nb = nb, .iters = {iters[0], iters[1]}, .rest = rest, .tol = tol,
+        .gap = gap, .u_max = u_max, .span_max = span_max};
     for (long i = 0; i < n; i++)
         mem[i] = mem[n + i] = 1.0;
     for (long j = 0; j < ng; j++)
         mem[grip[j]] = 0.0;
-    pthread_mutex_init(&cb.bar.mu, NULL);
-    pthread_cond_init(&cb.bar.cv, NULL);
     for (long i = 0; i < parts; i++)
         pt[i] = (struct part){.cb = &cb, .work = mem + per * (1 + i)};
-    /* the calling thread is the last part; should a thread fail to
-     * start, the barrier waits only for those that did */
+    /* the calling thread is the last part; a thread that fails to start
+     * leaves its chains to the others */
     long started = 0;
     while (started < parts - 1
            && pthread_create(&pt[started].id, NULL, cable_part,
                              pt + started) == 0)
         started++;
-    pthread_mutex_lock(&cb.bar.mu);
-    cb.bar.parts = started + 1;
-    pthread_mutex_unlock(&cb.bar.mu);
     cable_part(pt + parts - 1);
-    capped[0] = pt[parts - 1].capped[0];
-    capped[1] = pt[parts - 1].capped[1];
-    for (long i = 0; i < started; i++) {
-        pthread_join(pt[i].id, NULL);
+    capped[0] = capped[1] = 0;
+    for (long i = 0; i < parts; i++) {
+        if (i < started)
+            pthread_join(pt[i].id, NULL);
         capped[0] += pt[i].capped[0];
         capped[1] += pt[i].capped[1];
     }
-    pthread_cond_destroy(&cb.bar.cv);
-    pthread_mutex_destroy(&cb.bar.mu);
     free(pt);
-    free(next);
     free(mem);
     return 0;
 }

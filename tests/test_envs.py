@@ -205,8 +205,8 @@ def _numpy_sweep(self, pos: np.ndarray, boxes: np.ndarray, invm: np.ndarray,
 
 
 # The point slide and the env moves as they stood before the C kernel,
-# kept verbatim as the exactness oracle for envs._slide, PegEnv._move,
-# PegEnv.rollout and the cable grippers of CableEnv._advance.
+# kept verbatim as the exactness oracle for obsurf_rollout, PegEnv's
+# steps and the cable grippers of CableEnv._advance.
 def _axis_slide(pos: np.ndarray, delta: np.ndarray, axis: int,
                 boxes: np.ndarray, lo, hi, gap: float) -> np.ndarray:
     """Advance one coordinate of each point, stopping a gap short of the
@@ -255,9 +255,10 @@ def _numpy_cable_move(self, states: np.ndarray, u: np.ndarray, boxes: np.ndarray
     """One cable step of states (K, n, 2) as it stood before the whole
     step became one kernel: the grippers slid and span-clamped in numpy,
     then `_sweep` with the grippers pinned, then released, against the
-    pre-step states, at the iteration caps of self._iters. With a list
-    `pushed`, appends whether the span clamp's push-out moved a point;
-    with a list `capped` of two counts, adds each phase's capped chains."""
+    pre-step states, at the iteration caps of self._iters. Only the
+    chains over the span limit are clamped. With a list `pushed`,
+    appends whether the span clamp's push-out moved a point; with a list
+    `capped` of two counts, adds each phase's capped chains."""
     states = np.ascontiguousarray(states, dtype=float)
     u = np.clip(np.atleast_2d(u), -self.u_max, self.u_max)
     chain = states.copy()
@@ -270,13 +271,15 @@ def _numpy_cable_move(self, states: np.ndarray, u: np.ndarray, boxes: np.ndarray
         span = np.linalg.norm(targets[0] - targets[1], axis=1)
         over = span > self._span_max
         if over.any():
-            mid = 0.5 * (targets[0] + targets[1])
-            scale = np.where(over, self._span_max / np.maximum(span, 1e-12), 1.0)
-            drawn = [mid + (t - mid) * scale[:, None] for t in targets]
-            targets = [_reference_push_out(t, boxes, CONTACT_GAP) for t in drawn]
+            mid = 0.5 * (targets[0][over] + targets[1][over])
+            scale = self._span_max / np.maximum(span[over], 1e-12)
+            drawn = [mid + (t[over] - mid) * scale[:, None] for t in targets]
+            out = [_reference_push_out(d, boxes, CONTACT_GAP) for d in drawn]
             if pushed is not None:
-                pushed.append(not all(np.array_equal(t, d, equal_nan=True)
-                                      for t, d in zip(targets, drawn)))
+                pushed.append(not all(np.array_equal(o, d, equal_nan=True)
+                                      for o, d in zip(out, drawn)))
+            for t, o in zip(targets, out):
+                t[over] = o
     for j, g in enumerate(self.gripped):
         chain[:, g, :] = targets[j]
     for phase, invm in enumerate((_pinned(self), np.ones(self.n))):
@@ -334,10 +337,18 @@ def _slide_case(draw, gaps=(CONTACT_GAP, 0.0, 0.004)):
 
 
 def _slide_move(pos, u, boxes, lo, hi, gap=CONTACT_GAP) -> np.ndarray:
-    """envs._slide of a copy of the points pos (m, 2) within lo-hi."""
-    pts = np.array(np.atleast_2d(pos), dtype=float, order="C")
+    """The points pos (m, 2) slid within lo-hi by u, broadcast to their
+    shape and not clipped: obsurf_rollout of m one-step rollouts."""
+    pos = np.atleast_2d(pos)
+    x = np.empty((len(pos), 2, 2))
+    x[:, 0] = pos
+    u = np.ascontiguousarray(np.broadcast_to(u, pos.shape), dtype=float)
     boxes = np.ascontiguousarray(boxes, dtype=float).reshape(len(boxes), 4)
-    return envs._slide(pts, u, boxes, envs._limits(lo, hi, gap), gap)
+    clib.kernels().obsurf_rollout(
+        clib.addr(x), len(x), 1, clib.addr(u),
+        clib.arg("boxes", boxes, boxes.shape), len(boxes),
+        clib.addr(envs._limits(lo, hi, gap)), gap, math.inf)
+    return x[:, 1]
 
 
 def _kernel_push_out(pts, boxes, gap) -> np.ndarray:
@@ -661,7 +672,7 @@ class TestSlideOracle:
         for rows in (env._all, env._obs):
             with np.errstate(invalid="ignore"):
                 want = _numpy_peg_move(env, pos[:, None], u, rows)
-            assert _same_bytes(env._move(pos[:, None], u, rows), want)
+            assert _same_bytes(env._step(pos[:, None], u, rows), want)
         # a rollout is nominal step by step, from each drawn start
         k, t_hor = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 8))
         ctrl = st.floats(-0.1, 0.1) | st.sampled_from(_SPECIAL)
@@ -737,16 +748,17 @@ class TestSlideOracle:
         assert pushed == [True, False] * 2
 
     def test_bad_shapes_rejected(self):
-        lim = envs._limits((0.0, 0.0), (1.0, 1.0), CONTACT_GAP)
-        with pytest.raises(ValueError, match="slide: points"):
-            envs._slide(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((0, 4)),
-                        lim, CONTACT_GAP)
-        with pytest.raises(ValueError, match="slide: boxes"):
-            envs._slide(np.zeros((2, 2)), np.zeros(2), np.zeros((1, 5)), lim,
-                        CONTACT_GAP)
+        env = make_scene("peg_u").env
+        with pytest.raises(ValueError, match="peg: x"):
+            env._advance(np.zeros((2, 2, 1, 3)), np.zeros((2, 1, 2)),
+                         env._obs)
+        with pytest.raises(ValueError, match="peg: boxes"):
+            env._advance(np.zeros((2, 2, 1, 2)), np.zeros((2, 1, 2)),
+                         np.zeros((1, 5)))
+        with pytest.raises(ValueError, match="controls"):
+            env.rollout(np.zeros((1, 2)), np.zeros((3, 4, 4)))
         with pytest.raises(ValueError, match="rollout"):
-            make_scene("peg_u").env.rollout(np.zeros((1, 2)),
-                                            np.zeros((3, 4, 4)))
+            env.rollout(np.zeros((1, 2)), np.zeros((3, 4)))
 
 
 class TestCableKernel:
@@ -800,7 +812,7 @@ class TestCableKernel:
                 assert _same_bytes(env._advance(x, u, boxes), want)
                 assert [env.pinned_capped - before[0],
                         env.polish_capped - before[1]] == capped
-            # whether some chain stepped alone ends elsewhere
+            # whether some chain stepped alone ends elsewhere: none may
             monkeypatch.undo()
             alone = np.empty_like(want)
             alone[:, 0] = pos
@@ -809,9 +821,9 @@ class TestCableKernel:
             coupled.append(not _same_bytes(alone, want))
 
         check()
-        # the clamp ran, and its push-out moved a gripper, in some steps;
-        # in some batches it moved the bits of a chain within the limit
-        assert any(clamped) and any(coupled)
+        # the clamp ran, and its push-out moved a gripper, in some steps,
+        # and every batch equals its chains stepped alone
+        assert any(clamped) and not any(coupled)
 
     def test_rollout_is_nominal_step_by_step(self):
         # the stock cable from a state pressed under the bar, 20 samples
@@ -1106,12 +1118,9 @@ class TestCableEnv:
         # the batch counted exactly the chains that hit the cap alone
         assert alone_capped == batch_capped
 
-    # Known defect (FOUND in CHANGES.md): once one chain of a step is
-    # over the span limit, every chain's grippers are rewritten as
-    # mid + (t - mid) * 1.0, which is not t when |t| and |mid| are more
-    # than 2x apart. Strict, so the mark must go when that is mended.
-    @pytest.mark.xfail(strict=True, reason="the span clamp rewrites the "
-                       "grippers of batch-mates within the span limit")
+    # A mate over the span limit must not touch the grippers of chains
+    # within it: mid + (t - mid) * 1.0 is not t when |t| and |mid| are
+    # more than 2x apart.
     def test_span_clamp_leaves_batch_mates_alone(self):
         rng = np.random.default_rng(0)
         links, rest, m = 8, 0.03, 40
