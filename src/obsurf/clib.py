@@ -1,8 +1,8 @@
 """The package's C kernels, built on first use and loaded with ctypes.
 
 Every `*.c` file beside this module is compiled into one shared
-library: the dynamics kernels of sweep.c (`envs`: the peg rollout, the
-cable step and the chain relaxation), the Matern kernel block of
+library: the dynamics kernels of sweep.c (`envs`: the peg rollout and
+the cable step with its chain relaxation), the Matern kernel block of
 matern.c and the subset Cholesky of cholesky.c (`gp`), and the
 free-space flood fill of reach.c (`constraints`). The first call of
 `kernels()` in a process builds it, unless a per-user cache
@@ -34,8 +34,6 @@ _COMPILERS = ("cc", "gcc")
 _ptr, _long, _dbl = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
 # Result and argument types of each kernel.
 _KERNELS = {
-    "obsurf_sweep": (_long, [_ptr, _ptr, _long, _long, _ptr, _long, _ptr,
-                             _long, _dbl, _dbl, _dbl, _ptr]),
     "obsurf_rollout": (None, [_ptr, _long, _long, _ptr, _ptr, _long, _ptr,
                               _dbl, _dbl]),
     "obsurf_cable": (_long, [_ptr, _long, _long, _long, _ptr, _ptr, _long,

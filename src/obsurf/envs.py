@@ -195,44 +195,12 @@ class CableEnv(_Env):
     def control_dim(self) -> int:
         return 2 * len(self.gripped)
 
-    def _sweep(self, pos: np.ndarray, boxes: np.ndarray, invm: np.ndarray,
-               iters: int, tol: float, ref: np.ndarray) -> tuple[np.ndarray, int]:
-        """Gauss-Seidel distance projection followed by obstacle
-        push-out, until every segment is within tol of rest (or the
-        iteration cap); batched over the leading axis, in place. `ref`
-        holds the pre-step positions used to pick push-out faces.
-        Returns the positions and how many chains the cap stopped off
-        tolerance.
-
-        Each chain evolves exactly as it would alone; the work is done
-        by the C kernel in sweep.c. Every array must be C-contiguous
-        float64: pos and ref (chains, n, 2) with n >= 2, boxes (m, 4)
-        and invm (n,); anything else raises ValueError."""
-        shape = np.shape(pos)
-        if len(shape) != 3 or shape[1] < 2 or shape[2] != 2:
-            raise ValueError(f"_sweep: pos must have shape (chains, n >= 2, 2), "
-                             f"not {shape}")
-        pos_p, ref_p, boxes_p, invm_p, lim_p = (
-            clib.arg(f"_sweep: {name}", a, want, self._fixed)
-            for name, a, want in (
-                ("pos", pos, shape), ("ref", ref, shape),
-                ("boxes", boxes, (len(boxes), 4)), ("invm", invm, shape[1:2]),
-                ("lim", self._lim, (4,))))
-        if not pos.flags.writeable or np.may_share_memory(pos, ref):
-            raise ValueError("_sweep: pos must be writeable and apart from ref")
-        capped = clib.kernels().obsurf_sweep(
-            pos_p, ref_p, shape[0], shape[1], boxes_p, len(boxes), invm_p,
-            iters, tol, self.rest, CONTACT_GAP, lim_p)
-        if capped < 0:
-            raise MemoryError("_sweep: no memory for the kernel's scratch")
-        return pos, capped
-
     def _advance(self, x: np.ndarray, u, boxes: np.ndarray) -> np.ndarray:
         """Step the chains of x (K, T + 1, n, 2) through u (K, T, u), as
         `_Env` says. A step slides the grippers from their pre-step
         positions, clamps two grippers pulled past `_span_max` back
         toward their midpoint and pushes them out of any box, then
-        relaxes the chain (`_sweep`) with the grippers pinned, then
+        relaxes the chain (`relax_chain`) with the grippers pinned, then
         released, against the pre-step positions, adding the chains each
         phase's cap stopped to pinned_capped and polish_capped. A chain's
         steps depend on nothing outside it, so it ends as it would

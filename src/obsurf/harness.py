@@ -76,7 +76,9 @@ class EpisodeConfig:
     obs_noise_std: float = 0.0
 
     def __post_init__(self):
-        for name, least in (("t_m", 1), ("t_fit", 1), ("t_e", 0)):
+        for name, least in (("t_m", 1), ("t_fit", 1), ("t_e", 0),
+                            ("t_cma", 1), ("n_cma", 4),
+                            ("obs_noise_std", 0.0)):
             if not getattr(self, name) >= least:
                 raise ValueError(f"{name} must be at least {least}")
 

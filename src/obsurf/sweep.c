@@ -1,9 +1,9 @@
 /* Dynamics kernels behind envs: the point slide, for K pegs through T
- * steps in one call (PegEnv._advance), the cable relaxation
- * (CableEnv._sweep) and the whole cable step: gripper slide, span clamp
- * with its push-out and both relaxation phases, for K chains through T
- * steps in one call (CableEnv._advance), each chain on one of the
- * worker threads and independent of the others.
+ * steps in one call (PegEnv._advance), and the whole cable step:
+ * gripper slide, span clamp with its push-out and both relaxation
+ * phases, for K chains through T steps in one call (CableEnv._advance),
+ * each chain on one of the worker threads and independent of the
+ * others.
  *
  * Every floating-point operation is the one the numpy formulation does,
  * in the same order, so results are bit-identical to it: build without
@@ -139,8 +139,12 @@ static double share(double w, double w_pair)
 }
 
 /* Relax chain p of n points in place against its pre-step positions
- * r; see CableEnv._sweep. work holds 2n doubles. Returns whether the
- * iteration cap stopped it off tolerance. */
+ * r, whose free points (inverse mass invm > 0) move: at most iters
+ * Gauss-Seidel passes of distance projection, each followed by the
+ * push-out of the free points and of the segment midpoints and by the
+ * clip into lim, until every segment is within tol of rest; then a
+ * last push-out of the free points. work holds 2n doubles. Returns
+ * whether the iteration cap stopped it off tolerance. */
 static int relax_chain(double *p, const double *r, long n,
                        const double *boxes, long nb, const double *invm,
                        long iters, double tol, double rest, double gap,
@@ -218,25 +222,6 @@ static int relax_chain(double *p, const double *r, long n,
             push_point(p + 2 * i, p + 2 * i + 1, r[2 * i], r[2 * i + 1],
                        boxes, nb, gap);
     return live;
-}
-
-/* Relax b chains of n points in place; see CableEnv._sweep. Returns how
- * many chains the iteration cap stopped off tolerance, or -1 when the
- * scratch allocation fails. */
-long obsurf_sweep(double *pos, const double *ref, long b, long n,
-                  const double *boxes, long nb, const double *invm,
-                  long iters, double tol, double rest, double gap,
-                  const double *lim)
-{
-    double *work = malloc(sizeof(double) * 2 * (size_t)n);
-    if (!work)
-        return -1;
-    long capped = 0;
-    for (long c = 0; c < b; c++)
-        capped += relax_chain(pos + 2 * n * c, ref + 2 * n * c, n, boxes, nb,
-                              invm, iters, tol, rest, gap, lim, work);
-    free(work);
-    return capped;
 }
 
 /* One obsurf_cable call: x (k, t + 1, n, 2), u (k, t, 2 ng), the ng

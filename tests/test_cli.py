@@ -130,6 +130,14 @@ def test_bad_cadence_exit_two(scene_file, capsys, pair, field):
     assert f"{field} must be at least" in capsys.readouterr().err
 
 
+def test_bad_population_exit_two(scene_file, capsys):
+    # CMA-ES needs a population of 4; 3 fails before the episode starts.
+    code = main(["run", "--scene", "free", "--scene-file", scene_file,
+                 "--set", "N=3"])
+    assert code == 2
+    assert "n_cma must be at least 4" in capsys.readouterr().err
+
+
 def test_unknown_scene_exit_two():
     assert main(["run", "--scene", "peg_zzz"]) == 2
 

@@ -31,8 +31,8 @@ _near_box = st.tuples(st.integers(0, 8), st.floats(-0.3, 1.3),
                       st.floats(-0.3, 1.3))
 
 
-# The relaxation as it stood before live-chain compaction, kept verbatim
-# as the exactness oracle for CableEnv._sweep (and push_out beneath it).
+# The push-out as it stood in numpy, kept verbatim as the exactness oracle
+# for push_point in sweep.c; with no ref, the nearest face wins.
 def _reference_push_out(pts, boxes, gap, ref=None):
     pts = np.atleast_2d(pts).copy()
     if ref is not None:
@@ -64,62 +64,6 @@ def _reference_push_out(pts, boxes, gap, ref=None):
     return pts
 
 
-def _reference_sweep(self, pos, boxes, invm, iters, tol, ref):
-    b, n, _ = pos.shape
-    lo = np.asarray(self.world.bounds_lo)
-    hi = np.asarray(self.world.bounds_hi)
-    free = invm > 0.0
-    ref_flat = ref[:, free].reshape(-1, 2)
-    ref_mid = (0.5 * (ref[:, :-1] + ref[:, 1:])).reshape(-1, 2)
-    # weight each endpoint's share of a segment-midpoint correction
-    w_pair = invm[:-1] + invm[1:]
-    share0 = np.divide(2.0 * invm[:-1], w_pair, out=np.zeros(n - 1),
-                       where=w_pair > 0.0)[None, :, None]
-    share1 = np.divide(2.0 * invm[1:], w_pair, out=np.zeros(n - 1),
-                       where=w_pair > 0.0)[None, :, None]
-    # Converged chains freeze so each batch element evolves exactly as
-    # it would alone.
-    live = np.ones(b)
-    for _ in range(iters):
-        for s in range(n - 1):
-            wsum = invm[s] + invm[s + 1]
-            if wsum == 0.0:
-                continue
-            d = pos[:, s + 1] - pos[:, s]
-            length = np.linalg.norm(d, axis=1)
-            corr = np.where(length > 1e-12,
-                            (length - self.rest)
-                            / (wsum * np.maximum(length, 1e-12)), 0.0)
-            shift = (live * corr)[:, None] * d
-            pos[:, s] += invm[s] * shift
-            pos[:, s + 1] -= invm[s + 1] * shift
-        if len(boxes):
-            flat = pos[:, free].reshape(-1, 2)
-            out = _reference_push_out(flat, boxes, CONTACT_GAP,
-                                      ref_flat).reshape(b, -1, 2)
-            pos[:, free] += live[:, None, None] * (out - pos[:, free])
-            # segment midpoints collide too, else a segment can pass
-            # clean through a thin box while its endpoints stay out
-            mid = 0.5 * (pos[:, :-1] + pos[:, 1:])
-            delta = (_reference_push_out(mid.reshape(-1, 2), boxes,
-                                         CONTACT_GAP, ref_mid)
-                     .reshape(mid.shape) - mid)
-            delta *= live[:, None, None]
-            pos[:, :-1] += delta * share0
-            pos[:, 1:] += delta * share1
-        clipped = np.clip(pos[:, free], lo + CONTACT_GAP, hi - CONTACT_GAP)
-        pos[:, free] += live[:, None, None] * (clipped - pos[:, free])
-        seg = np.linalg.norm(pos[:, 1:] - pos[:, :-1], axis=2)
-        live = (np.max(np.abs(seg - self.rest), axis=1) > tol).astype(float)
-        if not live.any():
-            break
-    if len(boxes):
-        flat = pos[:, free].reshape(-1, 2)
-        pos[:, free] = _reference_push_out(flat, boxes, CONTACT_GAP,
-                                           ref_flat).reshape(b, -1, 2)
-    return pos
-
-
 def _numpy_push_out(pts, boxes, gap, ref):
     """_reference_push_out over (..., 2) points, returning pts itself
     when no point is inside any box, as the numpy push-out beneath
@@ -130,8 +74,11 @@ def _numpy_push_out(pts, boxes, gap, ref):
 
 
 # The relaxation as it stood before the C kernel, kept verbatim but for
-# its push-out (`_numpy_push_out`) as the exactness oracle for
-# CableEnv._sweep.
+# its push-out (`_numpy_push_out`) as the exactness oracle for each
+# relaxation phase of a cable step (relax_chain in sweep.c). Run it on one
+# chain at a time: in a batch, the push-outs' p + (out - p) reaches a
+# chain only when something in its batch moved, and NaN + 0 * NaN
+# spreads, so a NaN chain's batch-mates would decide its result.
 def _numpy_sweep(self, pos: np.ndarray, boxes: np.ndarray, invm: np.ndarray,
                  iters: int, tol: float, ref: np.ndarray) -> tuple[np.ndarray, int]:
     """Gauss-Seidel distance projection followed by obstacle
@@ -204,6 +151,65 @@ def _numpy_sweep(self, pos: np.ndarray, boxes: np.ndarray, invm: np.ndarray,
     return pos, idx.size
 
 
+# The relaxation as it stood before live-chain compaction, kept verbatim
+# as a second, independent oracle for relax_chain in sweep.c: batched,
+# with converged chains masked out rather than dropped.
+def _reference_sweep(self, pos, boxes, invm, iters, tol, ref):
+    b, n, _ = pos.shape
+    lo = np.asarray(self.world.bounds_lo)
+    hi = np.asarray(self.world.bounds_hi)
+    free = invm > 0.0
+    ref_flat = ref[:, free].reshape(-1, 2)
+    ref_mid = (0.5 * (ref[:, :-1] + ref[:, 1:])).reshape(-1, 2)
+    # weight each endpoint's share of a segment-midpoint correction
+    w_pair = invm[:-1] + invm[1:]
+    share0 = np.divide(2.0 * invm[:-1], w_pair, out=np.zeros(n - 1),
+                       where=w_pair > 0.0)[None, :, None]
+    share1 = np.divide(2.0 * invm[1:], w_pair, out=np.zeros(n - 1),
+                       where=w_pair > 0.0)[None, :, None]
+    # Converged chains freeze so each batch element evolves exactly as
+    # it would alone.
+    live = np.ones(b)
+    for _ in range(iters):
+        for s in range(n - 1):
+            wsum = invm[s] + invm[s + 1]
+            if wsum == 0.0:
+                continue
+            d = pos[:, s + 1] - pos[:, s]
+            length = np.linalg.norm(d, axis=1)
+            corr = np.where(length > 1e-12,
+                            (length - self.rest)
+                            / (wsum * np.maximum(length, 1e-12)), 0.0)
+            shift = (live * corr)[:, None] * d
+            pos[:, s] += invm[s] * shift
+            pos[:, s + 1] -= invm[s + 1] * shift
+        if len(boxes):
+            flat = pos[:, free].reshape(-1, 2)
+            out = _reference_push_out(flat, boxes, CONTACT_GAP,
+                                      ref_flat).reshape(b, -1, 2)
+            pos[:, free] += live[:, None, None] * (out - pos[:, free])
+            # segment midpoints collide too, else a segment can pass
+            # clean through a thin box while its endpoints stay out
+            mid = 0.5 * (pos[:, :-1] + pos[:, 1:])
+            delta = (_reference_push_out(mid.reshape(-1, 2), boxes,
+                                         CONTACT_GAP, ref_mid)
+                     .reshape(mid.shape) - mid)
+            delta *= live[:, None, None]
+            pos[:, :-1] += delta * share0
+            pos[:, 1:] += delta * share1
+        clipped = np.clip(pos[:, free], lo + CONTACT_GAP, hi - CONTACT_GAP)
+        pos[:, free] += live[:, None, None] * (clipped - pos[:, free])
+        seg = np.linalg.norm(pos[:, 1:] - pos[:, :-1], axis=2)
+        live = (np.max(np.abs(seg - self.rest), axis=1) > tol).astype(float)
+        if not live.any():
+            break
+    if len(boxes):
+        flat = pos[:, free].reshape(-1, 2)
+        pos[:, free] = _reference_push_out(flat, boxes, CONTACT_GAP,
+                                           ref_flat).reshape(b, -1, 2)
+    return pos
+
+
 # The point slide and the env moves as they stood before the C kernel,
 # kept verbatim as the exactness oracle for obsurf_rollout, PegEnv's
 # steps and the cable grippers of CableEnv._advance.
@@ -254,11 +260,12 @@ def _numpy_cable_move(self, states: np.ndarray, u: np.ndarray, boxes: np.ndarray
                       pushed=None, capped=None) -> np.ndarray:
     """One cable step of states (K, n, 2) as it stood before the whole
     step became one kernel: the grippers slid and span-clamped in numpy,
-    then `_sweep` with the grippers pinned, then released, against the
-    pre-step states, at the iteration caps of self._iters. Only the
-    chains over the span limit are clamped. With a list `pushed`,
-    appends whether the span clamp's push-out moved a point; with a list
-    `capped` of two counts, adds each phase's capped chains."""
+    then each chain relaxed alone by `_numpy_sweep` with the grippers
+    pinned, then released, against its pre-step state, at the iteration
+    caps of self._iters. Only the chains over the span limit are
+    clamped. With a list `pushed`, appends whether the span clamp's
+    push-out moved a point; with a list `capped` of two counts, adds
+    each phase's capped chains."""
     states = np.ascontiguousarray(states, dtype=float)
     u = np.clip(np.atleast_2d(u), -self.u_max, self.u_max)
     chain = states.copy()
@@ -283,10 +290,12 @@ def _numpy_cable_move(self, states: np.ndarray, u: np.ndarray, boxes: np.ndarray
     for j, g in enumerate(self.gripped):
         chain[:, g, :] = targets[j]
     for phase, invm in enumerate((_pinned(self), np.ones(self.n))):
-        chain, c = self._sweep(chain, boxes, invm, self._iters[phase],
-                               0.005 * self.rest, states)
-        if capped is not None:
-            capped[phase] += c
+        for i in range(len(chain)):
+            _, c = _numpy_sweep(self, chain[i:i + 1], boxes, invm,
+                                self._iters[phase], 0.005 * self.rest,
+                                states[i:i + 1])
+            if capped is not None:
+                capped[phase] += c
     return chain
 
 
@@ -352,16 +361,22 @@ def _slide_move(pos, u, boxes, lo, hi, gap=CONTACT_GAP) -> np.ndarray:
 
 
 def _kernel_push_out(pts, boxes, gap) -> np.ndarray:
-    """The push-out of a copy of the points pts (m, 2), each onto the
-    nearest face: how obsurf_sweep ends a relaxation of no iterations
-    against NaN references."""
-    out = np.array(pts, dtype=float, order="C")
-    ref, invm, lim = np.full_like(out, np.nan), np.ones(len(out)), np.zeros(4)
-    clib.kernels().obsurf_sweep(
-        clib.addr(out), clib.addr(ref), 1, len(out),
-        clib.arg("boxes", boxes, (len(boxes), 4)), len(boxes), clib.addr(invm),
-        0, 0.0, 0.0, gap, clib.addr(lim))
-    return out
+    """The points pts (m, 2) pushed out of the boxes, each against itself
+    as reference: one obsurf_cable step in which every point is a gripper
+    held still (u = -0.0 adds exactly 0 and keeps -0.0), nothing is
+    clipped or span-clamped, and both phases' caps are 0, so only the
+    released phase's last push-out acts."""
+    m = len(pts)
+    x = np.empty((1, 2, m, 2))
+    x[0, 0] = pts
+    u = np.full((1, 1, 2 * m), -0.0)
+    lim = np.array([-math.inf, -math.inf, math.inf, math.inf])
+    clib.kernels().obsurf_cable(
+        clib.addr(x), 1, 1, m, clib.addr(u), (ctypes.c_long * m)(*range(m)),
+        m, clib.arg("boxes", boxes, (len(boxes), 4)), len(boxes),
+        clib.addr(lim), (ctypes.c_long * 2)(0, 0), 0.0, 0.0, gap, math.inf,
+        math.inf, 1, (ctypes.c_long * 2)())
+    return x[0, 1]
 
 
 def _pinned(env) -> np.ndarray:
@@ -462,12 +477,11 @@ def _reference_make_scene(name: str) -> Scene:
     raise ValueError(f"unknown scene '{name}'")
 
 
-def _sweep_case(seed, batch, links, n_boxes, pinned, nan=False):
-    """Chains of `links` points near (and across) random boxes, some at
-    exact rest length, some stretched or slack, a few with all but
-    coincident neighbours, and pre-step reference positions a little
-    away. With `nan`, one coordinate of the first chain (and of its
-    reference) is NaN."""
+def _chain_case(seed, batch, links, n_boxes):
+    """A cable env gripped at both ends and `batch` chains of `links`
+    points near (and across) `n_boxes` random boxes, some at exact rest
+    length, some stretched or slack, a few with all but coincident
+    neighbours."""
     rng = np.random.default_rng(seed)
     rest = 0.03
     world = WorldGeometry((), (0.0, 0.0), (0.6, 0.5))
@@ -489,58 +503,92 @@ def _sweep_case(seed, batch, links, n_boxes, pinned, nan=False):
                                                  np.sin(angle)], axis=2)
     pos = np.concatenate([anchor[:, None], anchor[:, None] + np.cumsum(
         step, axis=1)], axis=1)
-    ref = pos + rng.uniform(-0.01, 0.01, pos.shape)
     env = CableEnv(world, pos[0], rest=rest, gripped=(0, links - 1),
                    u_max=0.02)
-    invm = _pinned(env) if pinned else np.ones(links)
-    if nan:
-        at = rng.integers(links), rng.integers(2)
-        pos[(0, *at)] = ref[(0, *at)] = np.nan
-    return env, pos, boxes, invm, ref
+    return env, pos, boxes
+
+
+def _kernel_relax(env, pos, boxes, grip, iters, tol, threads=1):
+    """The chains pos (K, n, 2) relaxed against themselves by one
+    obsurf_cable step whose grip points (none, or env's two ends) are
+    held still (u = -0.0 adds exactly 0; pos must hold them inside
+    env's limits, else the slide clips them) and never span-clamped:
+    iters[0] iterations with them pinned, then iters[1] released, to
+    tolerance tol. Returns the relaxed chains and each phase's count of
+    chains its cap stopped."""
+    k, n, _ = pos.shape
+    x = np.empty((k, 2, n, 2))
+    x[:, 0] = pos
+    u = np.full((k, 1, 2 * len(grip)), -0.0)
+    capped = (ctypes.c_long * 2)()
+    assert clib.kernels().obsurf_cable(
+        clib.addr(x), k, 1, n, clib.addr(u),
+        (ctypes.c_long * max(len(grip), 1))(*grip), len(grip),
+        clib.arg("boxes", boxes, (len(boxes), 4)), len(boxes),
+        clib.addr(env._lim), (ctypes.c_long * 2)(*iters), tol, env.rest,
+        CONTACT_GAP, env.u_max, math.inf, threads, capped) == 0
+    return x[:, 1], list(capped)
 
 
 class TestSweepOracle:
-    # Chains of 3-10 links, and of 65-100 (past any fixed-size buffer).
-    @settings(max_examples=700, deadline=None, derandomize=True)
+    # The relaxation alone: one cable step of chains whose grippers hold
+    # still, of 3-10 links and of 65-100 (past any fixed-size buffer),
+    # both ends pinned in the first phase or no grippers at all, caps
+    # 0-30 per phase, any tolerance, and with `nan` a NaN coordinate in
+    # the first chain.
+    @settings(max_examples=300, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 12),
            links=st.integers(3, 10) | st.integers(65, 100),
            n_boxes=st.integers(0, 3), pinned=st.booleans(),
-           iters=st.integers(1, 30),
+           iters=st.tuples(st.integers(0, 30), st.integers(0, 30)),
            tol=st.sampled_from([0.0, 1.5e-4, 1e-3, 0.015]),
-           nan=st.booleans())
+           nan=st.booleans(), threads=st.integers(1, 3))
     def test_matches_reference(self, seed, batch, links, n_boxes, pinned,
-                               iters, tol, nan):
-        env, pos, boxes, invm, ref = _sweep_case(seed, batch, links,
-                                                 n_boxes, pinned, nan)
-        got, capped = env._sweep(pos.copy(), boxes, invm, iters, tol, ref)
-        # Each chain evolves, and counts against the cap, as it would
-        # alone.
-        alone = [env._sweep(pos[i:i + 1].copy(), boxes, invm, iters, tol,
-                            ref[i:i + 1]) for i in range(batch)]
-        assert np.array_equal(np.concatenate([a for a, _ in alone]), got,
-                              equal_nan=True)
-        assert capped == sum(c for _, c in alone)
-        # Both numpy formulations, bit for bit. A NaN chain is checked
-        # against the numpy code run on it alone: there the push-outs'
-        # p + (out - p) reaches a chain only when something in its batch
-        # moved, and NaN + 0 * NaN spreads, so batch-mates would decide.
-        want, want_capped = _numpy_sweep(env, pos.copy(), boxes, invm, iters,
-                                         tol, ref)
+                               iters, tol, nan, threads):
+        env, pos, boxes = _chain_case(seed, batch, links, n_boxes)
+        grip = env.gripped if pinned else ()
+        ends = list(grip)
+        pos[:, ends] = pos[:, ends].clip(env._lim[:2], env._lim[2:])
         if nan:
-            want[0], first_capped = _numpy_sweep(env, pos[:1].copy(), boxes,
-                                                 invm, iters, tol, ref[:1])
-            assert first_capped == alone[0][1]
-            # NaN > tol is false, so the chain froze after one iteration
-            assert np.isnan(got[0]).any() and not first_capped
-        else:
-            assert np.array_equal(got, _reference_sweep(
-                env, pos.copy(), boxes, invm, iters, tol, ref))
-        assert np.array_equal(got, want, equal_nan=True)
+            rng = np.random.default_rng(seed)
+            pos[0, rng.integers(links), rng.integers(2)] = np.nan
+        got, capped = _kernel_relax(env, pos, boxes, grip, iters, tol,
+                                    threads)
+        # Each chain evolves, and counts against the caps, as it would
+        # alone.
+        alone = [_kernel_relax(env, pos[i:i + 1], boxes, grip, iters, tol)
+                 for i in range(batch)]
+        assert _same_bytes(np.concatenate([a for a, _ in alone]), got)
+        assert capped == np.sum([c for _, c in alone], axis=0).tolist()
+        # Both numpy formulations: the one that drops converged chains,
+        # each chain alone and bit for bit, and, without NaN, the one
+        # that masks them, batched.
+        want, want_capped = pos.copy(), [0, 0]
+        for phase, invm in enumerate((_pinned(env) if pinned
+                                      else np.ones(links), np.ones(links))):
+            for i in range(batch):
+                _, c = _numpy_sweep(env, want[i:i + 1], boxes, invm,
+                                    iters[phase], tol, pos[i:i + 1])
+                want_capped[phase] += c
+            if not nan:
+                ref = _reference_sweep(env, pos.copy() if phase == 0
+                                       else ref, boxes, invm, iters[phase],
+                                       tol, pos)
+        assert _same_bytes(got, want)
         assert capped == want_capped
-        if not capped:
-            # every chain converged, so further iterations change nothing
-            more, _ = env._sweep(pos.copy(), boxes, invm, iters + 5, tol, ref)
-            assert np.array_equal(more, got, equal_nan=True)
+        if nan:
+            # NaN > tol is false, so the chain froze after one iteration
+            assert np.isnan(got[0]).any()
+        else:
+            assert np.array_equal(got, ref)
+        for phase in (0, 1):
+            if not capped[phase]:
+                # every chain converged, so further iterations change
+                # nothing
+                more = list(iters)
+                more[phase] += 5
+                assert _same_bytes(_kernel_relax(env, pos, boxes, grip,
+                                                 more, tol)[0], got)
 
 
 # Run in fresh processes by TestSweepKernel: a few relaxations of the
@@ -556,44 +604,34 @@ print(env.state.tobytes().hex(), env.pinned_capped, env.polish_capped)
 
 
 class TestSweepKernel:
-    def _case(self):
-        return _sweep_case(3, 4, 6, 2, pinned=True)
-
+    # The cable kernel's argument checks: the chains x (K, T + 1, n, 2)
+    # and the boxes (m, 4), each C-contiguous float64.
     @pytest.mark.parametrize("name,bad", [
-        ("pos", lambda a: a.astype(np.float32)),
-        ("pos", lambda a: np.asfortranarray(a)),
-        ("pos", lambda a: a[:, :-1]),
-        ("pos", lambda a: a[:, :1].copy()),
-        ("pos", lambda a: a.reshape(-1, 2)),
-        ("ref", lambda a: a.astype(np.float32)),
-        ("ref", lambda a: a[:, ::-1]),
-        ("ref", lambda a: a[1:].copy()),
+        ("x", lambda a: a.astype(np.float32)),
+        ("x", lambda a: np.asfortranarray(a)),
+        ("x", lambda a: a[:, :, :-1]),
+        ("x", lambda a: a[:, :, :1].copy()),
+        ("x", lambda a: a.reshape(4, 2, -1)),
         ("boxes", lambda a: a.T.copy()),
         ("boxes", lambda a: a.tolist()),
-        ("invm", lambda a: a[:-1].copy()),
-        ("invm", lambda a: a.astype(np.float32)),
     ])
     def test_bad_arrays_rejected(self, name, bad):
-        env, pos, boxes, invm, ref = self._case()
-        args = dict(pos=pos, boxes=boxes, invm=invm, ref=ref)
+        env, pos, boxes = _chain_case(3, 4, 6, 2)
+        x = np.empty((4, 2, 6, 2))
+        x[:, 0] = pos
+        args = dict(x=x, boxes=boxes)
         args[name] = bad(args[name])
-        with pytest.raises(ValueError, match="_sweep"):
-            env._sweep(args["pos"], args["boxes"], args["invm"], 5, 0.0,
-                       args["ref"])
-
-    def test_pos_sharing_ref_rejected(self):
-        env, pos, boxes, invm, _ = self._case()
-        with pytest.raises(ValueError, match="apart from ref"):
-            env._sweep(pos, boxes, invm, 5, 0.0, pos)
+        with pytest.raises(ValueError, match=f"cable: {name}"):
+            env._advance(args["x"], np.zeros((4, 1, 4)), args["boxes"])
 
     def test_missing_compiler_named(self, monkeypatch, tmp_path):
-        env, pos, boxes, invm, ref = self._case()
         monkeypatch.setattr(clib, "_compiler", lambda: None)
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         clib.kernels.cache_clear()
+        env = make_scene("cable_hook").env
         try:
             with pytest.raises(RuntimeError, match="C compiler.*cc, gcc"):
-                env._sweep(pos, boxes, invm, 5, 0.0, ref)
+                env.step_truth(np.array([0.0, 0.01, 0.0, 0.01]))
         finally:
             clib.kernels.cache_clear()
         assert not any(tmp_path.rglob("*.so*"))
@@ -697,8 +735,7 @@ class TestSlideOracle:
                one_row=st.booleans(), special=st.booleans(),
                pull=st.booleans())
         def check(seed, batch, links, n_boxes, one_row, special, pull):
-            env, pos, boxes, _, _ = _sweep_case(seed, batch, links, n_boxes,
-                                                pinned=True)
+            env, pos, boxes = _chain_case(seed, batch, links, n_boxes)
             rng = np.random.default_rng(seed)
             u = rng.uniform(-0.05, 0.05, (1 if one_row else batch, 4))
             if pull:
@@ -763,27 +800,31 @@ class TestSlideOracle:
 
 class TestCableKernel:
     def test_matches_oracle_chained(self, monkeypatch):
-        clamped, coupled = [], []
+        clamped, coupled, settled = [], [], set()
 
-        # One- and two-gripper chains, some straight at rest length with
-        # their grippers pulled apart past the span limit, 0-3 boxes, and
-        # NaN or +-inf controls, stepped T times; with `low`, every chain
-        # is moved to within 0.005 of the lower and the left bound.
+        # One- and two-gripper chains of 3-9 links and of 65-100 (past
+        # any fixed-size buffer), some straight at rest length with their
+        # grippers pulled apart past the span limit, 0-3 boxes, NaN or
+        # +-inf controls, and with `nan` a NaN coordinate in the first
+        # chain, stepped T times with iteration caps of 0-30 per phase;
+        # with `low`, every chain is moved to within 0.005 of the lower
+        # and the left bound.
         @settings(max_examples=300, deadline=None, derandomize=True)
         @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 7),
-               links=st.integers(3, 9), n_boxes=st.integers(0, 3),
-               steps=st.integers(1, 4),
+               links=st.integers(3, 9) | st.integers(65, 100),
+               n_boxes=st.integers(0, 3), steps=st.integers(1, 4),
                gripped=st.sampled_from(["both", "first", "last"]),
                pulled=st.integers(0, 3), special=st.integers(0, 3),
-               low=st.booleans())
+               low=st.booleans(), nan=st.booleans(),
+               iters=st.tuples(st.integers(0, 30), st.integers(0, 30)))
         def check(seed, batch, links, n_boxes, steps, gripped, pulled,
-                  special, low):
-            env, pos, boxes, _, _ = _sweep_case(seed, batch, links, n_boxes,
-                                                pinned=True)
+                  special, low, nan, iters):
+            env, pos, boxes = _chain_case(seed, batch, links, n_boxes)
             if gripped != "both":
                 env = CableEnv(env.world, pos[0], rest=env.rest,
                                gripped=(0,) if gripped == "first"
                                else (links - 1,), u_max=0.02)
+            env._iters = (ctypes.c_long * 2)(*iters)
             rng = np.random.default_rng(seed)
             u = rng.uniform(-0.05, 0.05, (batch, steps, env.control_dim))
             for i in rng.permutation(batch)[:pulled]:
@@ -794,6 +835,8 @@ class TestCableKernel:
                     u[i] = 0.05 * np.hstack([-way, way])
             if low:
                 pos += 0.005 - pos.min(axis=1, keepdims=True)
+            if nan:
+                pos[0, rng.integers(links), rng.integers(2)] = np.nan
             for _ in range(special):
                 u[rng.integers(batch), rng.integers(steps),
                   rng.integers(env.control_dim)] = rng.choice(_SPECIAL)
@@ -819,11 +862,23 @@ class TestCableKernel:
             for i in range(batch):
                 env._advance(alone[i:i + 1], u[i:i + 1], boxes)
             coupled.append(not _same_bytes(alone, want))
+            # a phase that no chain step left at its cap converged, so 5
+            # more of its iterations change nothing
+            for phase in (0, 1):
+                if not capped[phase]:
+                    more = list(iters)
+                    more[phase] += 5
+                    env._iters = (ctypes.c_long * 2)(*more)
+                    x = np.empty_like(want)
+                    x[:, 0] = pos
+                    assert _same_bytes(env._advance(x, u, boxes), want)
+                    settled.add(phase)
 
         check()
         # the clamp ran, and its push-out moved a gripper, in some steps,
-        # and every batch equals its chains stepped alone
-        assert any(clamped) and not any(coupled)
+        # every batch equals its chains stepped alone, and each phase
+        # converged everywhere in some example
+        assert any(clamped) and not any(coupled) and settled == {0, 1}
 
     def test_rollout_is_nominal_step_by_step(self):
         # the stock cable from a state pressed under the bar, 20 samples
@@ -888,13 +943,13 @@ class TestPushOutProperty:
             k %= len(boxes)
             return lo[k] + np.array([s, t]) * (hi[k] - lo[k])
 
-        # The exit on the reference's side is the relaxation's, checked
-        # by TestSweepOracle; here the nearest face wins.
+        # Each point is its own reference, which lies inside the box it
+        # starts in, so the nearest face wins.
         p = np.array([place(a) for a, _ in pts])
         out = _kernel_push_out(p, boxes, gap)
         inside = np.all((out[:, None] > lo) & (out[:, None] < hi), axis=2)
         assert not inside.any()
-        assert _same_bytes(out, _reference_push_out(p, boxes, gap))
+        assert _same_bytes(out, _reference_push_out(p, boxes, gap, p))
 
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(case=_slide_case())
@@ -904,10 +959,11 @@ class TestPushOutProperty:
                    None, np.array([[0.1, 0.1, 0.2, 0.2]]), None, None, 1e-3))
     def test_matches_reference(self, case):
         # NaN, +-inf and +-0 coordinates, points on faces, gap 0, and
-        # sheet-thin or overlapping boxes
+        # sheet-thin or overlapping boxes; once pushed out of one box, a
+        # point leaves an overlapping one on the side of where it started
         pos, _, boxes, _, _, gap = case
         assert _same_bytes(_kernel_push_out(pos, boxes, gap),
-                           _reference_push_out(pos, boxes, gap))
+                           _reference_push_out(pos, boxes, gap, pos))
 
 
 class TestSlideMove:
@@ -1093,30 +1149,17 @@ class TestCableEnv:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 6),
            links=st.integers(3, 10), n_boxes=st.integers(0, 3))
-    @example(seed=5, batch=3, links=3, n_boxes=3)
+    @example(seed=6, batch=5, links=6, n_boxes=3)
     def test_relax_reaches_rest_unless_capped(self, seed, batch, links,
                                               n_boxes):
-        env, pos, boxes, invm, ref = _sweep_case(seed, batch, links, n_boxes,
-                                                 pinned=True)
-        tol = 0.005 * env.rest
-
-        def relax(pos, ref):
-            # a cable step's two phases: grippers pinned, then released
-            pos, _ = env._sweep(pos.copy(), boxes, invm, PINNED_ITERATIONS,
-                                tol, ref)
-            return env._sweep(pos, boxes, np.ones(links), POLISH_ITERATIONS,
-                              tol, ref)
-
-        _, batch_capped = relax(pos, ref)
-        alone_capped = 0
+        env, pos, boxes = _chain_case(seed, batch, links, n_boxes)
+        u = np.random.default_rng(seed).uniform(-0.02, 0.02, (batch, 4))
         for i in range(batch):
-            out, capped = relax(pos[i:i + 1], ref[i:i + 1])
-            alone_capped += capped
-            if not capped:
-                seg = np.linalg.norm(np.diff(out[0], axis=0), axis=1)
-                assert np.abs(seg - env.rest).max() <= tol
-        # the batch counted exactly the chains that hit the cap alone
-        assert alone_capped == batch_capped
+            before = env.polish_capped
+            out = env._step(pos[i:i + 1], u[i], boxes)[0]
+            if env.polish_capped == before:
+                seg = np.linalg.norm(np.diff(out, axis=0), axis=1)
+                assert np.abs(seg - env.rest).max() <= 0.005 * env.rest
 
     # A mate over the span limit must not touch the grippers of chains
     # within it: mid + (t - mid) * 1.0 is not t when |t| and |mid| are

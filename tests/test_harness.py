@@ -179,6 +179,20 @@ class TestConfigText:
         assert cable.samples == 72 and cable.max_steps == 200
         assert cable.vision and not peg.vision
 
+    # A refinement budget too small for CMA-ES, or a negative or NaN
+    # noise level, fails when the config is built: not at the first
+    # refinement, dozens of steps in, and not as silently noise-free or
+    # NaN states.
+    @pytest.mark.parametrize("field, bad, least", [
+        ("t_cma", 0, 1), ("n_cma", 3, 4), ("obs_noise_std", -0.01, 0.0),
+        ("obs_noise_std", float("nan"), 0.0)])
+    def test_bad_budget_or_noise_rejected(self, field, bad, least):
+        with pytest.raises(ValueError, match=f"{field} must be at least"):
+            EpisodeConfig(**{field: bad})
+        with pytest.raises(ValueError, match=field):
+            EpisodeConfig.for_scene("cable_hook", **{field: bad})
+        assert getattr(EpisodeConfig(**{field: least}), field) == least
+
 
 class TestExports:
     def test_artifact_files(self, tmp_path, free_scene_file):
