@@ -53,12 +53,11 @@ static void gather(double *a, const double *ky, long n, const long *idx,
 
 /* Factor and solve u subsets of the row-major (n, n) noisy Gram ky with
  * labels y (n): subset c keeps the indices where row c of keep (u, n) is
- * nonzero, or all of them when keep is NULL. For each candidate, in the
- * order gp._factor checked them one by one: a non-finite kept Gram
- * entry fails it; then dpotrf runs on the kept sub-Gram plus jit[r] on
- * the diagonal for r = 0, 1, ... until one succeeds (nj rungs; none
- * left fails it); then a non-finite kept label fails it; then dpotrs
- * solves for alpha. Writes
+ * nonzero. For each candidate, in the order gp._factor checked them one
+ * by one: a non-finite kept Gram entry fails it; then dpotrf runs on the
+ * kept sub-Gram plus jit[r] on the diagonal for r = 0, 1, ... until one
+ * succeeds (nj rungs; none left fails it); then a non-finite kept label
+ * fails it; then dpotrs solves for alpha. Writes
  *   alpha (u, n): row c holds the solve in the kept columns, 0 elsewhere;
  *   factor (u, n, n), unless NULL: the first s * s entries of slab c
  *     hold the lower factor, column-major (s, s), with the jittered
@@ -91,7 +90,7 @@ long obsurf_cholesky(const double *ky, long n, const double *y,
         double *a = factor ? factor + n * n * c : scratch;
         long s = 0;
         for (long i = 0; i < n; i++)
-            if (!keep || keep[n * c + i])
+            if (keep[n * c + i])
                 idx[s++] = i;
         memset(row, 0, sizeof(double) * (size_t)n);
         if (s == 0)

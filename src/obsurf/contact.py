@@ -3,14 +3,14 @@
 State sets are plain (n, d) arrays of tracked component positions.
 Each executed transition is compared against the nominal-dynamics
 prediction to produce labels in [0, 1] for the observed points and
-[-1, 1] for the predicted points; visibility information then cleans
-the labels and decides which points enter the datasets.
+[-1, 1] for the predicted points; `pre_process` then cleans the labels
+with visual input and decides, once, which points are kept and which
+kept points are stall rows, kept only because the controller stalled.
 
 Two point sets are maintained: the memory set of everything collected
 (minus purged stall data) and the active set that conditions the
-surface estimate. Boolean masks flag entries that were injected while
-the controller was stalled; those are wiped wholesale when refinement
-runs.
+surface estimate. `DatasetPair.update` stores the kept points in both,
+the stall rows with a mask bit; those are wiped when refinement runs.
 """
 
 from __future__ import annotations
@@ -42,20 +42,22 @@ def euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LabelBatch:
-    """Labels and keep decisions for one transition.
+    """One transition: its observed and predicted states, their labels,
+    and what `pre_process` decided to keep.
 
     y labels the observed components (0 blocked .. 1 free); y_hat the
-    predicted ones, fixed at 2y - 1 from generation. vis / near_cloud
-    record the visibility and point-cloud proximity tests so dataset
-    bookkeeping can tell contact-kept points from stall-kept ones.
+    predicted ones, fixed at 2y - 1 from generation. stall marks the
+    kept observed components that only a detected stall keeps; they are
+    stored with the mask bit set.
     """
 
+    obs: np.ndarray
+    pred: np.ndarray
     y: np.ndarray
     y_hat: np.ndarray
     keep_obs: np.ndarray
     keep_pred: np.ndarray
-    vis: np.ndarray
-    near_cloud: np.ndarray
+    stall: np.ndarray
 
 
 def gen_labels(x_t: np.ndarray, x_next: np.ndarray,
@@ -64,7 +66,7 @@ def gen_labels(x_t: np.ndarray, x_next: np.ndarray,
 
     y_i = min(d(x_t, x_next) / d(x_t, x_pred), 1) with d the Euclidean
     distance; a vanishing predicted displacement yields y_i = 1 (no
-    motion commanded means no evidence of contact).
+    motion commanded means no evidence of contact). Nothing is kept yet.
     """
     num = euclidean(x_t, x_next)
     den = euclidean(x_t, x_pred)
@@ -75,18 +77,18 @@ def gen_labels(x_t: np.ndarray, x_next: np.ndarray,
     y = np.where(den < EPS_DENOM, 1.0, y)
     n = len(y)
     return LabelBatch(
+        obs=np.atleast_2d(np.asarray(x_next, dtype=float)),
+        pred=np.atleast_2d(np.asarray(x_pred, dtype=float)),
         y=y,
         y_hat=2.0 * y - 1.0,
         keep_obs=np.zeros(n, dtype=bool),
         keep_pred=np.zeros(n, dtype=bool),
-        vis=np.zeros(n, dtype=bool),
-        near_cloud=np.zeros(n, dtype=bool),
+        stall=np.zeros(n, dtype=bool),
     )
 
 
 def pre_process(
     batch: LabelBatch,
-    x_next: np.ndarray,
     cam: Optional[Camera],
     depth: Optional[DepthData],
     r_c: float,
@@ -99,17 +101,18 @@ def pre_process(
     Visible components within r_c of a cloud point are surface contacts
     (label 0) and are kept. Occluded components whose prediction looks
     interior keep both their observed and predicted points. A detected
-    stall keeps every observed component. Without a camera everything
-    is treated as not visible.
+    stall keeps every observed component; those kept for no other
+    reason are the stall rows. Without a camera everything is treated
+    as not visible.
 
     An occluded component that moved freely therefore leaves no data,
     and far from other data the surface there stays at the prior. A
     `NoPenetration` spec does not judge such a component (see its
     docstring), since no kept subset could lift its bound.
     """
-    if r_c <= 0.0:
+    if not r_c > 0.0:
         raise ValueError("r_c must be positive")
-    x_next = np.atleast_2d(np.asarray(x_next, dtype=float))
+    x_next = batch.obs
     n = x_next.shape[0]
     if cam is not None and depth is not None:
         vis = visible(x_next, cam, depth.z)
@@ -126,14 +129,14 @@ def pre_process(
     y[vis & ~near] = 1.0
     y[vis & near] = 0.0
     interior = ~(vis & ~near) & (batch.y_hat < 0.0)
-    keep_obs = (vis & near) | interior | bool(local_min)
+    contact_obs = (vis & near) | interior
+    stall = bool(local_min) & ~contact_obs
     return replace(
         batch,
         y=y,
-        keep_obs=keep_obs,
+        keep_obs=contact_obs | stall,
         keep_pred=interior,
-        vis=vis,
-        near_cloud=near,
+        stall=stall,
     )
 
 
@@ -209,29 +212,14 @@ class DatasetPair:
     def _bar(self):
         return self.bar_points, self.bar_labels, self.bar_tags, self.bar_mask
 
-    def update(
-        self,
-        batch: LabelBatch,
-        x_next: np.ndarray,
-        x_pred: np.ndarray,
-        local_min: bool,
-    ) -> "DatasetPair":
-        """Fold one pre-processed transition into both sets.
-
-        Contact-kept observed points and interior predicted points go in
-        unmasked; stall-kept observed points go in with the mask bit
-        set. Predicted points are never added on a stall alone.
-        """
-        x_next = np.atleast_2d(np.asarray(x_next, dtype=float))
-        x_pred = np.atleast_2d(np.asarray(x_pred, dtype=float))
-        contact_obs = (batch.vis & batch.near_cloud) | batch.keep_pred
-        take_obs = batch.keep_obs | bool(local_min)
-        masked_obs = take_obs & ~contact_obs & bool(local_min)
-
-        obs = (x_next[take_obs], batch.y[take_obs], TAG_OBSERVED,
-               masked_obs[take_obs])
-        pred = (x_pred[batch.keep_pred], batch.y_hat[batch.keep_pred],
-                TAG_PREDICTED, np.zeros(int(batch.keep_pred.sum()), dtype=bool))
+    def update(self, batch: LabelBatch) -> "DatasetPair":
+        """Fold one pre-processed transition into both sets: its kept
+        observed points, the stall rows with the mask bit set, then its
+        kept predicted points, unmasked."""
+        keep, keep_pred = batch.keep_obs, batch.keep_pred
+        obs = (batch.obs[keep], batch.y[keep], TAG_OBSERVED, batch.stall[keep])
+        pred = (batch.pred[keep_pred], batch.y_hat[keep_pred], TAG_PREDICTED,
+                np.zeros(int(keep_pred.sum()), dtype=bool))
         return DatasetPair(*_add(*_add(*self._mem, *obs), *pred),
                            *_add(*_add(*self._bar, *obs), *pred))
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import ctypes
 import functools
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -160,12 +159,11 @@ def _lapack() -> tuple:
     return tuple(get_ptr(c, get_name(c)) for c in capsules)
 
 
-def factor_subsets(ky: np.ndarray, y: np.ndarray,
-                   keeps: Optional[np.ndarray], factors: bool):
+def factor_subsets(ky: np.ndarray, y: np.ndarray, keeps: np.ndarray,
+                   factors: bool):
     """Jittered Cholesky factor and alpha = Ky^-1 y of each subset of a
-    (U, n) stack of keep vectors, or of the whole set when keeps is
-    None (U = 1), from the noisy Gram ky (n, n) of the full set and its
-    labels y (n), in one kernel call.
+    (U, n) stack of keep vectors, from the noisy Gram ky (n, n) of the
+    full set and its labels y (n), in one kernel call.
 
     Each subset's Gram is the slice of ky; on failure the smallest
     jitter from _JITTERS that works is added to its diagonal. Returns
@@ -179,20 +177,15 @@ def factor_subsets(ky: np.ndarray, y: np.ndarray,
     """
     ky = np.ascontiguousarray(ky, dtype=float)
     y = np.ascontiguousarray(y, dtype=float)
-    n = len(y)
-    if keeps is None:
-        u, keep_addr = 1, None
-    else:
-        keeps = np.ascontiguousarray(keeps, dtype=bool)
-        u, keep_addr = len(keeps), clib.addr(keeps)
-    if ky.shape != (n, n) or y.shape != (n,) or keeps is not None \
-            and keeps.shape != (u, n):
+    keeps = np.ascontiguousarray(keeps, dtype=bool)
+    n, u = len(y), len(keeps)
+    if ky.shape != (n, n) or y.shape != (n,) or keeps.shape != (u, n):
         raise ValueError(f"factor_subsets: ky {ky.shape}, y {y.shape} and "
-                         f"keeps {np.shape(keeps)} do not match")
+                         f"keeps {keeps.shape} do not match")
     alphas = np.empty((u, n))
     slabs = np.empty((u, n, n)) if factors else None
     jittered = clib.kernels().obsurf_cholesky(
-        clib.addr(ky), n, clib.addr(y), keep_addr, u, _JITTER_ADDR,
+        clib.addr(ky), n, clib.addr(y), clib.addr(keeps), u, _JITTER_ADDR,
         len(_JITTERS), *_lapack(), clib.addr(alphas),
         None if slabs is None else clib.addr(slabs))
     if jittered < 0:
@@ -203,11 +196,9 @@ def factor_subsets(ky: np.ndarray, y: np.ndarray,
         raise error(message)
     if slabs is None:
         return alphas, None, jittered
-    if keeps is None:
-        return alphas, [slabs[0].T], jittered
     # slab u holds its factor column-major in its first s * s entries
     return alphas, [slab.reshape(-1)[:s * s].reshape(s, s).T for slab, s
-                    in zip(slabs, np.count_nonzero(keeps, axis=1))], jittered
+                    in zip(slabs, keeps.sum(axis=1).tolist())], jittered
 
 
 def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -220,7 +211,8 @@ def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _factor(ky: np.ndarray, y: np.ndarray):
     """Lower Cholesky factor of ky and alpha = ky^-1 y: factor_subsets
     on the whole set."""
-    alphas, factors, _ = factor_subsets(ky, y, None, True)
+    alphas, factors, _ = factor_subsets(ky, y, np.ones((1, len(y)), bool),
+                                        True)
     return factors[0], alphas[0]
 
 

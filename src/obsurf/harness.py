@@ -81,6 +81,12 @@ class EpisodeConfig:
                             ("obs_noise_std", 0.0)):
             if not getattr(self, name) >= least:
                 raise ValueError(f"{name} must be at least {least}")
+        for name in ("temperature", "d_min", "r_c"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive")
+        for f in dataclasses.fields(self):
+            if f.type == "float" and not 0.0 <= getattr(self, f.name) < np.inf:
+                raise ValueError(f"{f.name} must be finite and at least 0")
 
     @classmethod
     def for_scene(cls, scene: str, seed: int = 0, **overrides) -> "EpisodeConfig":
@@ -217,10 +223,9 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeReport:
                 local_min = contact.local_minimum(x_next, x_saved, cfg.t_m,
                                                   cfg.d_min)
                 x_saved = x_next.copy()
-            batch = contact.pre_process(batch, x_next, cam, depth, cfg.r_c,
-                                        local_min)
+            batch = contact.pre_process(batch, cam, depth, cfg.r_c, local_min)
             before = dp.bar_size
-            dp = dp.update(batch, x_next, x_pred, local_min)
+            dp = dp.update(batch)
             added = dp.bar_size - before
             surface = surface.with_active(dp.bar_points, dp.bar_labels)
             satisfied = cons.all_satisfied(scene.constraint_specs, surface,

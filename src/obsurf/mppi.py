@@ -42,8 +42,10 @@ class CostWeights:
     r_g: float
 
     def __post_init__(self):
-        if self.collision < 0.0 or self.basin < 0.0 or not (self.r_g > 0.0):
-            raise ValueError("collision and basin weights must be >= 0, r_g > 0")
+        weights = (self.action, self.exploration, self.collision, self.basin)
+        if not (all(w >= 0.0 for w in weights) and self.r_g > 0.0):
+            raise ValueError("action, exploration, collision and basin "
+                             "weights must be >= 0, r_g > 0")
 
 
 @dataclass(frozen=True)

@@ -130,6 +130,14 @@ def test_bad_cadence_exit_two(scene_file, capsys, pair, field):
     assert f"{field} must be at least" in capsys.readouterr().err
 
 
+def test_nan_stall_threshold_exit_two(scene_file, capsys):
+    # A NaN d_min would turn stall detection off for the whole episode.
+    code = main(["run", "--scene", "free", "--scene-file", scene_file,
+                 "--set", "d_min=nan"])
+    assert code == 2
+    assert "d_min must be positive" in capsys.readouterr().err
+
+
 def test_bad_population_exit_two(scene_file, capsys):
     # CMA-ES needs a population of 4; 3 fails before the episode starts.
     code = main(["run", "--scene", "free", "--scene-file", scene_file,

@@ -1,3 +1,4 @@
+import itertools
 import zlib
 
 import numpy as np
@@ -102,8 +103,7 @@ class TestPreProcess:
         x_next = np.array([[0.5, 0.0]])
         b = batch_for([[0.4, 0.0]], x_next, [[0.55, 0.0]])
         assert b.y[0] < 1.0
-        out = pre_process(b, x_next, self.cam, self.depth, r_c=0.05,
-                          local_min=False)
+        out = pre_process(b, self.cam, self.depth, r_c=0.05, local_min=False)
         assert out.y[0] == 1.0
         assert not out.keep_obs[0]
         assert not out.keep_pred[0]
@@ -111,8 +111,7 @@ class TestPreProcess:
     def test_visible_contact_relabeled(self):
         x_next = np.array([[0.97, 0.0]])  # within r_c of the wall cloud
         b = batch_for([[0.9, 0.0]], x_next, [[1.0, 0.0]])
-        out = pre_process(b, x_next, self.cam, self.depth, r_c=0.05,
-                          local_min=False)
+        out = pre_process(b, self.cam, self.depth, r_c=0.05, local_min=False)
         assert out.y[0] == 0.0
         assert out.keep_obs[0]
         assert not out.keep_pred[0]
@@ -122,8 +121,7 @@ class TestPreProcess:
         b = batch_for([[1.5, 0.0]], x_next, [[1.6, 0.0]])
         b.y[0] = 0.2
         b.y_hat[0] = -0.6
-        out = pre_process(b, x_next, self.cam, self.depth, r_c=0.05,
-                          local_min=False)
+        out = pre_process(b, self.cam, self.depth, r_c=0.05, local_min=False)
         assert out.keep_obs[0]
         assert out.keep_pred[0]
         assert out.y[0] == pytest.approx(0.2)  # labels untouched
@@ -132,21 +130,62 @@ class TestPreProcess:
         x_next = np.array([[0.5, 0.0], [0.6, 0.0]])
         b = batch_for([[0.5, 0.0], [0.5, 0.0]],
                       x_next, [[0.7, 0.0], [0.61, 0.0]])
-        out = pre_process(b, x_next, None, None, r_c=0.05, local_min=False)
+        out = pre_process(b, None, None, r_c=0.05, local_min=False)
         assert list(out.keep_obs) == [True, False]  # y_hat < 0 only for 1st
         assert list(out.keep_pred) == [True, False]
 
     def test_local_min_keeps_everything_observed(self):
         x_next = np.array([[0.5, 0.0], [0.6, 0.0]])
         b = batch_for([[0.49, 0.0], [0.59, 0.0]], x_next, x_next)
-        out = pre_process(b, x_next, None, None, r_c=0.05, local_min=True)
-        assert out.keep_obs.all()
+        out = pre_process(b, None, None, r_c=0.05, local_min=True)
+        assert out.keep_obs.all() and out.stall.all()
         assert not out.keep_pred.any()
+
+    # Where a point of each (visible, near the cloud) class sits.
+    WHERE = {(True, True): [0.97, 0.0], (True, False): [0.5, 0.0],
+             (False, True): [1.03, 0.0], (False, False): [1.5, 0.0]}
+
+    @staticmethod
+    def _oracle(vis, near, interior_motion, local_min):
+        """keep_obs, keep_pred, stall and the cleaned label (None when
+        left as generated) by the rule as first written: pre_process
+        kept every observed point on a stall, and the dataset update
+        masked those of them that were neither a visible contact nor
+        interior."""
+        interior = not (vis and not near) and interior_motion
+        keep_obs = (vis and near) or interior or local_min
+        stall = keep_obs and not ((vis and near) or interior) and local_min
+        label = (1.0 if not near else 0.0) if vis else None
+        return keep_obs, interior, stall, label
+
+    def test_rule_table(self):
+        # every (visible, near, y_hat < 0, local_min) combination
+        cases = list(itertools.product((True, False), repeat=3))
+        x_next = np.array([self.WHERE[vis, near] for vis, near, _ in cases])
+        x_t = x_next - [0.01, 0.0]
+        x_pred = np.where([[neg] for *_, neg in cases],
+                          x_t + [0.1, 0.0], x_next)  # y = 0.1 or 1
+        b = batch_for(x_t, x_next, x_pred)
+        assert list(b.y_hat < 0.0) == [neg for *_, neg in cases]
+        assert list(sensor.visible(x_next, self.cam, self.depth.z)) == [
+            vis for vis, *_ in cases]
+        gap = np.linalg.norm(x_next[:, None] - self.depth.cloud[None], axis=-1)
+        assert list(gap.min(axis=1) < 0.05) == [near for _, near, _ in cases]
+        for local_min in (False, True):
+            out = pre_process(b, self.cam, self.depth, 0.05, local_min)
+            for i, case in enumerate(cases):
+                keep_obs, keep_pred, stall, label = self._oracle(*case,
+                                                                 local_min)
+                assert out.keep_obs[i] == keep_obs, (case, local_min)
+                assert out.keep_pred[i] == keep_pred, (case, local_min)
+                assert out.stall[i] == stall, (case, local_min)
+                assert out.y[i] == (b.y[i] if label is None else label)
 
     def test_r_c_validation(self):
         b = batch_for([[0, 0]], [[1, 0]], [[1, 0]])
-        with pytest.raises(ValueError):
-            pre_process(b, np.array([[1.0, 0.0]]), None, None, 0.0, False)
+        for r_c in (0.0, -0.05, float("nan")):
+            with pytest.raises(ValueError, match="r_c must be positive"):
+                pre_process(b, None, None, r_c, False)
 
 
 class TestDatasets:
@@ -161,8 +200,8 @@ class TestDatasets:
         x_next = np.array([[0.08, 0.0]])
         x_pred = np.array([[0.2, 0.0]])
         b = batch_for([[0.0, 0.0]], x_next, x_pred)
-        b = pre_process(b, x_next, None, None, 0.05, local_min=False)
-        out = dp.update(b, x_next, x_pred, local_min=False)
+        b = pre_process(b, None, None, 0.05, local_min=False)
+        out = dp.update(b)
         assert out.bar_size == dp.bar_size + 2
         assert out.mem_size == dp.mem_size + 2
         assert not out.bar_mask.any()
@@ -171,8 +210,8 @@ class TestDatasets:
         dp = DatasetPair.seeded(np.array([[0.9, 0.9]]))
         x = np.array([[0.1, 0.1], [0.2, 0.2], [0.3, 0.3]])
         b = batch_for(x, x, x)  # nominal: no contact signal anywhere
-        b = pre_process(b, x, None, None, 0.05, local_min=True)
-        out = dp.update(b, x, x, local_min=True)
+        b = pre_process(b, None, None, 0.05, local_min=True)
+        out = dp.update(b)
         assert out.bar_size == dp.bar_size + 3
         assert out.bar_mask.sum() == 3
         assert (out.bar_labels[out.bar_mask] >= 0).all()  # never interior
@@ -182,8 +221,8 @@ class TestDatasets:
         x_t = np.array([[0.1, 0.0]])
         x_next = np.array([[0.2, 0.0]])
         b = batch_for(x_t, x_next, x_next)
-        b = pre_process(b, x_next, None, None, 0.05, local_min=False)
-        out = dp.update(b, x_next, x_next, local_min=False)
+        b = pre_process(b, None, None, 0.05, local_min=False)
+        out = dp.update(b)
         assert out.bar_size == dp.bar_size
         assert out.mem_size == dp.mem_size
 
@@ -192,20 +231,20 @@ class TestDatasets:
         x_next = np.array([[0.1, 0.0]])
         x_pred = np.array([[0.2, 0.0]])
         b = batch_for([[0.0, 0.0]], x_next, x_pred)
-        b = pre_process(b, x_next, None, None, 0.05, local_min=False)
-        once = dp.update(b, x_next, x_pred, local_min=False)
-        twice = once.update(b, x_next, x_pred, local_min=False)
+        b = pre_process(b, None, None, 0.05, local_min=False)
+        once = dp.update(b)
+        twice = once.update(b)
         assert twice.bar_size == once.bar_size
 
     def test_dedup_keeps_latest_label(self):
         dp = DatasetPair.seeded(np.array([[0.9, 0.9]]))
         x_next = np.array([[0.1, 0.0]])
         b1 = batch_for([[0.0, 0.0]], x_next, [[0.2, 0.0]])
-        b1 = pre_process(b1, x_next, None, None, 0.05, local_min=False)
-        dp = dp.update(b1, x_next, np.array([[0.2, 0.0]]), local_min=False)
+        b1 = pre_process(b1, None, None, 0.05, local_min=False)
+        dp = dp.update(b1)
         b2 = batch_for([[0.05, 0.0]], x_next, [[0.3, 0.0]])
-        b2 = pre_process(b2, x_next, None, None, 0.05, local_min=False)
-        dp2 = dp.update(b2, x_next, np.array([[0.3, 0.0]]), local_min=False)
+        b2 = pre_process(b2, None, None, 0.05, local_min=False)
+        dp2 = dp.update(b2)
         j = np.argmin(np.linalg.norm(dp2.bar_points - x_next, axis=1))
         assert dp2.bar_labels[j] == pytest.approx(b2.y[0])
 
@@ -213,8 +252,8 @@ class TestDatasets:
         goal = np.array([[0.2, 0.2]])
         dp = DatasetPair.seeded(goal)
         b = batch_for([[0.1, 0.2]], goal, [[0.4, 0.2]])
-        b = pre_process(b, goal, None, None, 0.05, local_min=False)
-        out = dp.update(b, goal, np.array([[0.4, 0.2]]), local_min=False)
+        b = pre_process(b, None, None, 0.05, local_min=False)
+        out = dp.update(b)
         assert out.bar_labels[0] == 1.0
         assert out.bar_tags[0] == TAG_GOAL
 
@@ -226,9 +265,9 @@ class TestDatasets:
             x_next = x_t + rng.uniform(-0.05, 0.05, (2, 2))
             x_pred = x_t + rng.uniform(-0.05, 0.05, (2, 2))
             b = batch_for(x_t, x_next, x_pred)
-            b = pre_process(b, x_next, None, None, 0.05,
+            b = pre_process(b, None, None, 0.05,
                             local_min=bool(rng.random() < 0.2))
-            dp = dp.update(b, x_next, x_pred, bool(rng.random() < 0.2))
+            dp = dp.update(b)
         pred_rows = dp.bar_tags == TAG_PREDICTED
         assert (dp.bar_labels[pred_rows] < 0).all()
         mem_pred = dp.mem_tags == TAG_PREDICTED
@@ -243,8 +282,8 @@ class TestDatasets:
             x_pred = x_t + rng.uniform(-0.05, 0.05, (2, 2))
             b = batch_for(x_t, x_next, x_pred)
             lm = bool(rng.random() < 0.3)
-            b = pre_process(b, x_next, None, None, 0.05, lm)
-            dp = dp.update(b, x_next, x_pred, lm)
+            b = pre_process(b, None, None, 0.05, lm)
+            dp = dp.update(b)
         for p, lab, masked in zip(dp.bar_points, dp.bar_labels, dp.bar_mask):
             if masked:
                 continue
@@ -257,8 +296,8 @@ class TestDatasets:
         dp = DatasetPair.seeded(np.array([[0.9, 0.9]]))
         x = np.array([[0.1, 0.1], [0.2, 0.2]])
         b = batch_for(x, x, x)
-        b = pre_process(b, x, None, None, 0.05, local_min=True)
-        dp = dp.update(b, x, x, local_min=True)
+        b = pre_process(b, None, None, 0.05, local_min=True)
+        dp = dp.update(b)
         out = dp.purge_masked()
         assert out.bar_size == 1 and out.mem_size == 1
         assert not out.bar_mask.any() and not out.mem_mask.any()
@@ -268,8 +307,8 @@ class TestDatasets:
         x_next = np.array([[0.1, 0.0]])
         x_pred = np.array([[0.2, 0.0]])
         b = batch_for([[0.0, 0.0]], x_next, x_pred)
-        b = pre_process(b, x_next, None, None, 0.05, local_min=False)
-        dp = dp.update(b, x_next, x_pred, local_min=False)
+        b = pre_process(b, None, None, 0.05, local_min=False)
+        dp = dp.update(b)
         keep = np.ones(dp.bar_size, dtype=bool)
         keep[-1] = False
         out = dp.keep_bar(keep)
@@ -286,12 +325,12 @@ BASES = np.array([[0.2, 0.2], [0.05, 0.1], [0.3, 0.05], [0.1, 0.35],
 JITTER = 3e-10
 _row = st.tuples(st.integers(0, len(BASES) - 1), st.integers(-1, 1),
                  st.integers(-1, 1))
-# (observed row, predicted row, y, vis, near_cloud, keep_obs, keep_pred)
+# (observed row, predicted row, y, keep_obs, keep_pred, stall); a stall
+# bit off a kept observed row is drawn too, and must not be stored
 _component = st.tuples(_row, _row, st.floats(0.0, 1.0), st.booleans(),
-                       st.booleans(), st.booleans(), st.booleans())
+                       st.booleans(), st.booleans())
 _transition = st.tuples(st.just("update"),
-                        st.lists(_component, min_size=1, max_size=3),
-                        st.booleans())
+                        st.lists(_component, min_size=1, max_size=3))
 _refinement = st.tuples(st.just("refine"), st.integers(0, 2 ** 32 - 1))
 
 
@@ -304,41 +343,46 @@ def _base_of(p):
     return int(np.argmin(np.linalg.norm(BASES - p, axis=1)))
 
 
-def _by_base(points, labels):
-    """Base index -> label; at most one row per base in either set."""
+def _by_base(points, labels, mask):
+    """Base index -> (label, mask bit); at most one row per base in
+    either set."""
     bases = [_base_of(p) for p in points]
     assert len(set(bases)) == len(bases)
-    return dict(zip(bases, labels))
+    return dict(zip(bases, zip(labels, mask)))
 
 
 class TestDatasetProperty:
     params = KernelParams(0.1, 1.0, 1e-4)
 
     @staticmethod
-    def _update(dp, comps, local_min):
+    def _update(dp, comps):
         x_next = np.array([_point(c[0]) for c in comps])
         x_pred = np.array([_point(c[1]) for c in comps])
         y = np.array([c[2] for c in comps])
-        vis, near, keep_obs, keep_pred = (np.array([c[k] for c in comps])
-                                          for k in range(3, 7))
-        batch = LabelBatch(y=y, y_hat=2.0 * y - 1.0, keep_obs=keep_obs,
-                           keep_pred=keep_pred, vis=vis, near_cloud=near)
-        out = dp.update(batch, x_next, x_pred, local_min)
+        keep_obs, keep_pred, stall = (np.array([c[k] for c in comps])
+                                      for k in range(3, 6))
+        batch = LabelBatch(obs=x_next, pred=x_pred, y=y, y_hat=2.0 * y - 1.0,
+                           keep_obs=keep_obs, keep_pred=keep_pred,
+                           stall=stall)
+        out = dp.update(batch)
         # Rows are folded in order, observed then predicted; a row near
         # a base already in the set relabels it (the later label wins)
-        # unless it is the goal seed.
-        take = np.ones(len(y), bool) if local_min else keep_obs
-        rows = ([(_base_of(p), v) for p, v in zip(x_next[take], y[take])]
-                + [(_base_of(p), v) for p, v in
+        # unless it is the goal seed, and leaves its mask bit as it is.
+        # A new row's mask bit is its stall bit; predicted rows have none.
+        rows = ([(_base_of(p), v, bool(m)) for p, v, m in
+                 zip(x_next[keep_obs], y[keep_obs], stall[keep_obs])]
+                + [(_base_of(p), v, False) for p, v in
                    zip(x_pred[keep_pred], 2.0 * y[keep_pred] - 1.0)])
-        for before, after in (((dp.mem_points, dp.mem_labels),
-                               (out.mem_points, out.mem_labels)),
-                              ((dp.bar_points, dp.bar_labels),
-                               (out.bar_points, out.bar_labels))):
+        for before, after in (((dp.mem_points, dp.mem_labels, dp.mem_mask),
+                               (out.mem_points, out.mem_labels, out.mem_mask)),
+                              ((dp.bar_points, dp.bar_labels, dp.bar_mask),
+                               (out.bar_points, out.bar_labels, out.bar_mask))):
             want = _by_base(*before)
-            for base, label in rows:
-                if base != 0:
-                    want[base] = label
+            for base, label, masked in rows:
+                if base not in want:
+                    want[base] = (label, masked)
+                elif base != 0:
+                    want[base] = (label, want[base][1])
             assert _by_base(*after) == want
         return out
 
@@ -357,15 +401,22 @@ class TestDatasetProperty:
     @given(ops=st.lists(st.one_of(_transition, _refinement), max_size=12))
     # one batch carries two rows within DEDUP_TOL: one row is added, and
     # the later label wins
-    @example(ops=[("update", [((1, 0, 0), (2, 0, 0), 0.25, False, False,
-                               True, False),
-                              ((1, 1, -1), (2, 0, 0), 0.75, False, False,
-                               True, False)], False)])
+    @example(ops=[("update", [((1, 0, 0), (2, 0, 0), 0.25, True, False,
+                               False),
+                              ((1, 1, -1), (2, 0, 0), 0.75, True, False,
+                               False)])])
+    # a stall row, then a later unmasked row at the same point: it keeps
+    # the stall row's mask bit, and refinement purges it
+    @example(ops=[("update", [((3, 0, 0), (2, 0, 0), 0.5, True, False,
+                               True)]),
+                  ("update", [((3, 1, 1), (2, 0, 0), 0.0, True, True,
+                               False)]),
+                  ("refine", 7)])
     def test_invariants_hold_after_every_operation(self, ops):
         dp = DatasetPair.seeded(BASES[:1])
         for op in ops:
             if op[0] == "update":
-                dp = self._update(dp, op[1], op[2])
+                dp = self._update(dp, op[1])
             else:
                 dp = self._refine(dp, op[1])
             # every active row is in memory with the same label

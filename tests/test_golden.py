@@ -10,6 +10,10 @@ change that alters behaviour on purpose updates the hash and says why.
 The refinement problems these episodes pose are also solved exactly,
 by enumerating every free bit vector, and the search must reach that
 optimum.
+
+Each episode runs at the scene's defaults but for its seed, its step
+budget and its observation noise (`obs_noise_std`); an episode with
+noise is the partially observed setting, where stalls are common.
 """
 
 import dataclasses
@@ -24,23 +28,30 @@ from obsurf import refine
 from obsurf.harness import EpisodeConfig, run_episode
 
 
-# (scene, seed, max_steps) -> sha256 of EpisodeReport.log_text()
+# (scene, seed, max_steps, obs_noise_std) -> sha256 of
+# EpisodeReport.log_text()
 GOLDEN = {
     # reaches the goal at step 207 after one refinement
-    ("peg_u", 3, 250):
+    ("peg_u", 3, 250, 0.0):
         "f75137446986b25a0411bef649c78d11640270c0251c0b1972378dd54f0dd27d",
     # runs out at step 40 after one refinement
-    ("cable_hook", 1, 40):
+    ("cable_hook", 1, 40, 0.0):
         "1941257b7e780586d3b9914bb3e186c1f370112ba03fde856f007771ad0be856",
+    # runs out at step 200; stores stall rows on 17 steps, and its one
+    # refinement purges 13 of 16 active points and searches 2 free bits
+    ("peg_u", 0, 200, 1e-3):
+        "b3bb4fed7b278f24ed40d0ca965cefac1995f067576c80437f2b3806675ae671",
 }
 
-# (scene, seed, max_steps) -> sha256 of the eight final DatasetPair
-# arrays, in field order
+# the same episodes -> sha256 of the eight final DatasetPair arrays, in
+# field order
 GOLDEN_DATASETS = {
-    ("peg_u", 3, 250):
+    ("peg_u", 3, 250, 0.0):
         "3e8fc7e2180953cb4f4d6517c3373b5faf8315c78673ff368b096d39efbf6fee",
-    ("cable_hook", 1, 40):
+    ("cable_hook", 1, 40, 0.0):
         "6518f1478a6f30e8d4a81f3dacb44641c49733e8f55ee9401774c94437fb79c9",
+    ("peg_u", 0, 200, 1e-3):
+        "c5d666363778443b8b35a83c64de3d6d694514c650126bc6aa607807c8c05ddb",
 }
 
 
@@ -52,7 +63,7 @@ def datasets_sha256(dp) -> str:
 
 
 @functools.lru_cache(maxsize=None)
-def golden_episode(scene, seed, max_steps):
+def golden_episode(scene, seed, max_steps, noise):
     """The episode's report and, for each refinement search it ran, the
     problem and run_cmawm's (omega, kept weight, found)."""
     searches = []
@@ -65,8 +76,8 @@ def golden_episode(scene, seed, max_steps):
 
     refine.run_cmawm = recorded
     try:
-        report = run_episode(EpisodeConfig.for_scene(scene, seed=seed,
-                                                     max_steps=max_steps))
+        report = run_episode(EpisodeConfig.for_scene(
+            scene, seed=seed, max_steps=max_steps, obs_noise_std=noise))
     finally:
         refine.run_cmawm = inner
     return report, searches
@@ -85,25 +96,35 @@ def enumerated_optimum(problem):
     return best
 
 
-@pytest.mark.parametrize("scene,seed,max_steps", sorted(GOLDEN))
-def test_log_hash(scene, seed, max_steps):
-    report, _ = golden_episode(scene, seed, max_steps)
+def _cases(keys):
+    """Parametrize over episode keys; an id names the noise only when
+    there is some."""
+    keys = sorted(keys)
+    ids = ["-".join(map(str, key[:3])) + (f"-noise{key[3]:g}" if key[3]
+                                          else "") for key in keys]
+    return pytest.mark.parametrize("scene,seed,max_steps,noise", keys,
+                                   ids=ids)
+
+
+@_cases(GOLDEN)
+def test_log_hash(scene, seed, max_steps, noise):
+    key = (scene, seed, max_steps, noise)
+    report, _ = golden_episode(*key)
     digest = hashlib.sha256(report.log_text().encode()).hexdigest()
     assert len(report.events) == 1
-    assert digest == GOLDEN[(scene, seed, max_steps)]
-    assert (datasets_sha256(report.final_datasets)
-            == GOLDEN_DATASETS[(scene, seed, max_steps)])
+    assert digest == GOLDEN[key]
+    assert datasets_sha256(report.final_datasets) == GOLDEN_DATASETS[key]
 
 
 # Short episodes whose refinements drop data: peg_i seed 3 keeps 0.73
 # of the weight in its one refinement, cable_hook seed 0 runs six with
 # up to 12 free bits and keeps as little as 0.55.
-TRUST_EXTRA = [("cable_hook", 0, 100), ("peg_i", 3, 100)]
+TRUST_EXTRA = [("cable_hook", 0, 100, 0.0), ("peg_i", 3, 100, 0.0)]
 
 
-@pytest.mark.parametrize("scene,seed,max_steps", sorted(GOLDEN) + TRUST_EXTRA)
-def test_refinement_reaches_enumerated_optimum(scene, seed, max_steps):
-    _, searches = golden_episode(scene, seed, max_steps)
+@_cases(list(GOLDEN) + TRUST_EXTRA)
+def test_refinement_reaches_enumerated_optimum(scene, seed, max_steps, noise):
+    _, searches = golden_episode(scene, seed, max_steps, noise)
     assert searches
     for problem, (omega, kept, found) in searches:
         assert (~problem.pinned).sum() <= 16  # 2**16 checks at most

@@ -198,11 +198,12 @@ class TestOccupancy:
             GridSpec((0.0, 0.0), (1.0, 1.0), 0.0)
 
 
-def _observed(y: float) -> LabelBatch:
-    """One observed, stored, non-contact label for a single-point state."""
+def _observed(x: np.ndarray, y: float) -> LabelBatch:
+    """One observed, stored, unmasked label for the single-point state x."""
     no = np.array([False])
-    return LabelBatch(np.array([y]), np.array([2 * y - 1]), np.array([True]),
-                      no, no, no)
+    return LabelBatch(obs=x, pred=x, y=np.array([y]),
+                      y_hat=np.array([2 * y - 1]), keep_obs=np.array([True]),
+                      keep_pred=no, stall=no)
 
 
 def reference_cell_index(spec, point):
@@ -270,10 +271,10 @@ class TestSurfaceReuse:
         # surface must follow the values, not the size.
         x = np.array([[0.1, 0.1]])
         dp = DatasetPair.seeded(np.array([[0.3, 0.3]]))
-        dp = dp.update(_observed(0.2), x, x, False)
+        dp = dp.update(_observed(x, 0.2))
         g = Gpis(dp.bar_points, dp.bar_labels, TIGHT)
         before = _at(g, x[0]).mean
-        relabeled = dp.update(_observed(1.0), x, x, False)
+        relabeled = dp.update(_observed(x, 1.0))
         assert relabeled.bar_size == dp.bar_size
         h = g.with_active(relabeled.bar_points, relabeled.bar_labels)
         assert h is not g

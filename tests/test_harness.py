@@ -193,6 +193,31 @@ class TestConfigText:
             EpisodeConfig.for_scene("cable_hook", **{field: bad})
         assert getattr(EpisodeConfig(**{field: least}), field) == least
 
+    # A NaN or out-of-range weight, temperature or radius fails when the
+    # config is built. Otherwise a NaN d_min turns stall detection off, a
+    # NaN r_c turns off contact labels from vision, and an infinite
+    # temperature makes every MPPI weight the same, all without an error.
+    # The edge value is the config's bound itself, or just past it.
+    @pytest.mark.parametrize("field, bad, want, edge", [
+        ("d_min", float("nan"), "d_min must be positive", 1e-12),
+        ("d_min", 0.0, "d_min must be positive", 1e-12),
+        ("r_c", -0.01, "r_c must be positive", 1e-12),
+        ("temperature", float("inf"), "temperature must be finite", 1e-12),
+        ("alpha", float("nan"), "alpha must be finite and at least 0", 0.0),
+        ("beta", -0.5, "beta must be finite and at least 0", 0.0),
+        ("eta", float("inf"), "eta must be finite and at least 0", 0.0),
+        ("collision_c", -1.0, "collision_c must be finite and at least 0",
+         0.0),
+        ("noise_cov", float("nan"), "noise_cov must be finite and at least 0",
+         0.0),
+        ("obs_noise_std", float("inf"), "obs_noise_std must be finite", 0.0)])
+    def test_bad_number_rejected(self, field, bad, want, edge):
+        with pytest.raises(ValueError, match=want):
+            EpisodeConfig(**{field: bad})
+        with pytest.raises(ValueError, match=want):
+            EpisodeConfig.for_scene("cable_hook", **{field: bad})
+        assert getattr(EpisodeConfig(**{field: edge}), field) == edge
+
 
 class TestExports:
     def test_artifact_files(self, tmp_path, free_scene_file):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -458,6 +460,14 @@ class TestMppiStep:
                        u_max=np.ones(2))
         with pytest.raises(ValueError):
             small_cfg(samples=0)
+
+    @pytest.mark.parametrize("field", ["action", "exploration", "collision",
+                                       "basin"])
+    @pytest.mark.parametrize("bad", [-1.0, float("nan")])
+    def test_bad_cost_weight_rejected(self, field, bad):
+        with pytest.raises(ValueError, match="weights must be >= 0"):
+            dataclasses.replace(W, **{field: bad})
+        assert getattr(dataclasses.replace(W, **{field: 0.0}), field) == 0.0
 
     def test_horizon_mismatch_rejected(self):
         goals = GoalSet.single(0, (0.1, 0.1))
