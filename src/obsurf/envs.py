@@ -77,12 +77,12 @@ def _limits(lo, hi, gap: float) -> np.ndarray:
 
 
 class _Env:
-    """What the peg and the cable share: a state of n points, and
-    `rollout`, `nominal` and `step_truth`, each one `_advance` call. A
-    subclass's `_advance(x, u, boxes)` fills x (K, T + 1, n, 2),
-    C-contiguous float64 with each start at step 0, with K starts
-    stepped through T controls u (K, T, control_dim) against boxes, and
-    returns it."""
+    """What the peg and the cable share: a state of n points, the
+    nominal model `nominal` and the true step `step_truth`, each one
+    `_roll` call. A subclass's `_advance(x, u, boxes)` fills x (K, T + 1,
+    n, 2), C-contiguous float64 with each start at step 0, with K starts
+    stepped through the C-contiguous float64 controls u (K, T,
+    control_dim) against boxes, and returns it."""
 
     def __init__(self, world: WorldGeometry, start, u_max: float):
         self.world = world
@@ -93,49 +93,34 @@ class _Env:
         self._lim = _limits(world.bounds_lo, world.bounds_hi, CONTACT_GAP)
         self._fixed = clib.fixed(self._all, self._obs, self._lim)
 
-    def _controls(self, x: np.ndarray, u) -> np.ndarray:
-        """u as the (K, T, control_dim) C-contiguous float64 controls of
-        x (K, T + 1, ...), else ValueError."""
-        u = np.ascontiguousarray(u, dtype=float)
-        if u.shape != (x.shape[0], x.shape[1] - 1, self.control_dim):
-            raise ValueError(f"controls must be (K, T, {self.control_dim}), "
-                             f"not {u.shape}")
-        return u
-
-    def _step(self, states: np.ndarray, u, boxes: np.ndarray) -> np.ndarray:
-        """States (K, n, 2) one step on under controls u, broadcast to
-        (K, u)."""
-        states = np.asarray(states, dtype=float)
-        if states.ndim != 3 or states.shape[1:] != (self.n, 2):
-            raise ValueError(f"states must be (K, {self.n}, 2), not "
-                             f"{states.shape}")
-        k = len(states)
-        x = np.empty((k, 2, self.n, 2))
-        x[:, 0] = states
-        u = np.broadcast_to(np.asarray(u, dtype=float),
-                            (k, self.control_dim))[:, None]
-        return np.ascontiguousarray(self._advance(x, u, boxes)[:, 1])
-
-    def rollout(self, x0: np.ndarray, cand: np.ndarray) -> np.ndarray:
-        """Nominal states (K, T + 1, n, 2) of K control sequences cand
-        (K, T, u) from x0 (n, 2), step 0 being x0: `nominal` step by
-        step, bit for bit, in one kernel call."""
-        cand = np.asarray(cand)
-        if cand.ndim != 3:
-            raise ValueError(f"rollout: cand must be (K, T, u), not "
-                             f"{cand.shape}")
-        states = np.empty((len(cand), cand.shape[1] + 1, self.n, 2))
-        states[:, 0] = x0
-        return self._advance(states, cand, self._obs)
+    def _roll(self, starts, controls, boxes: np.ndarray) -> np.ndarray:
+        """States (K, T + 1, n, 2) of K starts (K, n, 2) stepped through
+        controls (K, T, control_dim) against boxes, step 0 being the
+        starts, from one `_advance` call; else ValueError."""
+        starts = np.asarray(starts, dtype=float)
+        controls = np.ascontiguousarray(controls, dtype=float)
+        if not (starts.ndim == controls.ndim == 3
+                and starts.shape[1:] == (self.n, 2)
+                and controls.shape[::2] == (len(starts), self.control_dim)):
+            raise ValueError(f"starts must be (K, {self.n}, 2) and controls "
+                             f"(K, T, {self.control_dim}), not {starts.shape}"
+                             f" and {controls.shape}")
+        x = np.empty((len(starts), controls.shape[1] + 1, self.n, 2))
+        x[:, 0] = starts
+        return self._advance(x, controls, boxes)
 
     def step_truth(self, u: np.ndarray) -> np.ndarray:
-        self.state = self._step(self.state[None], u, self._all)[0]
+        """The state one step on under the control u (control_dim,),
+        against every box."""
+        self.state = self._roll(self.state[None], np.reshape(u, (1, 1, -1)),
+                                self._all)[0, 1]
         return self.state.copy()
 
-    def nominal(self, states: np.ndarray, controls: np.ndarray) -> np.ndarray:
-        """Prediction against the observed geometry only (workspace
-        walls still apply)."""
-        return self._step(states, controls, self._obs)
+    def nominal(self, starts: np.ndarray, controls: np.ndarray) -> np.ndarray:
+        """The nominal states (K, T + 1, n, 2) of K starts (K, n, 2) under
+        control sequences (K, T, control_dim), step 0 being the starts:
+        the observed boxes only (workspace walls still apply)."""
+        return self._roll(starts, controls, self._obs)
 
 
 class PegEnv(_Env):
@@ -152,7 +137,6 @@ class PegEnv(_Env):
         on a face stays put when pushed toward it and moves freely
         otherwise, so a diagonal push into a wall keeps its lateral
         component. One kernel call (sweep.c) does all of it."""
-        u = self._controls(x, u)
         k, t_hor = u.shape[:2]
         clib.kernels().obsurf_rollout(
             clib.arg("peg: x", x, (k, t_hor + 1, 1, 2)), k, t_hor,
@@ -207,7 +191,6 @@ class CableEnv(_Env):
         stepped alone. One kernel call (sweep.c) does all of it, over
         `_threads(K)` worker threads; the bytes do not depend on their
         number."""
-        u = self._controls(x, u)
         k, t_hor = u.shape[:2]
         capped = (ctypes.c_long * 2)()
         if clib.kernels().obsurf_cable(
@@ -236,9 +219,9 @@ class ObservedSurface:
         inside = self.world.inside_any(pts, observable_only=True)
         return np.where(inside, -1.0, 1.0)
 
-    def predict_split(self, pts: np.ndarray, var_rows):
+    def predict_many(self, pts: np.ndarray, var_rows=slice(None)):
         """Mean at every row and zero variance at the rows var_rows
-        selects (None skips the variance), as `Gpis.predict_split`."""
+        selects (None skips the variance), as `Gpis.predict_many`."""
         mean = self.predict_mean(pts)
         return mean, None if var_rows is None else np.zeros_like(mean)[var_rows]
 
@@ -326,9 +309,10 @@ def parse_scene(text: str, name: str = "custom") -> Scene:
     Directives: `bounds x0 y0 x1 y1` (default 0 0 1 1), `box x0 y0 x1 y1
     observable` (0 or 1), `goal x y radius`, `start x y [x y ...]`, `rest length`
     and `camera x y yaw fov width`. A one-point start builds a peg task; a
-    longer one a cable gripped at both ends, which needs `rest`.
-    Malformed input raises ValueError naming the line."""
-    boxes = []
+    longer one a cable gripped at both ends, which needs `rest`. Every
+    directive but `box` comes at most once. Malformed input, a
+    non-finite value or a repeat raises ValueError naming the line."""
+    boxes, seen = [], set()
     bounds = ((0.0, 0.0), (1.0, 1.0))
     start = goal_pt = r_g = rest = cam = None
     for no, raw in enumerate(text.splitlines(), 1):
@@ -344,14 +328,19 @@ def parse_scene(text: str, name: str = "custom") -> Scene:
             if len(vals) != want if want else not vals or len(vals) % 2:
                 raise ValueError(f"takes {want or 'a positive even number of'}"
                                  f" values, not {len(vals)}")
+            if kind == "box" and vals[4] not in (0.0, 1.0):
+                raise ValueError(f"observable must be 0 or 1, not {tok[4]}")
+            if not np.isfinite(vals).all():
+                raise ValueError("values must be finite")
             if kind in ("box", "bounds") and not (vals[0] < vals[2]
                                                   and vals[1] < vals[3]):
                 raise ValueError("needs x0 < x1 and y0 < y1")
             if kind in ("goal", "rest") and not vals[-1] > 0.0:
                 raise ValueError("goal radius and rest must be positive")
+            if kind != "box" and kind in seen:
+                raise ValueError(f"repeats '{kind}', which a scene takes once")
+            seen.add(kind)
             if kind == "box":
-                if vals[4] not in (0.0, 1.0):
-                    raise ValueError(f"observable must be 0 or 1, not {tok[4]}")
                 boxes.append(Box((vals[0], vals[1]), (vals[2], vals[3]),
                                  observable=vals[4] == 1.0))
             elif kind == "bounds":

@@ -76,17 +76,9 @@ def matern32(r, params: KernelParams):
     r = np.asarray(r, dtype=float)
     if np.any(r < 0.0):
         raise ValueError("matern32 requires non-negative distances")
-    # Evaluated in place, in the operation order of
-    # outputscale * (1 + s) * exp(-s), so the result is bit-identical to
-    # that expression without its full-size temporaries; r is not written.
-    s = np.multiply(SQRT3, r, out=np.empty_like(r))
-    s /= params.lengthscale
-    e = np.negative(s, out=np.empty_like(s))
-    np.exp(e, out=e)
-    s += 1.0
-    s *= params.outputscale
-    s *= e
-    return s if s.ndim else float(s)
+    s = SQRT3 * r / params.lengthscale
+    k = (s + 1.0) * params.outputscale * np.exp(-s)
+    return k if k.ndim else float(k)
 
 
 def _matern(a, b, params: KernelParams, parts: bool):

@@ -133,7 +133,8 @@ class Gpis:
     each occupancy grid are computed at most once per instance. The optional free-space oracle maps a (q, d) array of
     points to a boolean visibility mask; where it reports True the
     predicted mean is overridden to the exterior label value (variance
-    is never touched).
+    is never touched). Every query, `predict_many` or `predict_mean`,
+    is one `_predict` call.
     """
 
     def __init__(
@@ -175,10 +176,7 @@ class Gpis:
             self._solve = GpSolve(self.points, self.labels, self.params)
         return self._solve
 
-    def predict_split(self, queries: np.ndarray, var_rows):
-        """Post-processed mean at every query row and raw variance at the
-        rows var_rows selects (any numpy index; None skips the variance
-        and returns None), from one kernel evaluation."""
+    def _predict(self, queries: np.ndarray, var_rows):
         queries = np.atleast_2d(np.asarray(queries, dtype=float))
         solver = self._solver()
         if solver is None:
@@ -192,14 +190,17 @@ class Gpis:
             mean = np.where(vis, FREE_LABEL, mean)
         return mean, var
 
-    def predict_many(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior mean (post-processed) and raw variance per query row."""
-        return self.predict_split(queries, slice(None))
+    def predict_many(self, queries: np.ndarray, var_rows=slice(None)):
+        """Post-processed mean at every query row and raw variance at the
+        rows var_rows selects (any numpy index, every row by default;
+        None skips the variance and returns None), from one kernel
+        evaluation."""
+        return self._predict(queries, var_rows)
 
     def predict_mean(self, queries: np.ndarray) -> np.ndarray:
         """Post-processed posterior mean only (cheaper than predict_many
         for large query batches)."""
-        return self.predict_split(queries, None)[0]
+        return self._predict(queries, None)[0]
 
     def occupancy_grid(self, spec: GridSpec) -> OccupancyGrid:
         """Boolean occupancy over the grid (see GridSpec.occupancy),

@@ -39,8 +39,7 @@ OUTPUTSCALE_BOX = (0.25, 4.0)
 CABLE_DEFAULTS = dict(
     temperature=0.167, samples=72, horizon=8, noise_cov=0.004,
     alpha=0.627, beta=0.995, eta=100.0, collision_c=10000.0,
-    d_min=0.01, t_m=3, t_e=3, t_fit=2, r_c=0.01,
-    t_cma=25, n_cma=50, max_steps=200, vision=True,
+    t_m=3, t_e=3, t_fit=2, n_cma=50, max_steps=200, vision=True,
 )
 
 
@@ -208,11 +207,11 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeReport:
     for step in range(1, cfg.max_steps + 1):
         if n > 1 and cfg.t_e and (step - 1) % cfg.t_e == 0:
             sel = mppi.select_component(surface, x)
-        u, nominal_seq = mppi.mppi_step(x, nominal_seq, env.rollout, surface,
+        u, nominal_seq = mppi.mppi_step(x, nominal_seq, env.nominal, surface,
                                         goals, weights, mcfg, sel, mppi_rng)
         x_true = env.step_truth(u)
         x_next = _observe(x_true, cfg.obs_noise_std, noise_rng)
-        x_pred = env.nominal(x[None], u[None])[0]
+        x_pred = env.nominal(x[None], u[None, None])[0, 1]
 
         added = 0
         local_min = False

@@ -112,7 +112,7 @@ def _surface_costs(
     """
     k, t1, n, d = states.shape
     pts = states[:, 1:].reshape(-1, d)
-    mean, var = surface.predict_split(pts, slice(component, None, n))
+    mean, var = surface.predict_many(pts, slice(component, None, n))
     collision = (mean <= 0.0).reshape(k, -1).sum(axis=1).astype(float)
     exploration = -var.reshape(k, -1).sum(axis=1)
     return collision, exploration
@@ -138,8 +138,9 @@ def mppi_step(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One planning step.
 
-    rollout maps the start x0 (n, d) and candidate control sequences
-    (K, T, u) to their nominal states (K, T + 1, n, d), step 0 being x0.
+    rollout maps K starts (K, n, d), here each x0 (n, d), and candidate
+    control sequences (K, T, u) to their nominal states (K, T + 1, n, d),
+    step 0 being the starts.
     Perturbed controls are clamped to bounds before rollout, and the
     clamped values are what enter both the action cost and the weighted
     average. Returns the first action of the averaged sequence and the
@@ -164,7 +165,7 @@ def mppi_step(
         np.add(nominal[:, j], col, out=col)
         np.clip(col, u_min[j], u_max[j], out=col)
 
-    states = rollout(x0, cand)
+    states = rollout(np.broadcast_to(x0, (k,) + x0.shape), cand)
 
     costs = _goal_costs(states, goals, weights)
     costs += weights.action * _action_costs(cand)

@@ -146,6 +146,20 @@ def test_bad_population_exit_two(scene_file, capsys):
     assert "n_cma must be at least 4" in capsys.readouterr().err
 
 
+def test_bad_scene_file_exit_two(tmp_path, capsys):
+    # A scene file's NaN or repeated directive fails before the episode
+    # starts, naming the line.
+    for text, line in ((FREE_SCENE + "goal 0.3 0.3 0.02\n",
+                        "line 4 'goal 0.3 0.3 0.02': repeats 'goal'"),
+                       (FREE_SCENE.replace("start 0.2 0.2", "start nan 0.2"),
+                        "line 3 'start nan 0.2': values must be finite")):
+        path = tmp_path / "scene.txt"
+        path.write_text(text)
+        assert main(["run", "--scene", "free", "--scene-file",
+                     str(path)]) == 2
+        assert line in capsys.readouterr().err
+
+
 def test_unknown_scene_exit_two():
     assert main(["run", "--scene", "peg_zzz"]) == 2
 

@@ -391,6 +391,13 @@ def _same_bytes(a, b) -> bool:
             and np.asarray(a).tobytes() == np.asarray(b).tobytes())
 
 
+def _one_step(env, states, u, boxes):
+    """States (K, n, 2) one step on under controls u, broadcast to (K,
+    control_dim), against boxes."""
+    u = np.broadcast_to(u, (len(states), env.control_dim))[:, None]
+    return env._roll(states, u, boxes)[:, 1]
+
+
 # The stock scenes as code, before they became text, kept verbatim as
 # the exactness oracle for make_scene.
 def _zigzag_chain(x0: float, x1: float, y: float, k: int, rest: float) -> np.ndarray:
@@ -685,6 +692,27 @@ class TestSweepKernel:
         assert len(built) == 1 and built[0].endswith(".so"), built
 
 
+def _bad_shapes_rejected(env):
+    """Starts that are not (K, n, 2), or controls that are not (K, T,
+    control_dim) for the same K, raise ValueError; so does a true step
+    under a control of the wrong size."""
+    n, c = env.n, env.control_dim
+    for starts, controls in (
+            (np.zeros((n, 2)), np.zeros((1, 4, c))),  # one start, unstacked
+            (np.zeros((3, n + 1, 2)), np.zeros((3, 4, c))),
+            (np.zeros((3, n, 3)), np.zeros((3, 4, c))),
+            (np.zeros((3, n, 2)), np.zeros((3, 4, c + 2))),
+            (np.zeros((3, n, 2)), np.zeros((3, c))),  # one step, unstacked
+            (np.zeros((2, n, 2)), np.zeros((3, 4, c)))):
+        with pytest.raises(ValueError, match=rf"starts must be \(K, {n}, 2\)"
+                           rf" and controls \(K, T, {c}\)"):
+            env.nominal(starts, controls)
+    state = env.state.copy()
+    with pytest.raises(ValueError, match="controls"):
+        env.step_truth(np.zeros(c + 2))
+    assert _same_bytes(env.state, state)
+
+
 class TestSlideOracle:
     @settings(max_examples=800, deadline=None, derandomize=True)
     @given(case=_slide_case())
@@ -710,7 +738,7 @@ class TestSlideOracle:
         for rows in (env._all, env._obs):
             with np.errstate(invalid="ignore"):
                 want = _numpy_peg_move(env, pos[:, None], u, rows)
-            assert _same_bytes(env._step(pos[:, None], u, rows), want)
+            assert _same_bytes(_one_step(env, pos[:, None], u, rows), want)
         # a rollout is nominal step by step, from each drawn start
         k, t_hor = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 8))
         ctrl = st.floats(-0.1, 0.1) | st.sampled_from(_SPECIAL)
@@ -724,7 +752,8 @@ class TestSlideOracle:
                 for t in range(t_hor):
                     want[:, t + 1] = _numpy_peg_move(env, want[:, t],
                                                      cand[:, t], env._obs)
-            assert _same_bytes(env.rollout(x0[None], cand), want)
+            assert _same_bytes(env.nominal(np.broadcast_to(x0, (k, 1, 2)), cand),
+                               want)
 
     def test_cable_grippers_match_numpy(self):
         pushed = []
@@ -749,7 +778,7 @@ class TestSlideOracle:
                 u[rng.integers(len(u)), rng.integers(4)] = rng.choice(_SPECIAL)
             with np.errstate(invalid="ignore"):
                 want = _numpy_cable_move(env, pos, u, boxes, pushed)
-                got = env._step(pos, u, boxes)
+                got = _one_step(env, pos, u, boxes)
             assert _same_bytes(got, want)
 
         check()
@@ -779,7 +808,7 @@ class TestSlideOracle:
         for iters in ((PINNED_ITERATIONS, POLISH_ITERATIONS), (0, 0)):
             env._iters = (ctypes.c_long * 2)(*iters)
             for rows in (env._all, np.zeros((0, 4))):
-                assert _same_bytes(env._step(states, u, rows),
+                assert _same_bytes(_one_step(env, states, u, rows),
                                    _numpy_cable_move(env, states, u, rows,
                                                      pushed))
         assert pushed == [True, False] * 2
@@ -792,10 +821,7 @@ class TestSlideOracle:
         with pytest.raises(ValueError, match="peg: boxes"):
             env._advance(np.zeros((2, 2, 1, 2)), np.zeros((2, 1, 2)),
                          np.zeros((1, 5)))
-        with pytest.raises(ValueError, match="controls"):
-            env.rollout(np.zeros((1, 2)), np.zeros((3, 4, 4)))
-        with pytest.raises(ValueError, match="rollout"):
-            env.rollout(np.zeros((1, 2)), np.zeros((3, 4)))
+        _bad_shapes_rejected(env)
 
 
 class TestCableKernel:
@@ -892,8 +918,9 @@ class TestCableKernel:
         want = np.empty((20, 7, env.n, 2))
         want[:, 0] = env.state
         for t in range(6):
-            want[:, t + 1] = env.nominal(want[:, t], cand[:, t])
-        assert _same_bytes(env.rollout(env.state, cand), want)
+            want[:, t + 1] = env.nominal(want[:, t], cand[:, t:t + 1])[:, 1]
+        starts = np.broadcast_to(env.state, (20, env.n, 2))
+        assert _same_bytes(env.nominal(starts, cand), want)
 
     def test_threads(self, monkeypatch):
         monkeypatch.setattr(envs, "_cpus", 2)
@@ -903,19 +930,15 @@ class TestCableKernel:
 
     def test_no_samples_or_no_steps(self):
         env = make_scene("cable_hook").env
-        assert env.rollout(env.state, np.zeros((0, 3, 4))).shape == (0, 4, env.n, 2)
-        assert _same_bytes(env.rollout(env.state, np.zeros((5, 0, 4))),
-                           np.repeat(env.state[None, None], 5, axis=0))
+        none = env.nominal(np.zeros((0, env.n, 2)), np.zeros((0, 3, 4)))
+        assert none.shape == (0, 4, env.n, 2)
+        starts = np.repeat(env.state[None], 5, axis=0)
+        assert _same_bytes(env.nominal(starts, np.zeros((5, 0, 4))),
+                           starts[:, None])
         assert env.pinned_capped == env.polish_capped == 0
 
     def test_bad_controls_rejected(self):
-        env = make_scene("cable_hook").env
-        with pytest.raises(ValueError, match="controls"):
-            env.rollout(env.state, np.zeros((3, 4, 2)))
-        with pytest.raises(ValueError, match="cand"):
-            env.rollout(env.state, np.zeros((3, 4)))
-        with pytest.raises(ValueError, match="states"):
-            env.nominal(env.state, np.zeros(4))
+        _bad_shapes_rejected(make_scene("cable_hook").env)
 
 
 class TestPushOutProperty:
@@ -1019,8 +1042,8 @@ class TestPegEnv:
     def test_nominal_ignores_hidden_obstacles(self):
         env = make_scene("peg_i").env
         state = np.array([[[0.2, 0.185]]])
-        out = env.nominal(state, np.array([[0.0, 0.02]]))
-        np.testing.assert_allclose(out[0, 0], [0.2, 0.205])
+        out = env.nominal(state, np.array([[[0.0, 0.02]]]))
+        np.testing.assert_allclose(out[0, 1, 0], [0.2, 0.205])
 
     def test_truth_blocks_at_hidden_wall(self):
         env = make_scene("peg_i").env
@@ -1042,7 +1065,7 @@ class TestPegEnv:
         state = env.state.copy()
         for _ in range(50):
             u = rng.uniform(-0.02, 0.02, 2)
-            pred = env.nominal(state[None], u[None])[0]
+            pred = env.nominal(state[None], u[None, None])[0, 1]
             state = env.step_truth(u)
             np.testing.assert_allclose(pred, state, atol=1e-9)
 
@@ -1092,7 +1115,7 @@ class TestCableEnv:
         u = np.array([0.0, 0.02, 0.0, 0.02])
         worst = 0.0
         for _ in range(30):
-            pred = env.nominal(state[None], u[None])[0]
+            pred = env.nominal(state[None], u[None, None])[0, 1]
             state = env.step_truth(u)
             worst = max(worst, np.abs(pred - state).max())
         # at first bar contact the nominal keeps rising, truth does not
@@ -1107,7 +1130,7 @@ class TestCableEnv:
         state = env.state.copy()
         for _ in range(30):
             u = rng.uniform(-0.02, 0.02, 4)
-            pred = env.nominal(state[None], u[None])[0]
+            pred = env.nominal(state[None], u[None, None])[0, 1]
             state = env.step_truth(u)
             np.testing.assert_allclose(pred, state, atol=1e-9)
 
@@ -1136,9 +1159,9 @@ class TestCableEnv:
         states = np.repeat(np.stack(starts), len(u), axis=0)
         u = np.tile(u, (len(starts), 1))
         for boxes in (env._obs, env._all):
-            batch = env._step(states, u, boxes)
+            batch = _one_step(env, states, u, boxes)
             for i in range(len(states)):
-                single = env._step(states[i:i + 1], u[i:i + 1], boxes)[0]
+                single = _one_step(env, states[i:i + 1], u[i:i + 1], boxes)[0]
                 np.testing.assert_array_equal(batch[i], single)
 
     # Known defect (FOUND in CHANGES.md): the push-out after the polish
@@ -1156,7 +1179,7 @@ class TestCableEnv:
         u = np.random.default_rng(seed).uniform(-0.02, 0.02, (batch, 4))
         for i in range(batch):
             before = env.polish_capped
-            out = env._step(pos[i:i + 1], u[i], boxes)[0]
+            out = env._roll(pos[i:i + 1], u[i:i + 1, None], boxes)[0, 1]
             if env.polish_capped == before:
                 seg = np.linalg.norm(np.diff(out, axis=0), axis=1)
                 assert np.abs(seg - env.rest).max() <= 0.005 * env.rest
@@ -1182,8 +1205,8 @@ class TestCableEnv:
         states = np.concatenate([mate[None], low])
         u = np.concatenate([[[-0.02, 0.0, 0.02, 0.0]],
                             rng.uniform(-0.02, 0.02, (m, 4))])
-        batch = env.nominal(states, u)
-        alone = np.concatenate([env.nominal(states[i:i + 1], u[i:i + 1])
+        batch = env.nominal(states, u[:, None])
+        alone = np.concatenate([env.nominal(states[i:i + 1], u[i:i + 1, None])
                                 for i in range(m + 1)])
         assert _same_bytes(batch, alone)
 
@@ -1196,11 +1219,11 @@ class TestObservedSurface:
         pts = np.array([[0.15, 0.15], [0.32, 0.32], [0.05, 0.05]])
         mean = surf.predict_mean(pts)
         np.testing.assert_array_equal(mean, [-1.0, 1.0, 1.0])
-        _, var = surf.predict_split(pts, slice(None))
+        _, var = surf.predict_many(pts)
         assert (var == 0).all() and var.shape == (3,)
-        _, var = surf.predict_split(pts, slice(1, None, 2))
+        _, var = surf.predict_many(pts, slice(1, None, 2))
         assert (var == 0).all() and var.shape == (1,)
-        assert surf.predict_split(pts, None)[1] is None
+        assert surf.predict_many(pts, None)[1] is None
 
 
 class TestScenes:
@@ -1324,12 +1347,37 @@ start 0.1 0.1
          r"line 3 'box 0.2 0.2 0.3 0.3 inf': observable must be 0 or 1"),
         (PEG + "box 0.2 0.2 0.3 0.3 0.5", r"line 3 .*must be 0 or 1, not 0.5"),
         (PEG + "box 0.2 0.2 0.3 0.3 2", r"line 3 .*must be 0 or 1, not 2"),
+        # Scene files come from outside the program: a NaN or an infinity
+        # fails here, not steps into an episode, and a second goal,
+        # start, bounds, rest or camera does not silently replace the
+        # first.
+        ("goal 0.9 0.9 0.05\nstart nan 0.1\n",
+         r"line 2 'start nan 0.1': values must be finite"),
+        ("goal nan 0.2 0.02\nstart 0.1 0.1\n",
+         r"line 1 'goal nan 0.2 0.02': values must be finite"),
+        ("goal 0.2 0.2 inf\nstart 0.1 0.1\n",
+         r"line 1 'goal 0.2 0.2 inf': values must be finite"),
+        (PEG + "box nan 0.1 0.2 0.2 1", r"line 3 .*values must be finite"),
+        (PEG + "box 0.1 0.1 inf 0.2 0", r"line 3 .*values must be finite"),
+        ("bounds -inf 0 1 1\n" + PEG, r"line 1 .*values must be finite"),
+        (CABLE + "rest inf", r"line 3 'rest inf': values must be finite"),
+        (PEG + "camera 0 nan 0 1 300", r"line 3 .*values must be finite"),
+        (PEG + "goal 0.5 0.5 0.05",
+         r"line 3 'goal 0.5 0.5 0.05': repeats 'goal', which a scene takes once"),
+        (PEG + "start 0.3 0.3", r"line 3 .*repeats 'start'"),
+        ("bounds 0 0 1 1\n" + PEG + "bounds 0 0 2 2", r"line 4 .*repeats 'bounds'"),
+        (CABLE + "rest 0.03\nrest 0.04", r"line 4 'rest 0.04': repeats 'rest'"),
+        (PEG + "camera 0 0 0 1 300\ncamera 0 0 0 1 300",
+         r"line 4 .*repeats 'camera'"),
     ], ids=["box-count", "goal-count", "camera-count", "start-odd",
             "box-inverted", "box-flat", "bounds-inverted", "box-not-number",
             "goal-radius-zero", "rest-zero", "rest-negative", "cable-no-rest",
             "peg-with-rest", "camera-fov-zero", "camera-fov-past-pi",
             "camera-width-zero", "camera-width-fraction",
-            "box-observable-inf", "box-observable-half", "box-observable-two"])
+            "box-observable-inf", "box-observable-half", "box-observable-two",
+            "start-nan", "goal-nan", "goal-radius-inf", "box-nan", "box-inf",
+            "bounds-inf", "rest-inf", "camera-nan", "goal-twice",
+            "start-twice", "bounds-twice", "rest-twice", "camera-twice"])
     def test_malformed_rejected(self, text, match):
         with pytest.raises(ValueError, match=match):
             parse_scene(text)

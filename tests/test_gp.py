@@ -90,8 +90,8 @@ class TestMatern:
            lengthscale=st.floats(1e-3, 10.0), outputscale=st.floats(1e-3, 10.0))
     def test_in_place_equals_expression(self, seed, shape, q, m, lengthscale,
                                         outputscale):
-        # matern32 works in place on its own buffers; its bits must equal
-        # the plain expression's, and the caller's r must stay untouched.
+        # matern32's bits must equal the reference expression's, and the
+        # caller's r must stay untouched.
         rng = np.random.default_rng(seed)
         p = KernelParams(lengthscale, outputscale, 0.0)
         dims = {"empty": (0,), "vector": (q,), "matrix": (q, m)}[shape]

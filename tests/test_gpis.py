@@ -109,10 +109,10 @@ class TestPredict:
         rows = rng.choice(40, 15, replace=False)
         for g in (Gpis(rng.uniform(0, 1, (15, 2)), rng.uniform(-1, 1, 15),
                        TIGHT), Gpis(params=TIGHT)):
-            mean, var = g.predict_split(q, rows)
+            mean, var = g.predict_many(q, rows)
             np.testing.assert_array_equal(mean, g.predict_mean(q))
             np.testing.assert_array_equal(var, g.predict_many(q[rows])[1])
-            assert g.predict_split(q, None)[1] is None
+            assert g.predict_many(q, None)[1] is None
 
 
 class TestLcb:

@@ -111,6 +111,25 @@ class TestRunEpisode:
         b = run_episode(quick_cfg(free_scene_file, obs_noise_std=1e-6))
         assert a.records[0]["action"] == b.records[0]["action"]
 
+    @pytest.mark.parametrize("scene", ["peg_u", "cable_hook"])
+    def test_step_calls_nominal_twice(self, scene, monkeypatch):
+        # MPPI rolls its K samples out in one call, and the harness
+        # predicts the executed step from the one observed state in
+        # another
+        cfg = EpisodeConfig.for_scene(scene, max_steps=1)
+        env = envs.make_scene(scene).env
+        kind, n, c = type(env), env.n, env.control_dim
+        inner, calls = kind.nominal, []
+
+        def nominal(self, starts, controls):
+            calls.append((np.shape(starts), np.shape(controls)))
+            return inner(self, starts, controls)
+
+        monkeypatch.setattr(kind, "nominal", nominal)
+        run_episode(cfg)
+        k, t_hor = cfg.samples, cfg.horizon
+        assert calls == [((k, n, 2), (k, t_hor, c)), ((1, n, 2), (1, 1, c))]
+
 
 class TestRngStreams:
     def test_streams_differ(self):
@@ -177,6 +196,8 @@ class TestConfigText:
         cable = EpisodeConfig.for_scene("cable_hook")
         assert peg.samples == 500 and peg.max_steps == 750
         assert cable.samples == 72 and cable.max_steps == 200
+        # the cable keeps the base refinement budget and thresholds
+        assert (cable.t_cma, cable.d_min, cable.r_c) == (25, 0.01, 0.01)
         assert cable.vision and not peg.vision
 
     # A refinement budget too small for CMA-ES, or a negative or NaN

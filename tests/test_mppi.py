@@ -27,10 +27,10 @@ def straight_traj(start, step, horizon, n=1):
 class FreeIntegrator:
     """Obstacle-free rollout of a single point."""
 
-    def __call__(self, x0, cand):
+    def __call__(self, starts, cand):
         k, t_hor = cand.shape[:2]
-        states = np.empty((k, t_hor + 1) + x0.shape)
-        states[:, 0] = x0
+        states = np.empty((k, t_hor + 1) + starts.shape[1:])
+        states[:, 0] = starts
         for t in range(t_hor):
             states[:, t + 1] = states[:, t] + cand[:, t, None, :]
         return states
@@ -133,7 +133,7 @@ def two_query_surface_costs(states, surface, component):
     mean = surface.predict_mean(pts)
     collision = (mean <= 0.0).reshape(k, -1).sum(axis=1).astype(float)
     sel = states[:, 1:, component, :].reshape(-1, d)
-    _, var = surface.predict_split(sel, slice(None))
+    _, var = surface.predict_many(sel)
     exploration = -var.reshape(k, -1).sum(axis=1)
     return collision, exploration
 
@@ -275,10 +275,12 @@ class TestCostOracle:
 
 def _oracle_step(env, surface, goals, x0, nominal, cfg, seed):
     """Both steps from the same generator state, compared byte for byte."""
-    got = mppi_step(x0, nominal, env.rollout, surface, goals, W, cfg, 0,
+    got = mppi_step(x0, nominal, env.nominal, surface, goals, W, cfg, 0,
                     np.random.default_rng(seed))
-    want = _reference_mppi_step(x0, nominal, env.nominal, surface, goals, W,
-                                cfg, 0, np.random.default_rng(seed))
+    want = _reference_mppi_step(x0, nominal,
+                                lambda s, u: env.nominal(s, u[:, None])[:, 1],
+                                surface, goals, W, cfg, 0,
+                                np.random.default_rng(seed))
     for a, b in zip(got, want):
         assert _same_bytes(a, b)
     return got
@@ -336,11 +338,8 @@ class TestMppiStepOracle:
         goals = GoalSet.single(0, (0.1, 0.1))
 
         class Nan:
-            def nominal(self, states, controls):
-                return np.full_like(states, np.nan)
-
-            def rollout(self, x0, cand):
-                states = FreeIntegrator()(x0, cand)
+            def nominal(self, starts, cand):
+                states = FreeIntegrator()(starts, cand)
                 states[:, 1:] = np.nan
                 return states
 
