@@ -1,13 +1,15 @@
 /* Jittered Cholesky factor and solve of many subsets of one noisy Gram
  * matrix, behind gp.factor_subsets: every GP solve of the package, one
  * training set in GpSolve and a CMA-ES generation's candidate subsets
- * in SubsetEvaluator.batch.
+ * in SubsetEvaluator.batch. And the solve against a factor of it for
+ * many right-hand sides, behind gp._cho_solve: the explicit inverse of
+ * GpSolve.kinv and of the marginal-likelihood gradient.
  *
  * The LAPACK routines are passed in as function pointers: the dpotrf
  * and dpotrs that scipy exports (scipy.linalg.cython_lapack), the very
- * routines scipy's f2py wrappers call. Each subset's matrix is gathered
- * in the column-major layout those wrappers hand to LAPACK, so the
- * factor and the solve are theirs bit for bit.
+ * routines scipy's f2py wrappers call. Each matrix is handed to LAPACK
+ * in the column-major layout those wrappers give it, so the factor and
+ * the solves are theirs bit for bit.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -53,11 +55,12 @@ static void gather(double *a, const double *ky, long n, const long *idx,
 
 /* Factor and solve u subsets of the row-major (n, n) noisy Gram ky with
  * labels y (n): subset c keeps the indices where row c of keep (u, n) is
- * nonzero. For each candidate, in the order gp._factor checked them one
- * by one: a non-finite kept Gram entry fails it; then dpotrf runs on the
- * kept sub-Gram plus jit[r] on the diagonal for r = 0, 1, ... until one
- * succeeds (nj rungs; none left fails it); then a non-finite kept label
- * fails it; then dpotrs solves for alpha. Writes
+ * nonzero, or every index when keep is NULL. For each candidate, in the
+ * order gp._factor checked them one by one: a non-finite kept Gram entry
+ * fails it; then dpotrf runs on the kept sub-Gram plus jit[r] on the
+ * diagonal for r = 0, 1, ... until one succeeds (nj rungs; none left
+ * fails it); then a non-finite kept label fails it; then dpotrs solves
+ * for alpha. Writes
  *   alpha (u, n): row c holds the solve in the kept columns, 0 elsewhere;
  *   factor (u, n, n), unless NULL: the first s * s entries of slab c
  *     hold the lower factor, column-major (s, s), with the jittered
@@ -90,7 +93,7 @@ long obsurf_cholesky(const double *ky, long n, const double *y,
         double *a = factor ? factor + n * n * c : scratch;
         long s = 0;
         for (long i = 0; i < n; i++)
-            if (keep[n * c + i])
+            if (!keep || keep[n * c + i])
                 idx[s++] = i;
         memset(row, 0, sizeof(double) * (size_t)n);
         if (s == 0)
@@ -130,4 +133,16 @@ long obsurf_cholesky(const double *ky, long n, const double *y,
     free(b);
     free(scratch);
     return result;
+}
+
+/* Solve (c c^T) x = b in place for a lower factor c (n, n, column-major)
+ * and the nrhs right-hand sides b (n, nrhs, column-major) by dpotrs, as
+ * scipy's f2py wrapper of it calls it: gp._cho_solve. */
+void obsurf_potrs(void *potrs_ptr, const double *c, long n, double *b,
+                  long nrhs)
+{
+    char lower = 'L';
+    int ni = (int)n, nr = (int)nrhs, info;
+    ((potrs_fn)potrs_ptr)(&lower, &ni, &nr, (double *)c, &ni, b, &ni,
+                          &info);
 }

@@ -8,17 +8,23 @@ from the two C passes of matern.c around numpy's exp (`kernel_matrix`);
 `matern32` is the same formula on given distances. Every Cholesky
 factorization, with its jitter ladder, is one call of the C kernel in
 cholesky.c (`factor_subsets`), for one training set or for a stack of
-subsets of one.
+subsets of one, and every solve against a factor (`_cho_solve`) one
+call of its neighbour there. Both call the dpotrf and dpotrs that scipy
+exports from scipy.linalg.cython_lapack, loaded alone (`_lapack`): the
+scipy.linalg package is never imported.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from . import clib
 
@@ -122,10 +128,6 @@ def noisy_gram(points: np.ndarray, params: KernelParams) -> np.ndarray:
     return ky
 
 
-# LAPACK's double-precision Cholesky solve, called without scipy's
-# wrapper: it re-checks finiteness on every call, which factor_subsets
-# does once, and its results are the same bits.
-(_POTRS,) = get_lapack_funcs(("potrs",), (np.empty(0),))
 _JITTER_LADDER = np.array(_JITTERS)
 _JITTER_ADDR = _JITTER_LADDER.ctypes.data
 # What the kernel returns for a failing candidate, and what it raises.
@@ -134,20 +136,44 @@ _FAILURES = {
     -3: (SolverError, f"Gram matrix not positive definite after jitter {max(_JITTERS)}"),
     -4: (ValueError, "array must not contain infs or NaNs"),
 }
+_CYTHON_LAPACK = "scipy.linalg.cython_lapack"
 
 
 @functools.cache
 def _lapack() -> tuple:
-    """Addresses of scipy's dpotrf and dpotrs, the routines its f2py
-    wrappers call, for the kernel in cholesky.c."""
-    from scipy.linalg import cython_lapack
+    """Addresses of the dpotrf and dpotrs that scipy exports from
+    scipy.linalg.cython_lapack, the routines its f2py wrappers call, for
+    the kernels in cholesky.c.
+
+    The module is loaded from its file in scipy's linalg directory,
+    without importing the scipy.linalg package, whose __init__ pulls in
+    much of scipy and numpy (~0.25 s). A module already imported is
+    reused, as an import would: an extension module is initialised once
+    per process. Raises ImportError naming the module if it is
+    missing."""
+    module = sys.modules.get(_CYTHON_LAPACK)
+    if module is None:
+        package = importlib.util.find_spec("scipy")  # does not import it
+        spec = package and importlib.machinery.PathFinder.find_spec(
+            _CYTHON_LAPACK, [os.path.join(path, "linalg") for path
+                             in package.submodule_search_locations])
+        if spec is None:
+            raise ImportError(f"no module named {_CYTHON_LAPACK!r}",
+                              name=_CYTHON_LAPACK)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[_CYTHON_LAPACK] = module
+        try:
+            spec.loader.exec_module(module)
+        except BaseException:
+            del sys.modules[_CYTHON_LAPACK]
+            raise
 
     get_name = ctypes.pythonapi.PyCapsule_GetName
     get_name.restype, get_name.argtypes = ctypes.c_char_p, [ctypes.py_object]
     get_ptr = ctypes.pythonapi.PyCapsule_GetPointer
     get_ptr.restype = ctypes.c_void_p
     get_ptr.argtypes = [ctypes.py_object, ctypes.c_char_p]
-    capsules = (cython_lapack.__pyx_capi__[name] for name in ("dpotrf", "dpotrs"))
+    capsules = (module.__pyx_capi__[name] for name in ("dpotrf", "dpotrs"))
     return tuple(get_ptr(c, get_name(c)) for c in capsules)
 
 
@@ -155,7 +181,8 @@ def factor_subsets(ky: np.ndarray, y: np.ndarray, keeps: np.ndarray,
                    factors: bool):
     """Jittered Cholesky factor and alpha = Ky^-1 y of each subset of a
     (U, n) stack of keep vectors, from the noisy Gram ky (n, n) of the
-    full set and its labels y (n), in one kernel call.
+    full set and its labels y (n), in one kernel call. keeps None
+    stands for the one subset that keeps all n points (U = 1).
 
     Each subset's Gram is the slice of ky; on failure the smallest
     jitter from _JITTERS that works is added to its diagonal. Returns
@@ -169,15 +196,21 @@ def factor_subsets(ky: np.ndarray, y: np.ndarray, keeps: np.ndarray,
     """
     ky = np.ascontiguousarray(ky, dtype=float)
     y = np.ascontiguousarray(y, dtype=float)
-    keeps = np.ascontiguousarray(keeps, dtype=bool)
-    n, u = len(y), len(keeps)
-    if ky.shape != (n, n) or y.shape != (n,) or keeps.shape != (u, n):
+    n = len(y)
+    if keeps is None:
+        u = 1
+    else:
+        keeps = np.ascontiguousarray(keeps, dtype=bool)
+        u = len(keeps)
+    if ky.shape != (n, n) or y.shape != (n,) or (
+            keeps is not None and keeps.shape != (u, n)):
         raise ValueError(f"factor_subsets: ky {ky.shape}, y {y.shape} and "
-                         f"keeps {keeps.shape} do not match")
+                         f"keeps {np.shape(keeps)} do not match")
     alphas = np.empty((u, n))
     slabs = np.empty((u, n, n)) if factors else None
     jittered = clib.kernels().obsurf_cholesky(
-        clib.addr(ky), n, clib.addr(y), clib.addr(keeps), u, _JITTER_ADDR,
+        clib.addr(ky), n, clib.addr(y),
+        None if keeps is None else clib.addr(keeps), u, _JITTER_ADDR,
         len(_JITTERS), *_lapack(), clib.addr(alphas),
         None if slabs is None else clib.addr(slabs))
     if jittered < 0:
@@ -189,22 +222,33 @@ def factor_subsets(ky: np.ndarray, y: np.ndarray, keeps: np.ndarray,
     if slabs is None:
         return alphas, None, jittered
     # slab u holds its factor column-major in its first s * s entries
+    sizes = [n] if keeps is None else keeps.sum(axis=1).tolist()
     return alphas, [slab.reshape(-1)[:s * s].reshape(s, s).T for slab, s
-                    in zip(slabs, keeps.sum(axis=1).tolist())], jittered
+                    in zip(slabs, sizes)], jittered
 
 
 def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve (c c^T) x = b for a lower factor c of factor_subsets."""
+    """Solve (c c^T) x = b for a lower factor c of factor_subsets, b a
+    vector or a matrix, as scipy's wrapper of dpotrs does: the same
+    routine on a Fortran-ordered copy of b, which it returns."""
     if b.size == 0:
         return np.empty_like(b)
-    return _POTRS(c, b, lower=True)[0]
+    m = len(b)
+    if c.shape != (m, m):
+        raise ValueError(f"_cho_solve: factor {c.shape} and right-hand "
+                         f"side {b.shape} do not match")
+    x = np.array(b, dtype=float, order="F")
+    c = np.asfortranarray(c, dtype=float)
+    # the transposes are C-contiguous views of the same column-major data
+    clib.kernels().obsurf_potrs(_lapack()[1], clib.addr(c.T), m,
+                                clib.addr(x.T), x.size // m)
+    return x
 
 
 def _factor(ky: np.ndarray, y: np.ndarray):
     """Lower Cholesky factor of ky and alpha = ky^-1 y: factor_subsets
     on the whole set."""
-    alphas, factors, _ = factor_subsets(ky, y, np.ones((1, len(y)), bool),
-                                        True)
+    alphas, factors, _ = factor_subsets(ky, y, None, True)
     return factors[0], alphas[0]
 
 

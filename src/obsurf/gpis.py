@@ -4,7 +4,8 @@ The surface is the 0-level set of the posterior mean over labeled
 points: negative means interior, positive exterior. Queries support a
 free-space mean override driven by a visibility oracle. The module also
 holds the one lower-confidence-bound formula (`lcb`) used for
-conservative checks, with scipy's normal quantile behind it, and the
+conservative checks, with a port of cephes' normal quantile behind it
+(scipy.special.ndtri's bits, without importing scipy.special), and the
 one step from a mean over grid centers to a boolean occupancy grid
 (`GridSpec.occupancy`). Goal points enter as data through
 `contact.DatasetPair.seeded`.
@@ -12,28 +13,82 @@ one step from a mean over grid centers to a boolean occupancy grid
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .gp import GpSolve, KernelParams
 
 FREE_LABEL = 1.0
 
+# Cephes' ndtri, the algorithm of scipy.special.ndtri: rational
+# approximations in y - 1/2 for |y - 1/2| <= 1/2 - exp(-2) (P0/Q0), and
+# in 1 / sqrt(-2 log y) on the tails, down to exp(-32) (P1/Q1) and below
+# it (P2/Q2). Each Q has a leading coefficient of 1, left out.
+_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1,
+       -5.66762857469070293439E1, 1.39312609387279679503E1,
+       -1.23916583867381258016E0)
+_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0,
+       8.63602421390890590575E1, -2.25462687854119370527E2,
+       2.00260212380060660359E2, -8.20372256168333339912E1,
+       1.59056225126211695515E1, -1.18331621121330003142E0)
+_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1,
+       5.71628192246421288162E1, 4.40805073893200834700E1,
+       1.46849561928858024014E1, 2.18663306850790267539E0,
+       -1.40256079171354495875E-1, -3.50424626827848203418E-2,
+       -8.57456785154685413611E-4)
+_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1,
+       4.13172038254672030440E1, 1.50425385692907503408E1,
+       2.50464946208309415979E0, -1.42182922854787788574E-1,
+       -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0,
+       3.93881025292474443415E0, 1.33303460815807542389E0,
+       2.01485389549179081538E-1, 1.23716634817820021358E-2,
+       3.01581553508235416007E-4, 2.65806974686737550832E-6,
+       6.23974539184983293730E-9)
+_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0,
+       1.37702099489081330271E0, 2.16236993594496635890E-1,
+       1.34204006088543189037E-2, 3.28014464682127739104E-4,
+       2.89247864745380683936E-6, 6.79019408009981274425E-9)
+_SQRT_2PI = 2.50662827463100050242E0
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+
+
+def _rational(x: float, p: tuple, q: tuple) -> float:
+    """x p(x) / q(x), q monic, each polynomial by Horner's rule in
+    cephes' order (polevl and p1evl), so every rounding is cephes'."""
+    num, den = p[0], x + q[0]
+    for c in p[1:]:
+        num = num * x + c
+    for c in q[1:]:
+        den = den * x + c
+    return x * num / den
+
 
 def norm_cdf(x: float) -> float:
     """Standard normal CDF."""
-    return float(ndtr(x))
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 def inv_norm_cdf(p: float) -> float:
-    """Standard normal quantile."""
+    """Standard normal quantile: scipy.special.ndtri's value, bit for
+    bit, from the same cephes algorithm."""
     if not (0.0 < p < 1.0):
         raise ValueError(f"quantile argument must lie in (0, 1), got {p}")
-    return float(ndtri(p))
+    y, upper = float(p), p > 1.0 - _EXP_M2
+    if upper:
+        y = 1.0 - y
+    if y > _EXP_M2:
+        y -= 0.5
+        y2 = y * y
+        return (y + y * _rational(y2, _P0, _Q0)) * _SQRT_2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    tail = (_P1, _Q1) if x < 8.0 else (_P2, _Q2)
+    x = x - math.log(x) / x - _rational(1.0 / x, *tail)
+    return x if upper else -x
 
 
 def lcb(mean, var, zeta: float):

@@ -804,6 +804,21 @@ class TestFactorSubsets:
         ref = RefGpSolve(pts[:0], labels[:0], ORACLE_PARAMS)
         assert [f.shape for f in factors] == [ref._cho[0].shape] * 2
 
+    def test_no_keeps_is_the_whole_set(self):
+        # GpSolve's one-set solve passes keeps None, not a row of ones
+        pts, labels = penetrating_enclosure(0.3, 1.0)
+        pts[-1] = pts[0] + 1e-12  # a near-duplicate, which needs jitter
+        ky = noisy_gram(pts, KernelParams(ORACLE_PARAMS.lengthscale, 1.0,
+                                          0.0))
+        for n in (0, 1, len(pts)):
+            sub, y = ky[:n, :n], labels[:n]
+            alphas, factors, jittered = factor_subsets(sub, y, None, True)
+            want = factor_subsets(sub, y, np.ones((1, n), bool), True)
+            assert np.array_equal(alphas, want[0]) and jittered == want[2]
+            assert len(factors) == 1 and factors[0].shape == (n, n)
+            assert np.array_equal(factors[0], want[1][0])
+        assert jittered == 1
+
     def test_alphas_alone_match(self):
         pts, labels = penetrating_enclosure(0.3, 1.0)
         keeps = np.random.default_rng(4).random((9, len(pts))) < 0.6

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import math
 import os
 import subprocess
@@ -7,13 +8,24 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.linalg import cho_solve
 from scipy.spatial.distance import cdist
 
 import obsurf
 from obsurf import gp
 from obsurf.gp import KernelParams, fit_hyperparams, gp_posterior, \
     log_marginal_likelihood, matern32
+
+
+def run_fresh(code: str, *args: str) -> subprocess.CompletedProcess:
+    """code run with args in a fresh interpreter that imports this
+    obsurf."""
+    src = str(Path(obsurf.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def dense_posterior_oracle(points, labels, params, query):
@@ -225,14 +237,108 @@ class TestKernelBlock:
             log_marginal_likelihood(np.zeros((2, 2, 2)), np.zeros(2), p)
 
     def test_cli_import_leaves_out_scipy_spatial(self):
-        src = str(Path(obsurf.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         code = ("import sys, obsurf.cli; sys.exit(sorted(m for m in "
                 "sys.modules if m.startswith('scipy.spatial')) or None)")
-        done = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=60)
+        done = run_fresh(code)
         assert done.returncode == 0, done.stderr
+
+
+class TestLapackLoader:
+    """The solves call scipy's own dpotrf and dpotrs from
+    scipy.linalg.cython_lapack, loaded without the scipy.linalg package,
+    scipy.special or scipy's array-API layer."""
+
+    def test_episode_leaves_out_scipy_linalg_and_special(self):
+        # the golden cable_hook episode: kernel fits, one refinement and
+        # NoPenetration checks
+        from test_golden import GOLDEN
+        code = """if True:
+            import hashlib, sys
+            import obsurf.cli
+            from obsurf.harness import EpisodeConfig, run_episode
+            report = run_episode(EpisodeConfig.for_scene(
+                "cable_hook", seed=1, max_steps=40, obs_noise_std=0.0))
+            print(hashlib.sha256(report.log_text().encode()).hexdigest())
+            absent = ("scipy.special", "scipy.linalg", "scipy._lib._array_api")
+            sys.exit(sorted(set(absent) & set(sys.modules))
+                     or ("scipy.linalg.cython_lapack" not in sys.modules))
+        """
+        done = run_fresh(code)
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert done.stdout.split()[-1] == GOLDEN[("cable_hook", 1, 40, 0.0)]
+
+    def test_reuses_an_imported_cython_lapack(self):
+        # either import order ends with the one module that scipy.linalg's
+        # own import gives, and the solves call its routines
+        code = """if True:
+            import ctypes, sys
+            import numpy as np
+            first = sys.argv[1] == "scipy"
+            if first:
+                import scipy.linalg
+                from scipy.linalg import cython_lapack
+            from obsurf import gp
+            got = gp._lapack()
+            gp.GpSolve(np.eye(3), np.ones(3), gp.KernelParams()).kinv
+            if not first:
+                import scipy.linalg
+                from scipy.linalg import cython_lapack
+            assert sys.modules["scipy.linalg.cython_lapack"] is cython_lapack
+            name = ctypes.pythonapi.PyCapsule_GetName
+            name.restype, name.argtypes = ctypes.c_char_p, [ctypes.py_object]
+            ptr = ctypes.pythonapi.PyCapsule_GetPointer
+            ptr.restype = ctypes.c_void_p
+            ptr.argtypes = [ctypes.py_object, ctypes.c_char_p]
+            caps = [cython_lapack.__pyx_capi__[f] for f in ("dpotrf", "dpotrs")]
+            assert got == tuple(ptr(c, name(c)) for c in caps), got
+        """
+        for first in ("scipy", "obsurf"):
+            done = run_fresh(code, first)
+            assert done.returncode == 0, (first, done.stderr)
+
+    def test_missing_module_is_named(self, monkeypatch):
+        monkeypatch.delitem(sys.modules, "scipy.linalg.cython_lapack",
+                            raising=False)
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+        with pytest.raises(ImportError, match="scipy.linalg.cython_lapack"):
+            gp._lapack.__wrapped__()
+
+
+class TestChoSolve:
+    """_cho_solve is scipy's cho_solve on a factor of factor_subsets: the
+    same dpotrs on a Fortran-ordered copy of b, so the same bits in the
+    same memory order, which kv @ kinv and the LML gradient then read."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 150),
+           rhs=st.sampled_from(["vector", "C", "F", "eye"]),
+           nrhs=st.integers(1, 5))
+    @example(seed=0, m=1, rhs="vector", nrhs=1)
+    @example(seed=1, m=1, rhs="eye", nrhs=1)
+    @example(seed=2, m=150, rhs="eye", nrhs=1)
+    @example(seed=3, m=150, rhs="C", nrhs=4)
+    def test_equals_scipy(self, seed, m, rhs, nrhs):
+        rng = np.random.default_rng(seed)
+        params = KernelParams(rng.uniform(0.03, 0.3), 1.0, 1e-4)
+        pts = rng.uniform(0.0, 0.5, (m, 2))
+        cho, _ = gp._factor(gp.noisy_gram(pts, params), rng.normal(size=m))
+        b = {"vector": lambda: rng.normal(size=m),
+             "C": lambda: rng.normal(size=(m, nrhs)),
+             "F": lambda: np.asfortranarray(rng.normal(size=(m, nrhs))),
+             "eye": lambda: np.eye(m)}[rhs]()
+        before = b.copy()
+        got = gp._cho_solve(cho, b)
+        want = cho_solve((cho, True), b)
+        assert np.array_equal(got, want)
+        assert got.shape == want.shape and got.strides == want.strides
+        assert got.flags.f_contiguous == want.flags.f_contiguous
+        assert np.array_equal(b, before)
+
+    def test_empty_and_mismatched(self):
+        cho, _ = gp._factor(np.eye(2), np.ones(2))
+        assert gp._cho_solve(cho[:0, :0], np.empty((0, 3))).shape == (0, 3)
+        with pytest.raises(ValueError):
+            gp._cho_solve(cho, np.ones(3))
 
 
 class TestPosterior:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from obsurf.contact import DatasetPair, LabelBatch
 from obsurf.gp import KernelParams, PosteriorStats
@@ -42,6 +42,44 @@ class TestInvNormCdf:
         for bad in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ValueError):
                 inv_norm_cdf(bad)
+
+    # the port of cephes' ndtri must give scipy's bits everywhere: lcb's
+    # zeta and CMA-ES's q_margin feed them into digests and verdicts
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(p=st.one_of(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.floats(-300.0, 0.0).map(lambda e: 10.0 ** e),
+        st.floats(-16.0, 0.0).map(lambda e: 1.0 - 10.0 ** e),
+    ).filter(lambda p: 0.0 < p < 1.0))
+    @example(p=0.4)
+    @example(p=0.5)
+    @example(p=1e-300)
+    @example(p=math.exp(-2.0))
+    @example(p=1.0 - math.exp(-2.0))
+    @example(p=math.exp(-32.0))
+    def test_equals_scipy_ndtri(self, p):
+        assert inv_norm_cdf(p) == scipy.special.ndtri(p)
+
+    def test_q_margin_equals_scipy_ndtri(self):
+        # every 1 - 1/(popsize m) that refine_contacts can ask for
+        for popsize in (20, 25, 50):
+            for m in range(1, 1000):
+                p = 1.0 - 1.0 / (popsize * m)
+                assert inv_norm_cdf(p) == scipy.special.ndtri(p), (popsize, m)
+
+
+class TestNormCdf:
+    def test_matches_scipy_ndtr(self):
+        x = np.linspace(-37.0, 9.0, 46001)
+        got = np.array([norm_cdf(float(v)) for v in x])
+        want = scipy.special.ndtr(x)
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+    def test_symmetry_and_limits(self):
+        assert norm_cdf(0.0) == 0.5
+        assert norm_cdf(-40.0) == 0.0 and norm_cdf(40.0) == 1.0
+        for v in (0.1, 1.0, 3.0):
+            assert norm_cdf(v) + norm_cdf(-v) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestSeeding:
