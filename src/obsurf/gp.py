@@ -11,7 +11,10 @@ cholesky.c (`factor_subsets`), for one training set or for a stack of
 subsets of one, and every solve against a factor (`_cho_solve`) one
 call of its neighbour there. Both call the dpotrf and dpotrs that scipy
 exports from scipy.linalg.cython_lapack, loaded alone (`_lapack`): the
-scipy.linalg package is never imported.
+scipy.linalg package is never imported. The kernel fit scores each
+candidate by the marginal likelihood's value alone (`_lml_value`) and
+takes its gradient (`_lml_gradient`, the explicit inverse and the
+gradient sums) only where a step is accepted and read.
 """
 
 from __future__ import annotations
@@ -336,6 +339,42 @@ def gp_posterior(
     return PosteriorStats(float(mean[0]), float(var[0]))
 
 
+def _lml_value(x: np.ndarray, y: np.ndarray, params: KernelParams,
+               se: tuple | None = None) -> tuple[float, tuple]:
+    """Log marginal likelihood of labels y at points x, both as
+    log_marginal_likelihood converts them, with the arrays its gradient
+    reads: (value, (s, e, k, cho, alpha)). se, the Matern s and e of an
+    earlier call at the same lengthscale, skips their pass: only k is
+    formed again, from the same bits."""
+    if se is None:
+        s, e, k = _matern(x, x, params, True)
+    else:
+        s, e = se
+        k = np.empty_like(s)
+        clib.kernels().obsurf_matern_k(clib.addr(s), clib.addr(e), s.size,
+                                       params.outputscale, clib.addr(k))
+    m = len(k)
+    cho, alpha = _factor(k + params.noise * np.eye(m), y)
+    logdet = 2.0 * np.sum(np.log(np.diag(cho)))
+    value = -0.5 * (y @ alpha) - 0.5 * logdet - 0.5 * m * LOG_2PI
+    return float(value), (s, e, k, cho, alpha)
+
+
+def _lml_gradient(params: KernelParams, s, e, k, cho, alpha) -> np.ndarray:
+    """Gradient of the log marginal likelihood in log-parameter space,
+    from the arrays _lml_value returns with its value at params."""
+    kinv = _cho_solve(cho, np.eye(len(alpha)))
+    w = np.outer(alpha, alpha) - kinv  # dLML/dKy = 0.5 * w
+
+    # dK/dlog(l) = outputscale * s^2 * exp(-s); dK/dlog(sf2) = K;
+    # dKy/dlog(sn2) = noise * I.
+    dk_dlog_l = params.outputscale * s * s * e
+    g_l = 0.5 * np.sum(w * dk_dlog_l)
+    g_sf = 0.5 * np.sum(w * k)
+    g_sn = 0.5 * params.noise * np.trace(w)
+    return np.array([g_l, g_sf, g_sn])
+
+
 def log_marginal_likelihood(
     points: np.ndarray,
     labels: np.ndarray,
@@ -345,28 +384,17 @@ def log_marginal_likelihood(
 
     Returns (value, gradient) with the gradient ordered as
     (d/dlog lengthscale, d/dlog outputscale, d/dlog noise). The value is
-    -0.5 y^T Ky^-1 y - 0.5 log|Ky| - (m/2) log(2 pi).
+    -0.5 y^T Ky^-1 y - 0.5 log|Ky| - (m/2) log(2 pi). It is the value
+    half (`_lml_value`) and the gradient half (`_lml_gradient`) in turn;
+    fit_hyperparams calls them apart, taking the gradient only where it
+    reads one.
     """
     x = np.atleast_2d(np.asarray(points, dtype=float))
     y = np.asarray(labels, dtype=float).ravel()
-    m = x.shape[0]
-    if m == 0:
+    if x.shape[0] == 0:
         raise ValueError("log_marginal_likelihood requires non-empty training data")
-    s, e, k = _matern(x, x, params, True)
-    cho, alpha = _factor(k + params.noise * np.eye(m), y)
-    logdet = 2.0 * np.sum(np.log(np.diag(cho)))
-    value = -0.5 * (y @ alpha) - 0.5 * logdet - 0.5 * m * LOG_2PI
-
-    kinv = _cho_solve(cho, np.eye(m))
-    w = np.outer(alpha, alpha) - kinv  # dLML/dKy = 0.5 * w
-
-    # dK/dlog(l) = outputscale * s^2 * exp(-s); dK/dlog(sf2) = K;
-    # dKy/dlog(sn2) = noise * I.
-    dk_dlog_l = params.outputscale * s * s * e
-    g_l = 0.5 * np.sum(w * dk_dlog_l)
-    g_sf = 0.5 * np.sum(w * k)
-    g_sn = 0.5 * params.noise * np.trace(w)
-    return float(value), np.array([g_l, g_sf, g_sn])
+    value, parts = _lml_value(x, y, params)
+    return value, _lml_gradient(params, *parts)
 
 
 def fit_hyperparams(
@@ -386,6 +414,12 @@ def fit_hyperparams(
     aborts and returns the last finite parameters. Optional bounds
     box-constrain the search: candidates are projected into the box
     before the acceptance check, so monotonicity still holds.
+
+    Each candidate is scored once, by the LML's value alone; a
+    candidate at the lengthscale of the one before it reuses that one's
+    Matern s and e. The gradient is taken only at the start and at each
+    accepted point that a later step reads, from the arrays of its
+    value, so the result is log_marginal_likelihood's ascent bit for bit.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
@@ -405,30 +439,42 @@ def fit_hyperparams(
         return replace(p0, lengthscale=float(np.exp(t[0])),
                        outputscale=float(np.exp(t[1])))
 
-    try:
-        best, grad = log_marginal_likelihood(points, labels, unpack(theta))
-    except SolverError:
-        return p0
+    x = np.atleast_2d(np.asarray(points, dtype=float))
+    y = np.asarray(labels, dtype=float).ravel()
+
+    def score(t: np.ndarray, last: tuple | None) -> tuple:
+        """(t, params, value, arrays) of the candidate t, by value alone:
+        value -inf and arrays None where its Gram cannot be factored. At
+        the lengthscale of last, the candidate scored before, its
+        Matern s and e are reused."""
+        params = unpack(t)
+        se = None
+        if last is not None and last[3] is not None and \
+                last[1].lengthscale == params.lengthscale:
+            se = last[3][:2]
+        try:
+            return (t, params) + _lml_value(x, y, params, se)
+        except SolverError:
+            return t, params, -np.inf, None
+
+    scored = score(theta, None)
+    _, params, best, parts = scored
     if not np.isfinite(best):
         return p0
 
     # A halving clipped onto the box can give the candidate just scored
-    # again; its score is reused instead of recomputed.
-    scored = (theta, best, grad)
+    # again; its score is reused instead of recomputed. The gradient is
+    # taken only where a step starts: at the start and at accepted points.
     for _ in range(steps):
-        step = lr * grad[:2]
+        step = lr * _lml_gradient(params, *parts)[:2]
         accepted = False
         for _ in range(10):
             cand = np.clip(theta + step, lo, hi)
             if np.any(cand != scored[0]):
-                try:
-                    val, g = log_marginal_likelihood(points, labels, unpack(cand))
-                except SolverError:
-                    val, g = -np.inf, None
-                scored = (cand, val, g)
-            _, val, g = scored
-            if np.isfinite(val) and val >= best and np.any(cand != theta):
-                theta, best, grad = cand, val, g
+                scored = score(cand, scored)
+            if np.isfinite(scored[2]) and scored[2] >= best and \
+                    np.any(cand != theta):
+                theta, params, best, parts = scored
                 accepted = True
                 break
             step *= 0.5

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -73,9 +73,11 @@ def norm_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
+@cache
 def inv_norm_cdf(p: float) -> float:
     """Standard normal quantile: scipy.special.ndtri's value, bit for
-    bit, from the same cephes algorithm."""
+    bit, from the same cephes algorithm. Cached: lcb asks for the same
+    zeta on every call."""
     if not (0.0 < p < 1.0):
         raise ValueError(f"quantile argument must lie in (0, 1), got {p}")
     y, upper = float(p), p > 1.0 - _EXP_M2

@@ -41,6 +41,12 @@ GOLDEN = {
     # refinement purges 13 of 16 active points and searches 2 free bits
     ("peg_u", 0, 200, 1e-3):
         "b3bb4fed7b278f24ed40d0ca965cefac1995f067576c80437f2b3806675ae671",
+    # runs out at step 80 without a refinement; its 39 kernel fits reach
+    # 123 active points, below the 128 where dpotrf's bits start to
+    # depend on the BLAS thread count, and reject most of their
+    # candidates
+    ("cable_hook", 14, 80, 0.0):
+        "6b284bc3c6b8f781873e00c6027b33acebcfd58a36d5838be330b8c5dd58b689",
 }
 
 # the same episodes -> sha256 of the eight final DatasetPair arrays, in
@@ -52,7 +58,12 @@ GOLDEN_DATASETS = {
         "6518f1478a6f30e8d4a81f3dacb44641c49733e8f55ee9401774c94437fb79c9",
     ("peg_u", 0, 200, 1e-3):
         "c5d666363778443b8b35a83c64de3d6d694514c650126bc6aa607807c8c05ddb",
+    ("cable_hook", 14, 80, 0.0):
+        "0f00abbad4c3ce732c1555f858f30c6594d6fdab1bfbac8f2620970478843119",
 }
+
+# the golden episodes that run no refinement
+UNREFINED = [("cable_hook", 14, 80, 0.0)]
 
 
 def datasets_sha256(dp) -> str:
@@ -111,7 +122,7 @@ def test_log_hash(scene, seed, max_steps, noise):
     key = (scene, seed, max_steps, noise)
     report, _ = golden_episode(*key)
     digest = hashlib.sha256(report.log_text().encode()).hexdigest()
-    assert len(report.events) == 1
+    assert len(report.events) == (key not in UNREFINED)
     assert digest == GOLDEN[key]
     assert datasets_sha256(report.final_datasets) == GOLDEN_DATASETS[key]
 
@@ -122,7 +133,7 @@ def test_log_hash(scene, seed, max_steps, noise):
 TRUST_EXTRA = [("cable_hook", 0, 100, 0.0), ("peg_i", 3, 100, 0.0)]
 
 
-@_cases(list(GOLDEN) + TRUST_EXTRA)
+@_cases([key for key in GOLDEN if key not in UNREFINED] + TRUST_EXTRA)
 def test_refinement_reaches_enumerated_optimum(scene, seed, max_steps, noise):
     _, searches = golden_episode(scene, seed, max_steps, noise)
     assert searches

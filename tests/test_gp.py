@@ -501,10 +501,13 @@ class TestFit:
 
 
 def reference_fit(lml, points, labels, p0, steps, lr, lengthscale_bounds,
-                  outputscale_bounds):
-    """fit_hyperparams as it was before it reused scores, scoring through
-    `lml`: every halving calls the LML, also on a candidate it has just
-    scored."""
+                  outputscale_bounds, trail=None):
+    """fit_hyperparams as it was before it reused scores or scored by
+    value, scoring through `lml`: every halving calls the LML, also on a
+    candidate it has just scored, and takes its gradient. trail, if
+    given, gets the parameters of the start and of each accepted step."""
+    if steps == 0:
+        return p0
     theta = np.log([p0.lengthscale, p0.outputscale])
     lo = np.log([lengthscale_bounds[0], outputscale_bounds[0]])
     hi = np.log([lengthscale_bounds[1], outputscale_bounds[1]])
@@ -514,7 +517,14 @@ def reference_fit(lml, points, labels, p0, steps, lr, lengthscale_bounds,
         return dataclasses.replace(p0, lengthscale=float(np.exp(t[0])),
                                    outputscale=float(np.exp(t[1])))
 
-    best, grad = lml(points, labels, unpack(theta))
+    try:
+        best, grad = lml(points, labels, unpack(theta))
+    except gp.SolverError:
+        return p0
+    if not np.isfinite(best):
+        return p0
+    if trail is not None:
+        trail.append(unpack(theta))
     for _ in range(steps):
         step = lr * grad[:2]
         accepted = False
@@ -526,12 +536,22 @@ def reference_fit(lml, points, labels, p0, steps, lr, lengthscale_bounds,
                 val = -np.inf
             if np.isfinite(val) and val >= best and np.any(cand != theta):
                 theta, best, grad = cand, val, g
+                if trail is not None:
+                    trail.append(unpack(theta))
                 accepted = True
                 break
             step *= 0.5
         if not accepted:
             break
     return unpack(theta)
+
+
+def outcome(fit, *args, **kwargs):
+    """What a fit returns, or the type and message of what it raises."""
+    try:
+        return fit(*args, **kwargs)
+    except ValueError as error:
+        return type(error), str(error)
 
 
 class TestFitScoresOnce:
@@ -546,20 +566,94 @@ class TestFitScoresOnce:
         p0 = KernelParams(0.08, 1.0, 1e-4)
         args = dict(steps=10, lr=0.05, lengthscale_bounds=(0.06, 0.25),
                     outputscale_bounds=(0.25, 1.2))
-        ref_calls, calls = [], []
+        ref_calls, trail, values, grads, reused = [], [], [], [], []
 
-        def counted(log):
-            def lml(points, labels, params):
-                log.append(params)
-                return log_marginal_likelihood(points, labels, params)
-            return lml
+        def counted(points, labels, params):
+            ref_calls.append(params)
+            return log_marginal_likelihood(points, labels, params)
 
-        want = reference_fit(counted(ref_calls), pts, y, p0, **args)
-        monkeypatch.setattr(gp, "log_marginal_likelihood", counted(calls))
+        def value(x, y, params, se=None):
+            values.append(params)
+            reused.append(se is not None)
+            return lml_value(x, y, params, se)
+
+        def gradient(params, *parts):
+            grads.append(params)
+            return lml_gradient(params, *parts)
+
+        want = reference_fit(counted, pts, y, p0, trail=trail, **args)
+        lml_value, lml_gradient = gp._lml_value, gp._lml_gradient
+        monkeypatch.setattr(gp, "_lml_value", value)
+        monkeypatch.setattr(gp, "_lml_gradient", gradient)
         got = fit_hyperparams(pts, y, p0, **args)
         assert got == want
-        assert len(calls) == len(set(calls))
-        assert set(calls) == set(ref_calls)
+        # each candidate scored once, by value
+        assert len(values) == len(set(values))
+        assert set(values) == set(ref_calls)
+        # a gradient where each step starts: at the start and at every
+        # accepted point but a last one that ends the fit
+        assert grads == trail[:args["steps"]]
+        # s and e reused exactly where the lengthscale repeats
+        assert reused == [False] + [a.lengthscale == b.lengthscale for a, b
+                                    in zip(values, values[1:])]
         if seed in (1, 2):
             assert got.outputscale == 1.2
-            assert len(calls) == 2 < len(ref_calls) == 12
+            assert len(values) == 2 < len(ref_calls) == 12
+            assert len(grads) == 2
+        else:  # lengthscale held at its lower bound
+            assert any(reused)
+
+
+class TestFitEqualsReference:
+    # Drawn to reach every branch of the fit: boxes that bind, candidates
+    # whose Gram fails (repeated points without noise at an outputscale
+    # near 1e14), values that overflow (labels near 1e154), starts that
+    # fail, lengthscales held on a bound, where s and e are reused, and
+    # gradients that overflow into a NaN step, on which both fits raise
+    # the same ValueError from KernelParams.
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 150),
+           d=st.integers(1, 3), spread=st.floats(0.05, 2.0),
+           repeats=st.sampled_from([0.0, 0.0, 0.3]),
+           label_scale=st.sampled_from([1.0, 1.0, 1e3, 1e6, 1e154]),
+           noise=st.sampled_from([0.0, 1e-6, 1e-4]),
+           lengthscale=st.floats(0.01, 1.0), outputscale=st.floats(0.1, 10.0),
+           lengthscale_bounds=st.sampled_from([(0.06, 0.25), (1e-3, 10.0)]),
+           outputscale_bounds=st.sampled_from([(0.25, 4.0), (0.25, 1e14)]),
+           steps=st.integers(0, 20), lr=st.sampled_from([0.05, 0.5, 5.0]))
+    # eight candidates whose Gram fails, in a fit that moves
+    @example(seed=509, m=41, d=2, spread=1.0, repeats=0.3, label_scale=1.0,
+             noise=0.0, lengthscale=0.1, outputscale=3.0,
+             lengthscale_bounds=(0.06, 0.25), outputscale_bounds=(0.25, 1e14),
+             steps=15, lr=5.0)
+    # a non-finite candidate in a fit that moves
+    @example(seed=471, m=26, d=3, spread=0.1, repeats=0.0, label_scale=1e153,
+             noise=1e-4, lengthscale=0.05, outputscale=3.0,
+             lengthscale_bounds=(1e-3, 10.0), outputscale_bounds=(0.25, 4.0),
+             steps=18, lr=0.05)
+    # NaN labels: both fits raise at the start
+    @example(seed=0, m=5, d=2, spread=1.0, repeats=0.0, label_scale=np.nan,
+             noise=1e-4, lengthscale=0.1, outputscale=1.0,
+             lengthscale_bounds=(0.06, 0.25), outputscale_bounds=(0.25, 4.0),
+             steps=3, lr=0.05)
+    # a NaN step: both fits raise
+    @example(seed=0, m=1, d=3, spread=1.0, repeats=0.0, label_scale=1e154,
+             noise=0.0, lengthscale=1.0, outputscale=0.25,
+             lengthscale_bounds=(0.06, 0.25), outputscale_bounds=(0.25, 4.0),
+             steps=1, lr=0.05)
+    def test_fit_equals_full_lml_reference(self, seed, m, d, spread, repeats,
+                                           label_scale, noise, lengthscale,
+                                           outputscale, lengthscale_bounds,
+                                           outputscale_bounds, steps, lr):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.0, spread, (m, d))
+        x[rng.random(m) < repeats] = x[0]
+        y = label_scale * rng.uniform(-1.0, 1.0, m)
+        p0 = KernelParams(lengthscale, outputscale, noise)
+        args = dict(steps=steps, lr=lr, lengthscale_bounds=lengthscale_bounds,
+                    outputscale_bounds=outputscale_bounds)
+        with np.errstate(all="ignore"):
+            want = outcome(reference_fit, log_marginal_likelihood, x, y, p0,
+                           **args)
+            got = outcome(fit_hyperparams, x, y, p0, **args)
+        assert got == want
