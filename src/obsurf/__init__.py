@@ -10,7 +10,7 @@ from .constraints import NoPenetration, PathExists, all_satisfied, \
     connected_components, no_penetration, path_exists
 from .refine import RefinementProblem, compute_weights, phi, refine_contacts, \
     run_cmawm
-from .mppi import CostWeights, GoalSet, MppiConfig, mppi_step, select_component
+from .mppi import CostWeights, Goal, MppiConfig, mppi_step, select_component
 from .envs import Box, CableEnv, PegEnv, Scene, WorldGeometry, make_scene, \
     parse_scene
 from .harness import EpisodeConfig, EpisodeReport, run_batch, run_episode

@@ -1,9 +1,9 @@
 /* Jittered Cholesky factor and solve of many subsets of one noisy Gram
  * matrix, behind gp.factor_subsets: every GP solve of the package, one
  * training set in GpSolve and a CMA-ES generation's candidate subsets
- * in SubsetEvaluator.batch. And the solve against a factor of it for
- * many right-hand sides, behind gp._cho_solve: the explicit inverse of
- * GpSolve.kinv and of the marginal-likelihood gradient.
+ * in SubsetEvaluator.batch. And the explicit inverse from a factor of
+ * it, behind gp._inverse: GpSolve.kinv and the marginal-likelihood
+ * gradient's.
  *
  * The LAPACK routines are passed in as function pointers: the dpotrf
  * and dpotrs that scipy exports (scipy.linalg.cython_lapack), the very
@@ -135,14 +135,17 @@ long obsurf_cholesky(const double *ky, long n, const double *y,
     return result;
 }
 
-/* Solve (c c^T) x = b in place for a lower factor c (n, n, column-major)
- * and the nrhs right-hand sides b (n, nrhs, column-major) by dpotrs, as
- * scipy's f2py wrapper of it calls it: gp._cho_solve. */
-void obsurf_potrs(void *potrs_ptr, const double *c, long n, double *b,
-                  long nrhs)
+/* x (n, n, column-major) = (c c^T)^-1 for a lower factor c (n, n,
+ * column-major): dpotrs on the identity written into x, as scipy's
+ * cho_solve(c, eye(n)) calls it: gp._inverse. n = 0 skips LAPACK. */
+void obsurf_inverse(void *potrs_ptr, const double *c, long n, double *x)
 {
     char lower = 'L';
-    int ni = (int)n, nr = (int)nrhs, info;
-    ((potrs_fn)potrs_ptr)(&lower, &ni, &nr, (double *)c, &ni, b, &ni,
-                          &info);
+    int ni = (int)n, info;
+    memset(x, 0, sizeof(double) * (size_t)(n * n));
+    for (long i = 0; i < n; i++)
+        x[i + n * i] = 1.0;
+    if (n > 0)
+        ((potrs_fn)potrs_ptr)(&lower, &ni, &ni, (double *)c, &ni, x, &ni,
+                              &info);
 }

@@ -41,7 +41,7 @@ _KERNELS = {
                              _dbl, _long, _ptr]),
     "obsurf_cholesky": (_long, [_ptr, _long, _ptr, _ptr, _long, _ptr, _long,
                                 _ptr, _ptr, _ptr, _ptr]),
-    "obsurf_potrs": (None, [_ptr, _ptr, _long, _ptr, _long]),
+    "obsurf_inverse": (None, [_ptr, _ptr, _long, _ptr]),
     "obsurf_matern_s": (None, [_ptr, _long, _ptr, _long, _long, _dbl, _ptr,
                                _ptr]),
     "obsurf_matern_k": (None, [_ptr, _ptr, _long, _dbl, _ptr]),

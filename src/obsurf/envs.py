@@ -19,7 +19,7 @@ import numpy as np
 
 from . import clib, sensor
 from .gpis import GridSpec
-from .mppi import GoalSet
+from .mppi import Goal
 from .constraints import NoPenetration, PathExists
 
 # Resting gap kept between any point and an obstacle face, which avoids
@@ -233,7 +233,7 @@ class Scene:
 
     name: str
     env: object
-    goals: GoalSet
+    goal: Goal
     r_g: float
     camera: Optional[sensor.Camera] = None
     depth: Optional[sensor.DepthData] = None
@@ -346,7 +346,7 @@ def parse_scene(text: str, name: str = "custom") -> Scene:
             elif kind == "bounds":
                 bounds = ((vals[0], vals[1]), (vals[2], vals[3]))
             elif kind == "goal":
-                goal_pt, r_g = (vals[0], vals[1]), vals[2]
+                goal_pt, r_g = np.array(vals[:2]), vals[2]
             elif kind == "start":
                 start = np.array(vals, dtype=float).reshape(-1, 2)
             elif kind == "rest":
@@ -364,14 +364,14 @@ def parse_scene(text: str, name: str = "custom") -> Scene:
     grid = GridSpec(bounds[0], bounds[1], r_g / 2.0)
     if rest is None:
         env = PegEnv(world, start, u_max=0.02)
-        goals = GoalSet.single(0, goal_pt)
+        goal = Goal(0, goal_pt)
         specs = [PathExists(grid=grid, component=0)]
     else:
         k = start.shape[0]
         env = CableEnv(world, start, rest=rest, gripped=(0, k - 1), u_max=0.02)
-        goals = GoalSet.single(k // 2, goal_pt)
+        goal = Goal(k // 2, goal_pt)
         specs = [NoPenetration(zeta=0.4)]
     depth = None
     if cam is not None:
         depth = sensor.render_depth(world.rows(observable_only=False), cam)
-    return Scene(name, env, goals, r_g, cam, depth, specs, grid)
+    return Scene(name, env, goal, r_g, cam, depth, specs, grid)

@@ -8,13 +8,14 @@ from the two C passes of matern.c around numpy's exp (`kernel_matrix`);
 `matern32` is the same formula on given distances. Every Cholesky
 factorization, with its jitter ladder, is one call of the C kernel in
 cholesky.c (`factor_subsets`), for one training set or for a stack of
-subsets of one, and every solve against a factor (`_cho_solve`) one
-call of its neighbour there. Both call the dpotrf and dpotrs that scipy
-exports from scipy.linalg.cython_lapack, loaded alone (`_lapack`): the
-scipy.linalg package is never imported. The kernel fit scores each
-candidate by the marginal likelihood's value alone (`_lml_value`) and
-takes its gradient (`_lml_gradient`, the explicit inverse and the
-gradient sums) only where a step is accepted and read.
+subsets of one, and every explicit inverse from a factor (`_inverse`)
+one call of its neighbour there, which solves the identity it writes.
+Both call the dpotrf and dpotrs that scipy exports from
+scipy.linalg.cython_lapack, loaded alone (`_lapack`): the scipy.linalg
+package is never imported. The kernel fit scores each candidate by the
+marginal likelihood's value alone (`_lml_value`) and takes its gradient
+(`_lml_gradient`, the explicit inverse and the gradient sums) only
+where a step is accepted and read.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class KernelParams:
             raise ValueError(f"lengthscale must be positive, got {self.lengthscale}")
         if not (self.outputscale > 0.0):
             raise ValueError(f"outputscale must be positive, got {self.outputscale}")
-        if self.noise < 0.0:
+        if not (self.noise >= 0.0):
             raise ValueError(f"noise must be non-negative, got {self.noise}")
 
 
@@ -230,21 +231,15 @@ def factor_subsets(ky: np.ndarray, y: np.ndarray, keeps: np.ndarray,
                     in zip(slabs, sizes)], jittered
 
 
-def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve (c c^T) x = b for a lower factor c of factor_subsets, b a
-    vector or a matrix, as scipy's wrapper of dpotrs does: the same
-    routine on a Fortran-ordered copy of b, which it returns."""
-    if b.size == 0:
-        return np.empty_like(b)
-    m = len(b)
-    if c.shape != (m, m):
-        raise ValueError(f"_cho_solve: factor {c.shape} and right-hand "
-                         f"side {b.shape} do not match")
-    x = np.array(b, dtype=float, order="F")
-    c = np.asfortranarray(c, dtype=float)
+def _inverse(c: np.ndarray) -> np.ndarray:
+    """(c c^T)^-1 for a lower factor c of factor_subsets, as scipy's
+    cho_solve(c, eye) gives it: the same dpotrs on the identity, which
+    it returns Fortran-ordered."""
+    m = len(c)
+    x = np.empty((m, m), order="F")
     # the transposes are C-contiguous views of the same column-major data
-    clib.kernels().obsurf_potrs(_lapack()[1], clib.addr(c.T), m,
-                                clib.addr(x.T), x.size // m)
+    clib.kernels().obsurf_inverse(_lapack()[1], clib.addr(c.T), m,
+                                  clib.addr(x.T))
     return x
 
 
@@ -289,7 +284,7 @@ class GpSolve:
     @property
     def kinv(self) -> np.ndarray:
         if self._kinv is None:
-            self._kinv = _cho_solve(self._cho, np.eye(self.points.shape[0]))
+            self._kinv = _inverse(self._cho)
         return self._kinv
 
     def posterior(self, ks: np.ndarray, var_rows):
@@ -363,8 +358,7 @@ def _lml_value(x: np.ndarray, y: np.ndarray, params: KernelParams,
 def _lml_gradient(params: KernelParams, s, e, k, cho, alpha) -> np.ndarray:
     """Gradient of the log marginal likelihood in log-parameter space,
     from the arrays _lml_value returns with its value at params."""
-    kinv = _cho_solve(cho, np.eye(len(alpha)))
-    w = np.outer(alpha, alpha) - kinv  # dLML/dKy = 0.5 * w
+    w = np.outer(alpha, alpha) - _inverse(cho)  # dLML/dKy = 0.5 * w
 
     # dK/dlog(l) = outputscale * s^2 * exp(-s); dK/dlog(sf2) = K;
     # dKy/dlog(sn2) = noise * I.

@@ -115,7 +115,7 @@ class GridSpec:
             raise ValueError("grid resolution must be positive")
         lo = np.asarray(self.lo, dtype=float)
         hi = np.asarray(self.hi, dtype=float)
-        if lo.shape != hi.shape or np.any(hi <= lo):
+        if lo.shape != hi.shape or not np.all(hi > lo):
             raise ValueError("grid bounds must satisfy hi > lo per axis")
 
     @cached_property

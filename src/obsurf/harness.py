@@ -75,7 +75,8 @@ class EpisodeConfig:
     obs_noise_std: float = 0.0
 
     def __post_init__(self):
-        for name, least in (("t_m", 1), ("t_fit", 1), ("t_e", 0),
+        for name, least in (("max_steps", 1), ("samples", 1), ("horizon", 1),
+                            ("t_m", 1), ("t_fit", 1), ("t_e", 0),
                             ("t_cma", 1), ("n_cma", 4),
                             ("obs_noise_std", 0.0)):
             if not getattr(self, name) >= least:
@@ -169,16 +170,14 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeReport:
     scene = _scene(cfg.scene, cfg.scene_file)
     env = scene.env
     n = env.n
-    goals = scene.goals
-    goal_pts = goals.points
+    goal = scene.goal
+    goal_pts = goal.point[None]
     weights = mppi.CostWeights(action=cfg.alpha, exploration=cfg.beta,
                                collision=cfg.collision_c, basin=cfg.eta,
                                r_g=scene.r_g)
-    u_dim = env.control_dim
     mcfg = mppi.MppiConfig(
         temperature=cfg.temperature, samples=cfg.samples, horizon=cfg.horizon,
-        noise_cov=np.full(u_dim, cfg.noise_cov),
-        u_min=np.full(u_dim, -env.u_max), u_max=np.full(u_dim, env.u_max),
+        noise_cov=cfg.noise_cov, u_max=env.u_max,
     )
     mppi_rng, cma_ss, noise_rng = rng_streams(cfg.seed)
 
@@ -197,7 +196,7 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeReport:
 
     x = _observe(env.state, cfg.obs_noise_std, noise_rng)
     x_saved = x.copy()
-    nominal_seq = np.zeros((cfg.horizon, u_dim))
+    nominal_seq = np.zeros((cfg.horizon, env.control_dim))
     sel = 0
     records = []
     events = []
@@ -208,7 +207,7 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeReport:
         if n > 1 and cfg.t_e and (step - 1) % cfg.t_e == 0:
             sel = mppi.select_component(surface, x)
         u, nominal_seq = mppi.mppi_step(x, nominal_seq, env.nominal, surface,
-                                        goals, weights, mcfg, sel, mppi_rng)
+                                        goal, weights, mcfg, sel, mppi_rng)
         x_true = env.step_truth(u)
         x_next = _observe(x_true, cfg.obs_noise_std, noise_rng)
         x_pred = env.nominal(x[None], u[None, None])[0, 1]
@@ -250,8 +249,7 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeReport:
                     surface = Gpis(dp.bar_points, dp.bar_labels, params,
                                    free_space)
 
-        dist = np.linalg.norm(
-            x_true[np.asarray(goals.components)] - goal_pts, axis=1)
+        dist = np.linalg.norm(x_true[[goal.component]] - goal_pts, axis=1)
         success = bool(np.all(dist < scene.r_g))
         steps_used = step
         records.append({
@@ -420,9 +418,9 @@ def render_svg(report: EpisodeReport) -> str:
             parts.append(f'<polyline class="trajectory" points="{pts}" '
                          'fill="none" stroke="#31a354" stroke-width="2"/>')
 
-    for pt in scene.goals.points:
-        parts.append(f'<circle cx="{sx(pt[0]):.1f}" cy="{sy(pt[1]):.1f}" '
-                     f'r="{scene.r_g * scale:.1f}" fill="none" '
-                     'stroke="#e6550d" stroke-width="2"/>')
+    pt = scene.goal.point
+    parts.append(f'<circle cx="{sx(pt[0]):.1f}" cy="{sy(pt[1]):.1f}" '
+                 f'r="{scene.r_g * scale:.1f}" fill="none" '
+                 'stroke="#e6550d" stroke-width="2"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -11,26 +11,17 @@ exponentially-weighted average sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 
 @dataclass(frozen=True)
-class GoalSet:
-    """Goal locations for a subset of state components."""
+class Goal:
+    """The goal location of one state component."""
 
-    components: np.ndarray  # (g,) int indices
-    points: np.ndarray  # (g, d)
-
-    @classmethod
-    def single(cls, component: int, point) -> "GoalSet":
-        return cls(np.array([component], dtype=int),
-                   np.atleast_2d(np.asarray(point, dtype=float)))
-
-    @property
-    def empty(self) -> bool:
-        return len(self.components) == 0
+    component: int
+    point: np.ndarray  # (d,)
 
 
 @dataclass(frozen=True)
@@ -53,17 +44,16 @@ class MppiConfig:
     temperature: float
     samples: int
     horizon: int
-    noise_cov: np.ndarray  # diagonal of the control-noise covariance
-    u_min: np.ndarray
-    u_max: np.ndarray
+    noise_cov: float  # control-noise variance of every control dimension
+    u_max: float  # every control dimension is clipped to [-u_max, u_max]
 
     def __post_init__(self):
         if not (self.temperature > 0.0):
             raise ValueError("temperature must be positive")
         if self.samples < 1 or self.horizon < 1:
             raise ValueError("need at least one sample and one step of horizon")
-        if np.any(np.asarray(self.noise_cov) < 0.0):
-            raise ValueError("noise covariance diagonal must be non-negative")
+        if self.noise_cov < 0.0:
+            raise ValueError("noise variance must be non-negative")
 
 
 # -- cost terms (batched over samples; leading axis K) -----------------
@@ -79,19 +69,11 @@ def _norm(cols) -> np.ndarray:
     return np.sqrt(sq, out=sq)
 
 
-def _goal_costs(states: np.ndarray, goals: GoalSet, w: CostWeights) -> np.ndarray:
+def _goal_costs(states: np.ndarray, goal: Goal, w: CostWeights) -> np.ndarray:
     """Distance-to-goal plus success-basin bonus, summed over t=1..T."""
-    k, t1, _, d = states.shape
-    if goals.empty:
-        return np.zeros(k)
-    g = len(goals.components)
-    # (K, T, g) laid out goal-major, as np.linalg.norm leaves it over
-    # states[:, 1:, components]: the sum below runs in memory order
-    dist = np.empty((g, k, t1 - 1)).transpose(1, 2, 0)
-    for i, (c, pt) in enumerate(zip(goals.components, goals.points)):
-        dist[..., i] = _norm(states[:, 1:, c, j] - pt[j] for j in range(d))
-    in_basin = np.all(dist < w.r_g, axis=-1)  # (K, T)
-    return dist.sum(axis=(1, 2)) - w.basin * in_basin.sum(axis=1)
+    dist = _norm(states[:, 1:, goal.component, j] - goal.point[j]
+                 for j in range(states.shape[-1]))  # (K, T)
+    return dist.sum(axis=1) - w.basin * (dist < w.r_g).sum(axis=1)
 
 
 def _action_costs(controls: np.ndarray) -> np.ndarray:
@@ -130,7 +112,7 @@ def mppi_step(
     nominal: np.ndarray,
     rollout: Callable[[np.ndarray, np.ndarray], np.ndarray],
     surface,
-    goals: GoalSet,
+    goal: Goal,
     weights: CostWeights,
     cfg: MppiConfig,
     component: int,
@@ -141,8 +123,8 @@ def mppi_step(
     rollout maps K starts (K, n, d), here each x0 (n, d), and candidate
     control sequences (K, T, u) to their nominal states (K, T + 1, n, d),
     step 0 being the starts.
-    Perturbed controls are clamped to bounds before rollout, and the
-    clamped values are what enter both the action cost and the weighted
+    Perturbed controls are clamped to [-u_max, u_max] before rollout, and
+    the clamped values are what enter both the action cost and the weighted
     average. Returns the first action of the averaged sequence and the
     shifted sequence (last step repeated).
     """
@@ -153,21 +135,14 @@ def mppi_step(
         raise ValueError("nominal sequence length must match the horizon")
     k = cfg.samples
 
-    std, u_min, u_max = (np.broadcast_to(np.asarray(a, dtype=float), u_dim)
-                         for a in (np.sqrt(cfg.noise_cov), cfg.u_min,
-                                   cfg.u_max))
-    # nominal + noise, clipped, one control column at a time (scalar
-    # bounds are the cheap np.clip)
     cand = rng.standard_normal((k, t_hor, u_dim))
-    for j in range(u_dim):
-        col = cand[..., j]
-        col *= std[j]
-        np.add(nominal[:, j], col, out=col)
-        np.clip(col, u_min[j], u_max[j], out=col)
+    cand *= np.sqrt(cfg.noise_cov)
+    cand += nominal
+    np.clip(cand, -cfg.u_max, cfg.u_max, out=cand)
 
     states = rollout(np.broadcast_to(x0, (k,) + x0.shape), cand)
 
-    costs = _goal_costs(states, goals, weights)
+    costs = _goal_costs(states, goal, weights)
     costs += weights.action * _action_costs(cand)
     if surface is not None:
         coll, expl = _surface_costs(states, surface, component)

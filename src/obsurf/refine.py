@@ -50,16 +50,14 @@ class RefinementProblem:
 
     weights is the full-length weight vector; pinned marks entries whose
     bit is fixed at 1 (exterior-labeled points and goal seeds); feasible
-    evaluates the constraint conjunction on a full-length bit vector.
-    When feasible also has a `batch` method, which takes a (U, n) stack
-    of bit vectors and returns U verdicts (as `SubsetEvaluator` does),
-    `run_cmawm` judges each generation's new candidates with one call
-    to it; otherwise it calls feasible once per candidate.
+    judges the constraint conjunction on a (U, n) stack of full-length
+    bit vectors and returns U verdicts, as `SubsetEvaluator.batch` does.
+    `run_cmawm` judges each generation's new candidates with one call.
     """
 
     weights: np.ndarray
     pinned: np.ndarray
-    feasible: Callable[[np.ndarray], bool]
+    feasible: Callable[[np.ndarray], np.ndarray]
 
 
 def phi(problem: RefinementProblem, omega: np.ndarray) -> tuple[float, bool]:
@@ -69,22 +67,13 @@ def phi(problem: RefinementProblem, omega: np.ndarray) -> tuple[float, bool]:
     -kept + 0.0, so 0.0 - value is the kept weight exactly.
     """
     omega = np.asarray(omega, dtype=bool)
-    ok = bool(problem.feasible(omega))
+    ok = bool(problem.feasible(omega[None])[0])
     return _value(problem, omega, ok), ok
 
 
 def _value(problem: RefinementProblem, omega: np.ndarray, ok: bool) -> float:
     """phi's value for a bit vector whose verdict is already known."""
     return float(-(problem.weights @ omega) + PENALTY * (0.0 if ok else 1.0))
-
-
-def _judge(feasible, omegas: np.ndarray) -> list:
-    """Verdicts for a (U, n) stack of bit vectors: one call to
-    feasible.batch when it has one, else one call per vector."""
-    batch = getattr(feasible, "batch", None)
-    if batch is not None:
-        return [bool(ok) for ok in batch(omegas)]
-    return [bool(feasible(omega)) for omega in omegas]
 
 
 def _cma_constants(m: int, popsize: int):
@@ -173,7 +162,7 @@ def run_cmawm(
         if new:
             omegas = full(bits[list(new.values())])
             for key, omega, ok in zip(new, omegas,
-                                      _judge(problem.feasible, omegas)):
+                                      map(bool, problem.feasible(omegas))):
                 cache[key] = (_value(problem, omega, ok), ok)
 
         values = np.empty(popsize)
@@ -254,7 +243,7 @@ class RefinementEvent:
 def refine_contacts(
     dp: DatasetPair,
     params: KernelParams,
-    feasible_factory: Callable[[np.ndarray, np.ndarray], Callable[[np.ndarray], bool]],
+    feasible_factory: Callable[[np.ndarray, np.ndarray], object],
     generations: int,
     popsize: int,
     seed: int,
@@ -264,7 +253,9 @@ def refine_contacts(
     unpinned points.
 
     feasible_factory builds the constraint evaluator from the purged
-    active set (points, labels); candidate bit vectors index into it.
+    active set (points, labels), shaped like `SubsetEvaluator`: `batch`
+    judges a stack of candidate bit vectors, which index into the set,
+    and a call judges one.
     Exterior points (label above one half) and goal seeds are pinned;
     every other point is the optimizer's to keep or drop. The search
     always runs. When it finds no feasible vector, the relaxed set
@@ -287,7 +278,8 @@ def refine_contacts(
     # Everything surface-adjacent is the optimizer's to keep or drop.
     pinned = (dp.bar_labels > 0.5) | (dp.bar_tags == TAG_GOAL)
     feasible = feasible_factory(dp.bar_points, dp.bar_labels)
-    problem = RefinementProblem(weights=weights, pinned=pinned, feasible=feasible)
+    problem = RefinementProblem(weights=weights, pinned=pinned,
+                                feasible=feasible.batch)
 
     # The search runs even when the relaxed set (pinned points only)
     # fails: dropping a point raises the posterior variance, lowering a

@@ -132,7 +132,7 @@ def acceptance_instance(seed):
     raw = r.uniform(0.8, 1.2, n_all)
     raw[culprits] = r.uniform(0.05, 0.3, len(culprits))
     weights = raw / raw.sum()
-    feasible = lambda om: om[culprits].sum() <= allowed  # noqa: E731
+    feasible = lambda oms: oms[:, culprits].sum(axis=1) <= allowed  # noqa: E731
     return RefinementProblem(weights, pinned, feasible), free
 
 
@@ -141,12 +141,11 @@ def test_criterion_3_cmawm_vs_brute_force():
     optimum_hits = feasible_hits = feasible_total = 0
     for inst in range(50):
         prob, free = acceptance_instance(3000 + inst)
-        best_val = -1.0
-        for mask in range(2 ** len(free)):
-            om = np.ones(len(prob.weights), dtype=bool)
-            om[free] = [(mask >> i) & 1 for i in range(len(free))]
-            if prob.feasible(om):
-                best_val = max(best_val, float(prob.weights @ om))
+        # every free bit vector, judged as one stack
+        oms = np.ones((2 ** len(free), len(prob.weights)), dtype=bool)
+        oms[:, free] = np.arange(len(oms))[:, None] >> np.arange(len(free)) & 1
+        best_val = max((float(prob.weights @ om)
+                        for om in oms[prob.feasible(oms)]), default=-1.0)
         if best_val >= 0:
             feasible_total += 1
         omega, val, found = run_cmawm(prob, generations=25, popsize=20,

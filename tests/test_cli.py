@@ -120,10 +120,13 @@ def test_scene_file_kind_picks_defaults(tmp_path, name, stock, want):
 
 
 @pytest.mark.parametrize("pair, field", [
-    ("t_fit=0", "t_fit"), ("T_m=0", "t_m"), ("t_e=-1", "t_e")])
+    ("t_fit=0", "t_fit"), ("T_m=0", "t_m"), ("t_e=-1", "t_e"),
+    ("max_steps=-3", "max_steps"), ("K=0", "samples"), ("horizon=0", "horizon")])
 def test_bad_cadence_exit_two(scene_file, capsys, pair, field):
     # The cadences are step moduli: rejected when the config is built,
-    # not by a modulo by zero mid-run.
+    # not by a modulo by zero mid-run. So are a step budget below 1, which
+    # ran no step and exited 1 as a failure, and no samples or horizon,
+    # which the controller rejected without naming the field.
     code = main(["run", "--scene", "free", "--scene-file", scene_file,
                  "--set", pair])
     assert code == 2

@@ -12,6 +12,7 @@ from obsurf.contact import (DEDUP_TOL, DatasetPair, LabelBatch, TAG_GOAL,
 from obsurf import sensor
 from obsurf.gp import KernelParams
 from obsurf.refine import refine_contacts
+from test_refine import Rule
 
 
 def batch_for(x_t, x_next, x_pred):
@@ -390,7 +391,8 @@ class TestDatasetProperty:
         salt = salt.to_bytes(4, "little")
 
         def factory(pts, labs):
-            return lambda keep: zlib.crc32(keep.tobytes() + salt) % 2 == 0
+            return Rule(lambda keeps: [zlib.crc32(keep.tobytes() + salt) % 2
+                                       == 0 for keep in keeps])
 
         out, _ = refine_contacts(dp, self.params, factory, generations=3,
                                  popsize=4, seed=0)

@@ -18,7 +18,7 @@ from obsurf.envs import (Box, CableEnv, CONTACT_GAP, ObservedSurface, PegEnv,
                          WorldGeometry, make_scene, parse_scene)
 from obsurf.gpis import GridSpec, OccupancyGrid
 from obsurf.harness import EpisodeConfig, run_episode
-from obsurf.mppi import GoalSet
+from obsurf.mppi import Goal
 
 
 def simple_world(boxes=()):
@@ -434,18 +434,18 @@ def _reference_make_scene(name: str) -> Scene:
         world = WorldGeometry(boxes, (0.0, 0.0), (0.4, 0.4))
         env = PegEnv(world, [(0.20, 0.05)], u_max=0.02)
         r_g = 0.02
-        goals = GoalSet.single(0, (0.20, 0.22))
+        goal = Goal(0, np.array((0.20, 0.22)))
         grid = GridSpec((0.0, 0.0), (0.4, 0.4), r_g / 2.0)
-        return Scene(name, env, goals, r_g, None, None,
+        return Scene(name, env, goal, r_g, None, None,
                      [PathExists(grid=grid, component=0)], grid)
     if name == "peg_i":
         boxes = (Box((0.12, 0.19), (0.28, 0.22), observable=False),)
         world = WorldGeometry(boxes, (0.0, 0.0), (0.4, 0.4))
         env = PegEnv(world, [(0.20, 0.06)], u_max=0.02)
         r_g = 0.02
-        goals = GoalSet.single(0, (0.20, 0.34))
+        goal = Goal(0, np.array((0.20, 0.34)))
         grid = GridSpec((0.0, 0.0), (0.4, 0.4), r_g / 2.0)
-        return Scene(name, env, goals, r_g, None, None,
+        return Scene(name, env, goal, r_g, None, None,
                      [PathExists(grid=grid, component=0)], grid)
     if name == "peg_t":
         boxes = (
@@ -455,9 +455,9 @@ def _reference_make_scene(name: str) -> Scene:
         world = WorldGeometry(boxes, (0.0, 0.0), (0.4, 0.4))
         env = PegEnv(world, [(0.10, 0.12)], u_max=0.02)
         r_g = 0.02
-        goals = GoalSet.single(0, (0.30, 0.12))
+        goal = Goal(0, np.array((0.30, 0.12)))
         grid = GridSpec((0.0, 0.0), (0.4, 0.4), r_g / 2.0)
-        return Scene(name, env, goals, r_g, None, None,
+        return Scene(name, env, goal, r_g, None, None,
                      [PathExists(grid=grid, component=0)], grid)
     if name == "cable_hook":
         # The chain starts entirely under a long hidden bar, so lifting
@@ -477,9 +477,9 @@ def _reference_make_scene(name: str) -> Scene:
                                      width=300)
         depth = sensor.render_depth(world.rows(observable_only=False), cam)
         r_g = 0.04
-        goals = GoalSet.single(k // 2, (0.38, 0.42))
+        goal = Goal(k // 2, np.array((0.38, 0.42)))
         grid = GridSpec((0.0, 0.0), (0.6, 0.5), r_g / 2.0)
-        return Scene(name, env, goals, r_g, cam, depth,
+        return Scene(name, env, goal, r_g, cam, depth,
                      [NoPenetration(zeta=0.4)], grid)
     raise ValueError(f"unknown scene '{name}'")
 
@@ -1234,7 +1234,7 @@ class TestScenes:
     def test_peg_u_blocks_straight_line(self):
         sc = make_scene("peg_u")
         start = sc.env.state[0]
-        goal = sc.goals.points[0]
+        goal = sc.goal.point
         pts = start[None] + np.linspace(0, 1, 200)[:, None] * (goal - start)[None]
         assert sc.env.world.inside_any(pts).any()
 
@@ -1249,14 +1249,14 @@ class TestScenes:
                 centers.reshape(-1, 2)).reshape(nx, nx)
             labels = connected_components(OccupancyGrid((0, 0), res, occ))
             si = (int(sc.env.state[0, 0] / res), int(sc.env.state[0, 1] / res))
-            gi = (int(sc.goals.points[0, 0] / res),
-                  int(sc.goals.points[0, 1] / res))
+            gi = (int(sc.goal.point[0] / res),
+                  int(sc.goal.point[1] / res))
             assert labels[si] == labels[gi] != 0, name
 
     def test_goal_region_obstacle_free(self):
         for name in ("peg_u", "peg_i", "peg_t", "cable_hook"):
             sc = make_scene(name)
-            g = sc.goals.points[0]
+            g = sc.goal.point
             probe = g[None] + np.array([[0, 0], [1, 0], [-1, 0], [0, 1],
                                         [0, -1]]) * sc.r_g
             assert not sc.env.world.inside_any(probe).any(), name
@@ -1297,9 +1297,8 @@ class TestSceneFiles:
         if isinstance(want.env, CableEnv):
             assert got.env.rest == want.env.rest
             assert got.env.gripped == want.env.gripped
-        np.testing.assert_array_equal(got.goals.components,
-                                      want.goals.components)
-        np.testing.assert_array_equal(got.goals.points, want.goals.points)
+        assert got.goal.component == want.goal.component
+        np.testing.assert_array_equal(got.goal.point, want.goal.point)
         assert got.r_g == want.r_g
         assert got.camera == want.camera
         assert (got.depth is None) == (want.depth is None)

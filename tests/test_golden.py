@@ -96,13 +96,14 @@ def golden_episode(scene, seed, max_steps, noise):
 
 def enumerated_optimum(problem):
     """The largest kept weight over every feasible bit vector (free bits
-    enumerated, pinned bits set), or -1.0 when none is feasible."""
+    enumerated, pinned bits set), or -1.0 when none is feasible. Each
+    vector is judged alone, as a stack of one."""
     free = np.flatnonzero(~problem.pinned)
     best = -1.0
     for bits in itertools.product((False, True), repeat=len(free)):
         omega = problem.pinned.copy()
         omega[free] = bits
-        if problem.feasible(omega):
+        if problem.feasible(omega[None])[0]:
             best = max(best, float(problem.weights @ omega))
     return best
 

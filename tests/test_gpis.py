@@ -235,6 +235,14 @@ class TestOccupancy:
         with pytest.raises(ValueError):
             GridSpec((0.0, 0.0), (1.0, 1.0), 0.0)
 
+    @pytest.mark.parametrize("lo, hi", [
+        ((0.0, float("nan")), (1.0, 1.0)), ((0.0, 0.0), (float("nan"), 1.0)),
+        ((0.0, 0.0), (1.0, 0.0))])
+    def test_bounds_validation(self, lo, hi):
+        # NaN bounds fail when the spec is built, not later in `shape`
+        with pytest.raises(ValueError, match="hi > lo"):
+            GridSpec(lo, hi, 0.1)
+
 
 def _observed(x: np.ndarray, y: float) -> LabelBatch:
     """One observed, stored, unmasked label for the single-point state x."""

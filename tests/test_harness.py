@@ -206,7 +206,8 @@ class TestConfigText:
     # NaN states.
     @pytest.mark.parametrize("field, bad, least", [
         ("t_cma", 0, 1), ("n_cma", 3, 4), ("obs_noise_std", -0.01, 0.0),
-        ("obs_noise_std", float("nan"), 0.0)])
+        ("obs_noise_std", float("nan"), 0.0), ("max_steps", -3, 1),
+        ("samples", 0, 1), ("horizon", 0, 1)])
     def test_bad_budget_or_noise_rejected(self, field, bad, least):
         with pytest.raises(ValueError, match=f"{field} must be at least"):
             EpisodeConfig(**{field: bad})

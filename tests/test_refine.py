@@ -18,6 +18,25 @@ from test_constraints import (ENCLOSURE_GOAL, ENCLOSURE_GRID, ENCLOSURE_STATE,
 PARAMS = KernelParams(0.1, 1.0, 1e-4)
 
 
+def always(omegas):
+    return np.ones(len(omegas), dtype=bool)
+
+
+def never(omegas):
+    return np.zeros(len(omegas), dtype=bool)
+
+
+class Rule:
+    """An evaluator shaped like SubsetEvaluator, from a rule on a (U, n)
+    stack of keep vectors: `batch` applies it and a call judges one."""
+
+    def __init__(self, rule):
+        self.batch = rule
+
+    def __call__(self, keep):
+        return bool(self.batch(np.asarray(keep, dtype=bool)[None])[0])
+
+
 def brute_force_optimum(weights, pinned, feasible):
     """Exhaustive enumeration over the free bits."""
     free = np.where(~pinned)[0]
@@ -25,7 +44,7 @@ def brute_force_optimum(weights, pinned, feasible):
     for mask in range(2 ** len(free)):
         omega = np.ones(len(weights), dtype=bool)
         omega[free] = [(mask >> i) & 1 for i in range(len(free))]
-        if feasible(omega):
+        if feasible(omega[None])[0]:
             val = weights @ omega
             if val > best_val:
                 best_val, best = val, omega
@@ -48,7 +67,7 @@ def random_instance(seed):
     raw = r.uniform(0.8, 1.2, n_all)
     raw[culprits] = r.uniform(0.05, 0.3, len(culprits))
     weights = raw / raw.sum()
-    feasible = lambda om: om[culprits].sum() <= allowed  # noqa: E731
+    feasible = lambda oms: oms[:, culprits].sum(axis=1) <= allowed  # noqa: E731
     return RefinementProblem(weights, pinned, feasible)
 
 
@@ -93,20 +112,20 @@ class TestWeights:
 class TestPhi:
     def test_all_ones_feasible(self):
         w = np.full(4, 0.25)
-        prob = RefinementProblem(w, np.zeros(4, bool), lambda om: True)
+        prob = RefinementProblem(w, np.zeros(4, bool), always)
         value, ok = phi(prob, np.ones(4, bool))
         assert value == pytest.approx(-1.0) and ok
 
     def test_all_ones_infeasible(self):
         w = np.full(4, 0.25)
-        prob = RefinementProblem(w, np.zeros(4, bool), lambda om: False)
+        prob = RefinementProblem(w, np.zeros(4, bool), never)
         value, ok = phi(prob, np.ones(4, bool))
         assert value == pytest.approx(9.0) and not ok
 
     def test_partial_keep(self):
         w = np.array([0.1, 0.2, 0.3, 0.4])
         pinned = np.array([True, True, False, False])
-        prob = RefinementProblem(w, pinned, lambda om: True)
+        prob = RefinementProblem(w, pinned, always)
         omega = np.array([True, True, False, False])
         value, ok = phi(prob, omega)
         assert value == pytest.approx(-0.3) and ok
@@ -115,7 +134,7 @@ class TestPhi:
 class TestRunCmawm:
     def test_unconstrained_keeps_everything(self):
         prob = random_instance(0)
-        prob = RefinementProblem(prob.weights, prob.pinned, lambda om: True)
+        prob = RefinementProblem(prob.weights, prob.pinned, always)
         omega, val, found = run_cmawm(prob, 10, 20, seed=0)
         assert found
         assert omega.all()
@@ -123,7 +142,7 @@ class TestRunCmawm:
 
     def test_infeasible_returns_all_ones(self):
         prob = random_instance(1)
-        prob = RefinementProblem(prob.weights, prob.pinned, lambda om: False)
+        prob = RefinementProblem(prob.weights, prob.pinned, never)
         omega, val, found = run_cmawm(prob, 10, 20, seed=0)
         assert not found
         assert omega.all()
@@ -138,7 +157,7 @@ class TestRunCmawm:
             omega, val, found = run_cmawm(prob, 25, 20, seed=seed)
             assert found  # all these instances are feasible
             feasible_found += 1
-            assert prob.feasible(omega)
+            assert prob.feasible(omega[None])[0]
             if abs(val - bf_val) < 1e-12:
                 hits += 1
         assert hits >= 9
@@ -167,10 +186,10 @@ class TestRunCmawm:
 
     def test_zero_free_variables(self):
         w = np.full(3, 1 / 3)
-        prob = RefinementProblem(w, np.ones(3, bool), lambda om: True)
+        prob = RefinementProblem(w, np.ones(3, bool), always)
         omega, val, found = run_cmawm(prob, 5, 20, seed=0)
         assert found and omega.all()
-        prob = RefinementProblem(w, np.ones(3, bool), lambda om: False)
+        prob = RefinementProblem(w, np.ones(3, bool), never)
         omega, val, found = run_cmawm(prob, 5, 20, seed=0)
         assert not found and omega.all()
 
@@ -194,7 +213,7 @@ class TestRefineContacts:
     def test_purges_masked_everywhere(self):
         dp = build_pair()
         out, event = refine_contacts(
-            dp, PARAMS, lambda pts, labs: (lambda keep: True),
+            dp, PARAMS, lambda pts, labs: Rule(always),
             generations=5, popsize=20, seed=0, step=17)
         assert not out.bar_mask.any()
         assert not out.mem_mask.any()
@@ -204,7 +223,7 @@ class TestRefineContacts:
     def test_feasible_everywhere_keeps_all(self):
         dp = build_pair()
         out, event = refine_contacts(
-            dp, PARAMS, lambda pts, labs: (lambda keep: True),
+            dp, PARAMS, lambda pts, labs: Rule(always),
             generations=5, popsize=20, seed=0)
         assert event.found_feasible
         assert out.bar_size == dp.purge_masked().bar_size
@@ -212,7 +231,7 @@ class TestRefineContacts:
     def test_infeasible_leaves_bar_after_purge(self):
         dp = build_pair()
         out, event = refine_contacts(
-            dp, PARAMS, lambda pts, labs: (lambda keep: False),
+            dp, PARAMS, lambda pts, labs: Rule(never),
             generations=5, popsize=20, seed=0)
         assert not event.found_feasible
         assert out.bar_size == dp.purge_masked().bar_size
@@ -225,7 +244,8 @@ class TestRefineContacts:
         def factory(pts, labs):
             # require dropping at least two interiors
             interiors = labs < 0
-            return lambda keep: (keep & interiors).sum() <= interiors.sum() - 2
+            return Rule(lambda keeps: (keeps & interiors).sum(axis=1)
+                        <= interiors.sum() - 2)
 
         out, event = refine_contacts(dp, PARAMS, factory,
                                      generations=25, popsize=20, seed=0)
@@ -240,7 +260,7 @@ class TestRefineContacts:
 
         def factory(pts, labs):
             interiors = labs < 0
-            return lambda keep: (keep & interiors).sum() == 0
+            return Rule(lambda keeps: (keeps & interiors).sum(axis=1) == 0)
 
         out, event = refine_contacts(dp, PARAMS, factory,
                                      generations=25, popsize=20, seed=1)
@@ -252,7 +272,7 @@ class TestRefineContacts:
     def test_event_record_shape(self):
         dp = build_pair()
         _, event = refine_contacts(
-            dp, PARAMS, lambda pts, labs: (lambda keep: True),
+            dp, PARAMS, lambda pts, labs: Rule(always),
             generations=4, popsize=20, seed=0, step=3)
         rec = event.to_record()
         assert set(rec) == {"step", "bar_before", "bar_after", "purged",
@@ -321,7 +341,8 @@ class TestRefineContacts:
 
 # -- reference: the search as it was before it judged whole generations --
 # Kept verbatim (names prefixed) as an exactness oracle: every candidate
-# not in the cache is scored through phi, one feasible call each.
+# not in the cache is scored through phi, one feasible call each, on a
+# stack of one.
 
 def _reference_phi(problem: RefinementProblem, omega: np.ndarray) -> tuple[float, bool]:
     """Objective: negated kept weight plus a flat penalty on violation.
@@ -330,7 +351,7 @@ def _reference_phi(problem: RefinementProblem, omega: np.ndarray) -> tuple[float
     -kept + 0.0, so 0.0 - value is the kept weight exactly.
     """
     omega = np.asarray(omega, dtype=bool)
-    ok = bool(problem.feasible(omega))
+    ok = bool(problem.feasible(omega[None])[0])
     return float(-(problem.weights @ omega) + PENALTY * (0.0 if ok else 1.0)), ok
 
 
@@ -444,22 +465,15 @@ def _reference_run_cmawm(
 
 
 class Recorded:
-    """A feasible callable that logs every bit vector it judges; it has a
-    batch method only when the wrapped one does."""
+    """A stack judge that logs every bit vector it judges."""
 
     def __init__(self, inner):
         self.inner = inner
         self.judged = []
-        if hasattr(inner, "batch"):
-            self.batch = self._batch
 
-    def __call__(self, omega):
-        self.judged.append(np.asarray(omega, dtype=bool).tobytes())
-        return self.inner(omega)
-
-    def _batch(self, omegas):
+    def __call__(self, omegas):
         self.judged += [row.tobytes() for row in omegas]
-        return self.inner.batch(omegas)
+        return self.inner(omegas)
 
 
 class TestRunCmawmOracle:
@@ -493,8 +507,8 @@ class TestRunCmawmOracle:
     def test_lambda_problems(self, instance, kind, generations, popsize, seed):
         prob = random_instance(instance)
         pinned = prob.pinned.copy()
-        feasible = {"instance": prob.feasible, "always": lambda om: True,
-                    "never": lambda om: False, "pinned": prob.feasible}[kind]
+        feasible = {"instance": prob.feasible, "always": always,
+                    "never": never, "pinned": prob.feasible}[kind]
         if kind == "pinned":  # nothing left to search
             pinned[:] = True
         self.assert_same_search(prob.weights, pinned, lambda: feasible,
@@ -513,7 +527,7 @@ class TestRunCmawmOracle:
 
         def make_feasible():
             return SubsetEvaluator(specs, pts, labels, KernelParams(0.07, 1.0, 1e-4),
-                                   None, ENCLOSURE_STATE, ENCLOSURE_GOAL)
+                                   None, ENCLOSURE_STATE, ENCLOSURE_GOAL).batch
 
         self.assert_same_search(weights, labels > 0.5, make_feasible,
                                 generations, popsize, seed)
